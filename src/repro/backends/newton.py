@@ -37,7 +37,6 @@ class NewtonBackend(Backend):
         fast: bool = True,
         channel_workers: int = 0,
         telemetry: bool = True,
-        datapath: Optional[str] = None,
         device: Optional[NewtonDevice] = None,
     ):
         """Wrap an existing ``device``, or build one from the knobs."""
@@ -53,7 +52,6 @@ class NewtonBackend(Backend):
                 fast=fast,
                 channel_workers=channel_workers,
                 telemetry=telemetry,
-                datapath=datapath,
             )
         )
 

@@ -1,27 +1,23 @@
-"""Functional-datapath executors: scalar, per-tile, and batched tiers.
+"""The engine's functional datapath: batched bf16 tile evaluation.
 
 The engine's timing machinery and its functional datapath are
 independent state machines: a segment's functional effects depend only
 on the order of its payload-carrying steps (loads, tile computes,
 result emits), never on how the controller scheduled the commands that
 carried them (see :class:`~repro.core.schedule_cache.StreamSegment`).
-That independence is what this module exploits — the same payload
-stream can be *interpreted* at three speeds, all bit-identical:
+That independence is what this module exploits: whole *buffer groups*
+of tiles — every tile that reads the same global-buffer chunk — are
+evaluated as one
+:func:`~repro.numerics.vectorized.batched_tile_compute` call over a
+``(tiles, banks, chunk_elems)`` block, with GWRITE runs loading the
+buffer as one vectorized quantize instead of 32 sub-chunk stores.
 
-* ``scalar`` — the hardware-faithful reference: one
-  :class:`~repro.core.mac_unit.BankMacUnit` per bank, one ``compute``
-  per COMP command's sub-chunk. This is the per-command path the paper
-  describes and the bit-level contract everything else is pinned to.
-* ``tile`` — one :func:`~repro.core.mac_unit.tile_compute` call per
-  tile (every bank × sub-chunk of one DRAM row vectorized); the
-  engine's previous default.
-* ``batched`` — the default: whole *buffer groups* of tiles — every
-  tile that reads the same global-buffer chunk — evaluated as one
-  :func:`~repro.numerics.vectorized.batched_tile_compute` call over a
-  ``(tiles, banks, chunk_elems)`` block, with GWRITE runs loading the
-  buffer as one vectorized quantize instead of 32 sub-chunk stores.
+The bit-level contract is the per-command
+:class:`~repro.core.reference.ReferenceExecutor`, which walks the same
+stream COMP by COMP through one
+:class:`~repro.core.mac_unit.BankMacUnit` per bank.
 
-The batched tier defers work symbolically: a tile compute *opens a
+The datapath defers work symbolically: a tile compute *opens a
 slot* (recording the DRAM row and the latch's concrete carry value)
 and parks a slot reference in the latch; a result emit *pops* the
 reference (deferring the host-side accumulation) and resets the latch
@@ -34,47 +30,25 @@ order. Because the kernel is bit-identical per tile (see
 :mod:`repro.numerics.vectorized`) and host accumulation replays in
 issue order, the flush is invisible — pinned by the differential suite
 in ``tests/core/test_datapath.py`` across every optimization combo.
-
-Select a tier with the engine's ``datapath=`` argument or the
-``NEWTON_DATAPATH`` environment variable (``batched`` | ``tile`` |
-``scalar``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.command_gen import EmitOp, Step, TileComputeOp
-from repro.core.mac_unit import BankMacUnit, tile_compute
-from repro.errors import ConfigurationError
 from repro.numerics.vectorized import batched_tile_compute
-
-DATAPATHS = ("batched", "tile", "scalar")
-"""Recognized functional-datapath tier names, fastest first."""
-
-DATAPATH_ENV = "NEWTON_DATAPATH"
-"""Environment variable selecting the default tier."""
 
 
 def default_datapath() -> str:
-    """The tier ``NEWTON_DATAPATH`` requests (``batched`` if unset).
-
-    Raises:
-        ConfigurationError: for an unrecognized tier name.
-    """
-    name = os.environ.get(DATAPATH_ENV, "").strip().lower() or "batched"
-    if name not in DATAPATHS:
-        raise ConfigurationError(
-            f"{DATAPATH_ENV}={name!r} is not one of {', '.join(DATAPATHS)}"
-        )
-    return name
+    """Name of the datapath every engine runs (``batched``)."""
+    return BatchedDatapath.name
 
 
 class FunctionalDatapath:
-    """Base class: buffer bookkeeping shared by every tier.
+    """Base class: the payload-step interpreter and buffer bookkeeping.
 
     Subclasses interpret the compute/emit payloads; loads and chunk
     invalidations are common. ``step`` is called once per payload step
@@ -142,69 +116,6 @@ class FunctionalDatapath:
         rows = emit.matrix_rows
         mask = rows >= 0
         np.add.at(output, rows[mask], values[mask])
-
-
-class TileDatapath(FunctionalDatapath):
-    """One vectorized :func:`tile_compute` per tile (the previous
-    engine default); computes and emits apply immediately."""
-
-    name = "tile"
-
-    def on_compute(self, op: TileComputeOp, layout) -> None:
-        engine = self.engine
-        matrix_rows = engine._tile_matrix(op.dram_row)
-        engine._latches[:, op.latch] = tile_compute(
-            matrix_rows,
-            engine.buffer.chunk(layout.cols_in_chunk(op.chunk)),
-            engine._latches[:, op.latch],
-            engine.config.mults_per_bank,
-        )
-
-    def on_emit(self, emit: EmitOp, output: np.ndarray) -> None:
-        engine = self.engine
-        values = engine._latches[:, emit.latch].copy()
-        engine._latches[:, emit.latch] = 0.0
-        self._apply_emit(emit, values, output)
-
-
-class ScalarDatapath(FunctionalDatapath):
-    """The hardware-faithful reference: one MAC-unit ``compute`` per
-    COMP command's sub-chunk, per bank.
-
-    Orders of magnitude slower than the vector tiers — it exists as the
-    bit-level contract they are differentially pinned against, and as
-    the measured baseline of the throughput benchmark's functional
-    section.
-    """
-
-    name = "scalar"
-
-    def __init__(self, engine):
-        super().__init__(engine)
-        self.units = [
-            BankMacUnit(engine.config, num_latches=engine.opt.result_latches)
-            for _ in range(engine.config.banks_per_channel)
-        ]
-
-    def on_compute(self, op: TileComputeOp, layout) -> None:
-        engine = self.engine
-        matrix_rows = engine._tile_matrix(op.dram_row)
-        chunk_vec = engine.buffer.chunk(layout.cols_in_chunk(op.chunk))
-        k = engine.config.elems_per_col
-        for sub in range(layout.cols_in_chunk(op.chunk)):
-            lo = sub * k
-            input_sub = chunk_vec[lo : lo + k]
-            for bank, unit in enumerate(self.units):
-                unit.compute(
-                    matrix_rows[bank, lo : lo + k], input_sub, latch=op.latch
-                )
-
-    def on_emit(self, emit: EmitOp, output: np.ndarray) -> None:
-        values = np.array(
-            [unit.read_and_clear(emit.latch) for unit in self.units],
-            dtype=np.float32,
-        )
-        self._apply_emit(emit, values, output)
 
 
 class BatchedDatapath(FunctionalDatapath):
@@ -310,28 +221,3 @@ class BatchedDatapath(FunctionalDatapath):
         self._output = output
         self._flush(output)
         self._output = None
-
-
-_TIERS = {
-    "batched": BatchedDatapath,
-    "tile": TileDatapath,
-    "scalar": ScalarDatapath,
-}
-
-
-def make_datapath(name: Optional[str], engine) -> FunctionalDatapath:
-    """Build the requested functional tier for one engine.
-
-    ``None`` defers to ``NEWTON_DATAPATH`` (default ``batched``).
-
-    Raises:
-        ConfigurationError: for an unrecognized tier name.
-    """
-    resolved = (name or default_datapath()).strip().lower()
-    tier = _TIERS.get(resolved)
-    if tier is None:
-        raise ConfigurationError(
-            f"unknown functional datapath {name!r}; expected one of "
-            f"{', '.join(DATAPATHS)}"
-        )
-    return tier(engine)

@@ -113,7 +113,6 @@ class NewtonDevice:
         fast: bool = True,
         channel_workers: int = 0,
         telemetry: bool = True,
-        datapath: Optional[str] = None,
     ):
         self.config = config if config is not None else hbm2e_like_config()
         self.timing = timing if timing is not None else hbm2e_like_timing()
@@ -142,7 +141,6 @@ class NewtonDevice:
                 lut=lut,
                 fast=fast,
                 telemetry=telemetry,
-                datapath=datapath,
             )
             for ch in range(active_channels)
         ]

@@ -5,11 +5,10 @@ every command to the cycle-accurate controller and — in functional mode —
 mirroring the datapath's state: GWRITE loads the global buffer, the final
 compute command of a tile fires the tile evaluation (bit-exact with the
 per-command MAC path), and READRES drains result latches into fp32
-host-side partial accumulation. The functional interpretation itself is
-tiered too (:mod:`repro.core.datapath`): the default ``batched`` tier
-evaluates whole buffer groups of tiles as single vector kernels, with
-``tile`` and per-COMP ``scalar`` tiers selectable via the ``datapath``
-argument or ``NEWTON_DATAPATH`` — all three bit-identical.
+host-side partial accumulation. The functional interpretation
+(:mod:`repro.core.datapath`) evaluates whole buffer groups of tiles as
+single vector kernels, bit-identical to the per-command
+:class:`~repro.core.reference.ReferenceExecutor`.
 
 A single engine persists across runs: successive layers (or batch inputs)
 execute back-to-back on the same controller clock, so refresh interference
@@ -48,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.command_gen import CommandStreamGenerator
-from repro.core.datapath import make_datapath
+from repro.core.datapath import BatchedDatapath
 from repro.core.global_buffer import GlobalBuffer
 from repro.core.layout import Layout, make_layout
 from repro.core.optimizations import OptimizationConfig
@@ -86,9 +85,7 @@ def telemetry_env_enabled() -> bool:
     """True unless ``NEWTON_TELEMETRY`` requests attribution off.
 
     Telemetry defaults on; set ``NEWTON_TELEMETRY=0`` (or any falsy
-    spelling) to skip cycle-attribution accounting entirely — the
-    reference point the throughput benchmark's overhead gate measures
-    against.
+    spelling) to skip cycle-attribution accounting entirely.
     """
     return env_flag("NEWTON_TELEMETRY", default=True)
 
@@ -109,7 +106,6 @@ class NewtonChannelEngine:
         lut: Optional[ActivationLUT] = None,
         fast: bool = True,
         telemetry: bool = True,
-        datapath: Optional[str] = None,
         schedule_cache: Optional[ScheduleCache] = None,
     ):
         self.config = config
@@ -139,10 +135,9 @@ class NewtonChannelEngine:
         # (chunk, tile) removes a whole-matrix decode per chunk. Cleared
         # at run start — storage may be mutated between runs (scrub).
         self._row_cache: dict = {}
-        self.datapath = make_datapath(datapath, self)
-        """The functional-datapath tier interpreting this engine's
-        payload steps (see :mod:`repro.core.datapath`); selected by the
-        ``datapath`` argument or ``NEWTON_DATAPATH``."""
+        self.datapath = BatchedDatapath(self)
+        """The functional datapath interpreting this engine's payload
+        steps (see :mod:`repro.core.datapath`)."""
         self.schedule_cache = (
             schedule_cache if schedule_cache is not None else ScheduleCache()
         )
@@ -378,8 +373,8 @@ class NewtonChannelEngine:
                 for step in segment.functional_steps:
                     self.datapath.step(step, padded, layout, output)
         if output is not None:
-            # Apply the datapath's deferred work (the batched tier
-            # evaluates whole buffer groups at flush points), then drop
+            # Apply the datapath's deferred work (it evaluates whole
+            # buffer groups at flush points), then drop
             # the run's expanded-row memo.
             self.datapath.finish(output)
             self._row_cache.clear()

@@ -3,12 +3,14 @@
 Two functional paths model the same hardware:
 
 * :class:`BankMacUnit` — the scalar, per-command path: one COMP feeds 16
-  lane products through the adder tree into the latch. Used by unit and
-  property tests as the bit-exact reference.
+  lane products through the adder tree into the latch. The per-command
+  :class:`~repro.core.reference.ReferenceExecutor` drives one per bank
+  as the bit-exact reference.
 * :func:`tile_compute` — the vectorized path: evaluates one whole tile
   (every bank x every sub-chunk of a DRAM row) with identical rounding
   and accumulation *order*, so it is bit-identical to the scalar path
-  (a property test pins this). The engine uses it for speed.
+  (a property test pins this). The engine's batched datapath evaluates
+  many tiles at once with the same kernel.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """A per-command reference executor for cross-checking the engine.
 
-The fast engine evaluates whole tiles vectorized. This executor walks
+The engine evaluates whole buffer groups of tiles vectorized
+(:mod:`repro.core.datapath`). This executor walks
 the *same* Step stream but interprets it the way the hardware would —
 GWRITE by GWRITE into the global buffer, COMP by COMP through each
 bank's :class:`~repro.core.mac_unit.BankMacUnit` (including the
 non-complex BUF_READ/COL_READ/MAC micro-sequences), READRES by latch
 read — exercising every protocol check (buffer validity, latch bounds)
-along the way. Tests pin its outputs bit-identical to the fast engine.
+along the way. Tests pin the engine's outputs bit-identical to it.
 
 It is deliberately slow; use it for verification, not experiments.
 """

@@ -45,7 +45,7 @@ as it splits replay segments for the fast path.
 
 The functional side mirrors this shape: a compiled run's payloads
 (:meth:`repro.core.command_gen.RunStep.payload_steps`) compact a GWRITE
-run to a single ``load_run`` buffer load, and the batched datapath tier
+run to a single ``load_run`` buffer load, and the batched functional datapath
 (:mod:`repro.core.datapath`) evaluates a whole buffer-group of COMP
 runs as one :func:`repro.numerics.vectorized.batched_tile_compute`
 call — so in both domains a homogeneous command run costs one kernel

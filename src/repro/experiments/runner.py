@@ -898,7 +898,7 @@ def profile_split(stats) -> "Dict[str, float]":
 
     The data-driven target selector the perf roadmap asks for: whether
     the next optimization should attack the functional datapath
-    (:mod:`repro.numerics`, the datapath tiers) or the timing
+    (:mod:`repro.numerics`, :mod:`repro.core.datapath`) or the timing
     simulation (:mod:`repro.dram`, lowering, the schedule cache) is
     read straight off this split instead of guessed. ``stats`` is a
     ``pstats.Stats``; returns seconds of self-time per bucket.

@@ -1,7 +1,7 @@
 """Batched bfloat16 kernels: whole COMP bursts as single array ops.
 
-The functional datapath's bit-level contract is fixed by the scalar
-reference (:class:`~repro.core.mac_unit.BankMacUnit`): round to nearest
+The functional datapath's bit-level contract is fixed by the per-COMP
+MAC unit (:class:`~repro.core.mac_unit.BankMacUnit`): round to nearest
 even at the multiplier, at every adder-tree stage, and at the result
 latch's accumulation, in exactly the order the command stream issues.
 This module provides the same arithmetic over *blocks* — a whole buffer
@@ -26,11 +26,12 @@ Two facts make the batch bit-identical rather than merely close:
   results or zero.
 
 The differential suites in ``tests/numerics/test_vectorized.py`` pin the
-batched kernels bit-identical to the scalar reference across NaN, ±inf,
+batched kernels bit-identical to the per-COMP MAC unit across NaN, ±inf,
 subnormal, and mixed-exponent operands.
 
-:class:`LaneScratch` serves the opposite regime: the scalar fallback
-path (:class:`~repro.core.mac_unit.BankMacUnit`,
+:class:`LaneScratch` serves the opposite regime: the scalar path
+(:class:`~repro.core.mac_unit.BankMacUnit`, driven by
+:class:`~repro.core.reference.ReferenceExecutor`, and
 :meth:`~repro.numerics.adder_tree.AdderTree.feed`) runs one 16-lane
 sub-chunk at a time, where per-call ``np.array([...])`` construction
 dominated; its preallocated buffers make the hot loop allocation-free.
@@ -193,9 +194,9 @@ def batched_tile_compute(
 
 
 class LaneScratch:
-    """Preallocated buffers for one bank's scalar (per-COMP) datapath.
+    """Preallocated buffers for one bank's scalar (per-COMP) MAC unit.
 
-    The scalar fallback path processes a single ``lanes``-wide sub-chunk
+    The scalar path processes a single ``lanes``-wide sub-chunk
     per call; before this class, every call built fresh 16-element
     arrays for the operands, the products, each tree level, and the
     1-element accumulation cell. All of that now lives here, allocated

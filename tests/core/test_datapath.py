@@ -1,10 +1,12 @@
-"""Differential validation of the tiered functional datapath.
+"""Differential validation of the batched functional datapath.
 
-The three tiers (``batched``, ``tile``, ``scalar``) interpret the same
-payload stream at different granularities; the contract is that outputs
-*and* cycles are bit-identical across tiers for every optimization
-combination, layout, batch, and the LUT path. The scalar tier is the
-hardware-faithful reference — everything is compared against it.
+The engine's datapath evaluates whole buffer groups of tiles as single
+vector kernels, deferring emits to flush points. The contract is that
+its outputs are bit-identical (compared as ``uint32``, so NaN payloads
+and the sign of zero count) to the per-command
+:class:`~repro.core.reference.ReferenceExecutor`, which walks the same
+stream COMP by COMP through one ``BankMacUnit`` per bank — for every
+optimization combination, layout, batch, and the LUT path.
 """
 
 import itertools
@@ -13,18 +15,15 @@ import numpy as np
 import pytest
 
 from repro.core.datapath import (
-    DATAPATH_ENV,
-    DATAPATHS,
     BatchedDatapath,
-    ScalarDatapath,
-    TileDatapath,
+    FunctionalDatapath,
     default_datapath,
-    make_datapath,
 )
 from repro.core.device import NewtonDevice
-from repro.core.optimizations import FULL, OptimizationConfig
+from repro.core.optimizations import FULL
+from repro.core.reference import ReferenceExecutor
 from repro.dram.config import DRAMConfig
-from repro.errors import ConfigurationError
+from repro.numerics.lut import ActivationLUT
 from repro.workloads.generator import generate_layer_data
 
 CFG = DRAMConfig(num_channels=2, banks_per_channel=16, rows_per_bank=256)
@@ -37,142 +36,107 @@ FLAGS = (
 )
 
 
-def _gemv_outputs(datapath, opt, m, n, seed=5, batch=1, **device_kwargs):
+def reference_output(device, handle, matrix, vector):
+    """The per-command reference, channel slice by channel slice."""
+    output = np.zeros(handle.m, dtype=np.float32)
+    for _, (lo, hi), layout in handle.placements:
+        reference = ReferenceExecutor(device.config, device.opt)
+        reference.load_matrix(layout, matrix[lo:hi])
+        output[lo:hi] = reference.run_gemv(device.timing, layout, vector)
+    return output
+
+
+def assert_bits_equal(expected, got):
+    assert np.array_equal(expected.view(np.uint32), got.view(np.uint32))
+
+
+def check_against_reference(opt, m, n, seed=5, batch=1, lut_activation=None):
+    """Run ``batch`` back-to-back GEMVs on one device; each output must
+    match its own reference run (with the LUT applied on top)."""
     data = generate_layer_data(m, n, seed=seed)
     device = NewtonDevice(
-        CFG, opt=opt, functional=True, datapath=datapath, **device_kwargs
+        CFG, opt=opt, functional=True, lut_activation=lut_activation
     )
     handle = device.load_matrix(data.matrix)
     if batch == 1:
-        run = device.gemv(handle, data.vector)
-        return [(run.cycles, run.output)]
-    rng = np.random.default_rng(seed + 1)
-    vectors = rng.standard_normal((batch, n)).astype(np.float32)
-    return [(r.cycles, r.output) for r in device.gemv_batch(handle, vectors)]
-
-
-def assert_runs_identical(reference, candidate):
-    assert len(reference) == len(candidate)
-    for (ref_cycles, ref_out), (got_cycles, got_out) in zip(
-        reference, candidate
-    ):
-        assert got_cycles == ref_cycles
-        assert np.array_equal(
-            ref_out.view(np.uint32), got_out.view(np.uint32)
-        )
+        vectors = data.vector[None, :]
+    else:
+        rng = np.random.default_rng(seed + 1)
+        vectors = rng.standard_normal((batch, n)).astype(np.float32)
+    runs = device.gemv_batch(handle, vectors)
+    assert len(runs) == batch
+    for run, vector in zip(runs, vectors):
+        expected = reference_output(device, handle, data.matrix, vector)
+        if lut_activation is not None:
+            expected = ActivationLUT(lut_activation).apply(expected)
+        assert_bits_equal(expected, run.output)
 
 
 class TestTierDifferential:
-    """batched == tile == scalar, bit for bit, outputs and cycles."""
+    """The batched datapath == the per-command reference, bit for bit."""
 
     @pytest.mark.parametrize("disabled", [None, *FLAGS])
     def test_all_opt_combinations(self, disabled):
         opt = FULL if disabled is None else FULL.evolve(**{disabled: False})
-        reference = _gemv_outputs("scalar", opt, 96, 768)
-        for tier in ("tile", "batched"):
-            assert_runs_identical(reference, _gemv_outputs(tier, opt, 96, 768))
+        check_against_reference(opt, 96, 768)
 
     def test_multi_latch_no_reuse(self):
         """The Section III-C four-latch row-major variant exercises the
-        batched tier's latch-conflict flushes."""
+        batched datapath's latch-conflict flushes."""
         opt = FULL.evolve(interleaved_reuse=False, result_latches=4)
-        reference = _gemv_outputs("scalar", opt, 64, 512)
-        for tier in ("tile", "batched"):
-            assert_runs_identical(reference, _gemv_outputs(tier, opt, 64, 512))
+        check_against_reference(opt, 64, 512)
 
     def test_lut_path(self):
         """Deferred emits must apply the LUT exactly like immediate ones."""
         opt = FULL.evolve(interleaved_reuse=False)
-        reference = _gemv_outputs(
-            "scalar", opt, 48, 512, lut_activation="sigmoid"
-        )
-        for tier in ("tile", "batched"):
-            assert_runs_identical(
-                reference,
-                _gemv_outputs(tier, opt, 48, 512, lut_activation="sigmoid"),
-            )
+        check_against_reference(opt, 48, 512, lut_activation="sigmoid")
 
     def test_batch_runs(self):
-        """Back-to-back inputs reuse the resident matrix; the batched
-        tier's per-run row cache must reset cleanly between runs."""
-        reference = _gemv_outputs("scalar", FULL, 64, 512, batch=3)
-        for tier in ("tile", "batched"):
-            assert_runs_identical(
-                reference, _gemv_outputs(tier, FULL, 64, 512, batch=3)
-            )
+        """Back-to-back inputs reuse the resident matrix; the per-run row
+        cache and deferred state must reset cleanly between runs."""
+        check_against_reference(FULL, 64, 512, batch=3)
 
     def test_ragged_shape(self):
         """A shape that pads both dimensions (partial final chunk/tile)."""
-        reference = _gemv_outputs("scalar", FULL, 70, 300)
-        for tier in ("tile", "batched"):
-            assert_runs_identical(reference, _gemv_outputs(tier, FULL, 70, 300))
+        check_against_reference(FULL, 70, 300)
 
     def test_special_values_in_matrix(self):
-        """NaN/inf/subnormal matrix entries flow through every tier
-        identically."""
+        """NaN/inf/subnormal matrix entries flow through identically."""
         data = generate_layer_data(32, 256, seed=7)
         matrix = data.matrix.copy()
         matrix[0, 0] = np.nan
         matrix[1, 1] = np.inf
         matrix[2, 2] = -np.inf
         matrix[3, 3] = np.float32(1e-42)  # subnormal after bf16 rounding
-        runs = {}
-        for tier in DATAPATHS:
-            device = NewtonDevice(CFG, opt=FULL, functional=True, datapath=tier)
-            run = device.gemv(device.load_matrix(matrix), data.vector)
-            runs[tier] = (run.cycles, run.output)
-        assert_runs_identical([runs["scalar"]], [runs["tile"]])
-        assert_runs_identical([runs["scalar"]], [runs["batched"]])
+        device = NewtonDevice(CFG, opt=FULL, functional=True)
+        handle = device.load_matrix(matrix)
+        run = device.gemv(handle, data.vector)
+        assert np.isnan(run.output[:3]).any()
+        assert_bits_equal(
+            reference_output(device, handle, matrix, data.vector), run.output
+        )
 
 
 class TestTierSelection:
-    def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv(DATAPATH_ENV, raising=False)
+    def test_default_is_batched(self):
+        """Every engine runs the one datapath ``default_datapath`` names,
+        a direct :class:`FunctionalDatapath` subclass (the benchmark's
+        tracer resolves it that way)."""
         assert default_datapath() == "batched"
         device = NewtonDevice(CFG, functional=True)
-        assert isinstance(device.engines[0].datapath, BatchedDatapath)
-
-    def test_env_selects_tier(self, monkeypatch):
-        monkeypatch.setenv(DATAPATH_ENV, "scalar")
-        assert default_datapath() == "scalar"
-        device = NewtonDevice(CFG, functional=True)
-        assert isinstance(device.engines[0].datapath, ScalarDatapath)
-
-    def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(DATAPATH_ENV, "scalar")
-        device = NewtonDevice(CFG, functional=True, datapath="tile")
-        assert isinstance(device.engines[0].datapath, TileDatapath)
-
-    def test_env_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv(DATAPATH_ENV, "warp")
-        with pytest.raises(ConfigurationError):
-            default_datapath()
-
-    def test_make_datapath_rejects_unknown(self):
-        device = NewtonDevice(CFG, functional=True)
-        with pytest.raises(ConfigurationError):
-            make_datapath("simd", device.engines[0])
-
-    def test_all_tiers_constructible(self):
-        device = NewtonDevice(CFG, functional=True)
-        engine = device.engines[0]
-        for tier, cls in (
-            ("batched", BatchedDatapath),
-            ("tile", TileDatapath),
-            ("scalar", ScalarDatapath),
-        ):
-            assert isinstance(make_datapath(tier, engine), cls)
+        assert type(device.engines[0].datapath) is BatchedDatapath
+        assert [
+            cls.name for cls in FunctionalDatapath.__subclasses__()
+        ] == ["batched"]
 
 
 @pytest.mark.slow
 class TestTierDifferentialExhaustive:
-    """Every subset of the four layout/command flags, all tiers."""
+    """Every subset of the four layout/command flags."""
 
     @pytest.mark.parametrize(
         "bits", list(itertools.product([True, False], repeat=4))
     )
     def test_flag_subset(self, bits):
         opt = FULL.evolve(**dict(zip(FLAGS, bits)))
-        reference = _gemv_outputs("scalar", opt, 64, 512)
-        for tier in ("tile", "batched"):
-            assert_runs_identical(reference, _gemv_outputs(tier, opt, 64, 512))
+        check_against_reference(opt, 64, 512)

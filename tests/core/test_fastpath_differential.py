@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from repro.core.engine import NewtonChannelEngine
 from repro.core.optimizations import FULL, OptimizationConfig
 from repro.dram import commands as cmds
-from repro.dram.config import DRAMConfig
-from repro.dram.timing import TimingParams
+from repro.dram.config import DRAMConfig, hbm2e_like_config
+from repro.dram.timing import TimingParams, hbm2e_like_timing
 from repro.dram.trace import CommandTrace
 from repro.telemetry import validate_metrics
 
@@ -214,6 +214,51 @@ class TestColdBurstAllCombinations:
         engine.run_gemv(engine.add_matrix(40, 700))
         assert engine.burst_runs == 0
         assert engine.burst_commands == 0
+
+
+class TestTierEngagement:
+    """Deterministic counters for the Table II AlexNetL7 layer (2048x2048,
+    one channel, refresh on, FULL, timing-only): both paths reach the same
+    end cycle, and the fast path's speed comes from the burst kernel on
+    the cold run and from replay once warm. A broken tier shows up here
+    as a moved counter rather than as a noisy wall-clock ratio."""
+
+    RUNS = 4
+    """One cold run plus three steady-state runs."""
+
+    @staticmethod
+    def alexnet_l7_engine(fast):
+        engine = NewtonChannelEngine(
+            hbm2e_like_config(),
+            hbm2e_like_timing(),
+            FULL,
+            functional=False,
+            refresh_enabled=True,
+            fast=fast,
+        )
+        return engine, engine.add_matrix(2048, 2048)
+
+    def test_alexnet_l7_counters(self):
+        slow, slow_layout = self.alexnet_l7_engine(False)
+        fast, fast_layout = self.alexnet_l7_engine(True)
+        burst, hits = [], []
+        for _ in range(self.RUNS):
+            a = slow.run_gemv(slow_layout)
+            b = fast.run_gemv(fast_layout)
+            assert (a.start_cycle, a.end_cycle) == (b.start_cycle, b.end_cycle)
+            assert a.stats == b.stats
+            if not burst:
+                assert sum(a.stats["command_counts"].values()) == 19103
+            burst.append(fast.burst_commands)
+            hits.append(fast.schedule_cache.hits)
+        assert b.end_cycle == 498730
+        assert slow.burst_commands == 0
+        assert slow.schedule_cache.hits == 0
+        # Cold run: 288 commands through the burst kernel. The second run
+        # meets one new refresh phase (32 more); after that the layer is
+        # served by replay alone.
+        assert burst == [288, 320, 320, 320]
+        assert all(later > earlier for earlier, later in zip(hits, hits[1:]))
 
 
 class TestPropertyDifferential:

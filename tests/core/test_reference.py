@@ -44,19 +44,24 @@ def run_both(opt, m, n, seed):
     return fast, slow
 
 
+def assert_bits_equal(fast, slow):
+    """Bitwise, so ``-0.0`` vs ``+0.0`` differs and equal NaNs match."""
+    assert np.array_equal(fast.view(np.uint32), slow.view(np.uint32))
+
+
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("opt", VARIANTS, ids=lambda o: o.label)
     def test_bit_identical_to_engine(self, opt):
         fast, slow = run_both(opt, m=40, n=700, seed=11)
-        assert np.array_equal(fast, slow)
+        assert_bits_equal(fast, slow)
 
     def test_bit_identical_multi_chunk_partial(self):
         fast, slow = run_both(FULL, m=19, n=1100, seed=4)
-        assert np.array_equal(fast, slow)
+        assert_bits_equal(fast, slow)
 
     def test_small_vector_partial_chunk(self):
         fast, slow = run_both(FULL, m=16, n=100, seed=2)
-        assert np.array_equal(fast, slow)
+        assert_bits_equal(fast, slow)
 
     def test_reference_checks_protocol(self):
         """The reference path actually exercises the buffer protocol —

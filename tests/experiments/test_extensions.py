@@ -6,6 +6,7 @@ from repro.experiments import (
     area_budget,
     energy_efficiency,
     family_study,
+    fused_layer_study,
     mixed_traffic_study,
     organization_study,
     scrub_overhead,
@@ -140,3 +141,40 @@ class TestSensitivity:
 
     def test_render(self, result):
         assert "refresh cost" in result.render()
+
+
+class TestFusedSteadyStateSaving:
+    """The refresh-off steady-state cycles the fused (GWRITE-less)
+    lowering saves on BERT-large's block shapes, measured as the
+    ``fused-layers`` study does (timing-only, one warm GEMV, then the
+    second run's round-trip minus fused cycles). Simulated cycles are
+    deterministic, so the savings are pinned exactly: one elided GWRITE
+    command per 512-element input chunk."""
+
+    SAVED = {
+        (1024, 1024): 246.0,
+        (4096, 1024): 246.0,
+        (1024, 4096): 984.0,
+    }
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        result = fused_layer_study.FusedLayerResult()
+        for name, m, n in fused_layer_study.BLOCK_SHAPES:
+            unfused_on, fused_on = fused_layer_study._steady_cycles(True, m, n)
+            unfused_off, fused_off = fused_layer_study._steady_cycles(False, m, n)
+            result.shape_rows.append(
+                fused_layer_study.FusedShapeRow(
+                    name, m, n, unfused_on, fused_on, unfused_off, fused_off
+                )
+            )
+        return result
+
+    def test_saved_cycles_per_shape(self, result):
+        saved = {(r.m, r.n): r.saved_off for r in result.shape_rows}
+        assert saved == self.SAVED
+        assert sum(saved.values()) == 1476.0
+
+    def test_fused_wins_without_refresh(self, result):
+        assert result.fused_wins_without_refresh()
+        assert result.fused_never_slower()
