@@ -19,17 +19,25 @@ Each disabled optimization swaps in its de-optimized encoding:
   output traffic) but the input chunk is re-fetched for every pass of
   matrix rows (the traffic explosion Section III-C describes), and the
   activation function is applied by the in-DRAM lookup table.
+
+Every tile piece — activations, compute phase, result read, a chunk's
+GWRITE prologue — is lowered as one :class:`BlockStep`. Only the
+activations name a DRAM row, so every other piece is a *template*:
+built once per tile shape (chunk width) and reused by every tile, with
+the per-tile functional payload attached to a copy only when the stream
+carries payloads. A Non-opt tile is ~1,550 commands but costs a handful
+of objects to lower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.dram import commands as cmds
-from repro.dram.commands import Command, CommandRun
+from repro.dram.commands import Command, CommandKind, CommandRun
 from repro.dram.config import DRAMConfig
 from repro.dram.timing import TimingParams
 from repro.core.layout import InterleavedLayout, Layout, NoReuseLayout
@@ -78,8 +86,8 @@ class Step:
     load_run: Optional[Tuple[int, int]] = None
     """(chunk, count): sub-chunks ``0..count-1`` of ``chunk`` loaded by a
     whole compiled GWRITE run — the batched form of ``load``, emitted by
-    :meth:`RunStep.payload_steps` so the datapath can quantize the block
-    in one vector op."""
+    :meth:`BlockStep.payload_steps` so the datapath can quantize the
+    block in one vector op."""
     compute: Optional[TileComputeOp] = None
     emit: Optional[EmitOp] = None
     latch: int = 0
@@ -88,35 +96,99 @@ class Step:
     indices above zero)."""
 
 
-@dataclass(frozen=True)
-class RunStep:
-    """A run-length-encoded stretch of a lowered stream.
+def _item_key(item) -> tuple:
+    """The timing-relevant identity of a timed stream item.
 
-    Stands for ``len(run)`` consecutive :class:`Step` elements whose
-    commands form one homogeneous :class:`~repro.dram.commands.CommandRun`
-    — a tile's COMP burst, one bank's COMP_BANK burst, a chunk's GWRITE
-    prologue. The compiled form is what the engine's cold path feeds to
-    :meth:`~repro.dram.controller.ChannelController.issue_burst`;
-    :meth:`expand` recovers the exact per-command steps for every
-    consumer that needs them (tracing, tick-level validation, examples).
+    The DRAM row is deliberately excluded: which row an activation opens
+    never affects the schedule, and it is the one operand that differs
+    tile to tile in an otherwise periodic stream. A
+    :class:`~repro.dram.commands.CommandRun` keys as its whole run
+    identity (kind, bank scope, operand arrays, trailing AP) — runnable
+    kinds never carry a row.
+    """
+    if isinstance(item, CommandRun):
+        return ("run",) + item.timing_key
+    return (
+        item.kind,
+        item.bank,
+        item.group,
+        item.col,
+        item.subchunk,
+        item.auto_precharge,
+    )
+
+
+class Fragment:
+    """The row-blind identity of a tile piece, shared by every tile of one
+    shape.
+
+    ``key`` is content (the items' row-blind timing keys), never
+    object identity, so the schedule cache can intern it once and
+    engines sharing the cache agree on its id. It is computed once per
+    shape, not once per tile.
     """
 
-    run: CommandRun
-    loads: Tuple[Tuple[int, int], ...] = ()
-    """``(chunk, subchunk)`` payload per command (GWRITE runs), or ``()``."""
+    __slots__ = ("key", "n_commands", "kind")
+
+    def __init__(self, items: Tuple):
+        self.key = tuple(_item_key(item) for item in items)
+        self.n_commands = sum(
+            len(item) if isinstance(item, CommandRun) else 1 for item in items
+        )
+        kinds = {item.kind for item in items}
+        self.kind: Optional[CommandKind] = kinds.pop() if len(kinds) == 1 else None
+        """The one command kind the piece issues, or ``None`` if mixed."""
+
+
+@dataclass(frozen=True)
+class BlockStep:
+    """One tile piece lowered as a unit: its timed items and payloads.
+
+    ``items`` are single :class:`~repro.dram.commands.Command` objects
+    and homogeneous :class:`~repro.dram.commands.CommandRun` runs (a
+    tile's COMP burst, one bank's COMP_BANK burst, a chunk's GWRITE
+    prologue) — what the engine's cold path issues. A payload-free block
+    is a template: the generator yields the same object for every tile
+    of a shape. The payload fields describe the exact per-command steps
+    the block stands for (:meth:`expand`).
+    """
+
+    fragment: Fragment
+    items: Tuple  # Tuple[Command | CommandRun, ...]
+    gwrite_chunk: Optional[int] = None
+    """If set: the global buffer is repurposed for this chunk, and the
+    block's GWRITEs load its sub-chunks ``0..n-1``."""
     compute: Optional[TileComputeOp] = None
-    """Tile evaluation fired by the run's *last* command, if any."""
-    latch: int = 0
+    """Tile evaluation fired by the block's last command; its latch is
+    the one every command of the block accumulates into."""
+    emit: Optional[EmitOp] = None
+    """Result read fired by the block's last command."""
+
+    def with_payload(self, **payload) -> "BlockStep":
+        """This block's items carrying one tile's functional payload."""
+        return BlockStep(self.fragment, self.items, **payload)
+
+    def commands(self) -> Iterator[Command]:
+        for item in self.items:
+            if isinstance(item, CommandRun):
+                yield from item.commands()
+            else:
+                yield item
 
     def expand(self) -> Iterator[Step]:
-        """The exact per-command steps this run stands for."""
-        last = self.run.count - 1
-        for i, command in enumerate(self.run.commands()):
+        """The exact per-command steps this block stands for."""
+        chunk = self.gwrite_chunk
+        if chunk is not None:
+            yield Step(new_chunk=chunk)
+        latch = 0 if self.compute is None else self.compute.latch
+        last = self.fragment.n_commands - 1
+        for i, command in enumerate(self.commands()):
             yield Step(
                 command=command,
-                load=self.loads[i] if self.loads else None,
+                load=None if chunk is None else (chunk, i),
                 compute=self.compute if i == last else None,
-                latch=self.latch,
+                emit=self.emit if i == last else None,
+                latch=latch,
             )
 
     def payload_steps(self) -> Iterator[Step]:
@@ -125,19 +197,23 @@ class RunStep:
         The datapath only cares about payload order, not which command
         carried it (see :class:`~repro.core.schedule_cache.StreamSegment`),
         so the compiled path hands the engine these skeleton steps and
-        never materializes the per-command form. A GWRITE run's loads —
-        always sub-chunks ``0..n-1`` of one chunk, by construction in
-        ``_gwrite_items`` — collapse to a single ``load_run`` step so
-        the buffer fill is one vector op, not ``n`` scalar stores.
+        never materializes the per-command form. A GWRITE block's loads
+        collapse to a single ``load_run`` step so the buffer fill is one
+        vector op, not ``n`` scalar stores.
         """
-        if self.loads:
-            yield Step(load_run=(self.loads[0][0], len(self.loads)))
+        chunk = self.gwrite_chunk
+        if chunk is not None:
+            yield Step(new_chunk=chunk)
+            yield Step(load_run=(chunk, self.fragment.n_commands))
         if self.compute is not None:
-            yield Step(compute=self.compute, latch=self.latch)
+            yield Step(compute=self.compute, latch=self.compute.latch)
+        if self.emit is not None:
+            yield Step(emit=self.emit)
 
 
-StreamItem = object
-"""A lowered-stream element: a :class:`Step` or a :class:`RunStep`."""
+StreamItem = Union[Step, BlockStep]
+"""A lowered-stream element: a tile piece, or a refresh-barrier
+:class:`Step`."""
 
 
 class CommandStreamGenerator:
@@ -166,16 +242,8 @@ class CommandStreamGenerator:
         self.timing = timing
         self.opt = opt
         self.layout = layout
-        self._runs: "dict[tuple, CommandRun]" = {}
-
-    def _intern(self, run: CommandRun) -> CommandRun:
-        """Share one :class:`CommandRun` per distinct ``timing_key``.
-
-        A layer's stream repeats a handful of distinct runs thousands of
-        times (every tile's COMP burst is identical); interning makes the
-        lazy per-command materialization a one-time cost per distinct run
-        rather than per tile."""
-        return self._runs.setdefault(run.timing_key, run)
+        self._templates: Dict[tuple, BlockStep] = {}
+        self._activation_fragment: Optional[Fragment] = None
 
     # ------------------------------------------------------------------
     # duration estimates (for the refresh barrier)
@@ -230,95 +298,92 @@ class CommandStreamGenerator:
         )
 
     # ------------------------------------------------------------------
-    # stream pieces
+    # tile pieces
 
-    def _activation_steps(self, dram_row: int) -> Iterator[Step]:
+    def _template(
+        self, shape: tuple, build: Callable[..., Iterable], *args
+    ) -> BlockStep:
+        """The payload-free block of one tile piece, built once per shape."""
+        block = self._templates.get(shape)
+        if block is None:
+            items = tuple(build(*args))
+            block = self._templates[shape] = BlockStep(Fragment(items), items)
+        return block
+
+    def _activation_block(self, dram_row: int) -> BlockStep:
+        """A tile's activations: its own commands (they name the row),
+        but one shared, row-blind fragment."""
         if self.opt.four_bank_activation:
-            for group in range(self.config.bank_groups):
-                yield Step(command=cmds.g_act(group, dram_row))
+            items = tuple(
+                cmds.g_act(group, dram_row)
+                for group in range(self.config.bank_groups)
+            )
         else:
-            for bank in range(self.config.banks_per_channel):
-                yield Step(command=cmds.act(bank, dram_row))
+            items = tuple(
+                cmds.act(bank, dram_row)
+                for bank in range(self.config.banks_per_channel)
+            )
+        if self._activation_fragment is None:
+            self._activation_fragment = Fragment(items)
+        return BlockStep(self._activation_fragment, items)
 
-    def _compute_items(
-        self, chunk: int, dram_row: int, latch: int, cols: int
-    ) -> "Iterator[StreamItem]":
-        """The compute phase of one tile; the tile evaluation fires on the
-        final command so the buffer/rows are guaranteed loaded.
+    def _compute_commands(self, cols: int) -> Iterator:
+        """One tile's compute phase over ``cols`` columns.
 
-        The two *complex-command* modes compile to homogeneous
-        :class:`RunStep` runs (a tile's COMP burst is run-length
-        encodable by construction); the three-step micro-command modes
-        interleave distinct kinds and stay per-command."""
+        The two *complex-command* modes compile to homogeneous runs (a
+        tile's COMP burst is run-length encodable by construction); the
+        three-step micro-command modes interleave distinct kinds and stay
+        per-command."""
         banks = self.config.banks_per_channel
-        tile_op = TileComputeOp(chunk=chunk, dram_row=dram_row, latch=latch)
         gang = self.opt.ganged_compute
         fused = self.opt.complex_commands
         if gang and fused:
-            yield RunStep(
-                run=self._intern(cmds.comp_run(cols)),
-                compute=tile_op,
-                latch=latch,
-            )
-        elif gang and not fused:
+            yield cmds.comp_run(cols)
+        elif gang:
             for col in range(cols):
-                last = col == cols - 1
-                yield Step(command=cmds.buf_read(col), latch=latch)
-                yield Step(
-                    command=cmds.col_read_all(col, auto_precharge=last), latch=latch
-                )
-                yield Step(
-                    command=cmds.mac_all(),
-                    compute=tile_op if last else None,
-                    latch=latch,
-                )
-        elif not gang and fused:
+                yield cmds.buf_read(col)
+                yield cmds.col_read_all(col, auto_precharge=col == cols - 1)
+                yield cmds.mac_all()
+        elif fused:
             for bank in range(banks):
-                yield RunStep(
-                    run=self._intern(cmds.comp_bank_run(bank, cols)),
-                    compute=tile_op if bank == banks - 1 else None,
-                    latch=latch,
-                )
+                yield cmds.comp_bank_run(bank, cols)
         else:
             for bank in range(banks):
-                last_bank = bank == banks - 1
                 for col in range(cols):
-                    last = last_bank and col == cols - 1
-                    yield Step(command=cmds.buf_read(col), latch=latch)
-                    yield Step(
-                        command=Command(
-                            cmds.CommandKind.COL_READ,
-                            bank=bank,
-                            col=col,
-                            auto_precharge=col == cols - 1,
-                        ),
-                        latch=latch,
+                    yield cmds.buf_read(col)
+                    yield Command(
+                        CommandKind.COL_READ,
+                        bank=bank,
+                        col=col,
+                        auto_precharge=col == cols - 1,
                     )
-                    yield Step(
-                        command=cmds.mac(bank),
-                        compute=tile_op if last else None,
-                        latch=latch,
-                    )
+                    yield cmds.mac(bank)
 
-    def _readres_steps(self, emit: EmitOp) -> Iterator[Step]:
+    def _readres_commands(self) -> Iterator[Command]:
         if self.opt.ganged_compute:
-            yield Step(command=cmds.readres(), emit=emit)
+            yield cmds.readres()
         else:
-            banks = self.config.banks_per_channel
-            for bank in range(banks):
-                yield Step(
-                    command=cmds.readres_bank(bank),
-                    emit=emit if bank == banks - 1 else None,
-                )
+            for bank in range(self.config.banks_per_channel):
+                yield cmds.readres_bank(bank)
 
-    def _gwrite_items(self, chunk: int) -> "Iterator[StreamItem]":
-        yield Step(new_chunk=chunk)
+    def _compute_item(self, cols: int, op: Optional[TileComputeOp]) -> BlockStep:
+        """The compute phase; the tile evaluation fires on its final
+        command so the buffer/rows are guaranteed loaded."""
+        block = self._template(("compute", cols), self._compute_commands, cols)
+        return block if op is None else block.with_payload(compute=op)
+
+    def _readres_item(self, emit: Optional[EmitOp]) -> BlockStep:
+        block = self._template(("readres",), self._readres_commands)
+        return block if emit is None else block.with_payload(emit=emit)
+
+    def _gwrite_item(self, chunk: int, payloads: bool) -> BlockStep:
         subchunks = self.layout.cols_in_chunk(chunk)
-        if subchunks:
-            yield RunStep(
-                run=self._intern(cmds.gwrite_run(subchunks)),
-                loads=tuple((chunk, sub) for sub in range(subchunks)),
-            )
+        block = self._template(
+            ("gwrite", subchunks), lambda: (cmds.gwrite_run(subchunks),)
+        )
+        if not payloads:
+            return block
+        return block.with_payload(gwrite_chunk=chunk)
 
     # ------------------------------------------------------------------
     # full streams
@@ -330,44 +395,49 @@ class CommandStreamGenerator:
         example, the tick-level cross-check, and the per-command tests
         consume. The engine itself executes the compiled item form."""
         for item in self.gemv_items():
-            if isinstance(item, RunStep):
+            if isinstance(item, BlockStep):
                 yield from item.expand()
             else:
                 yield item
 
-    def gemv_items(self) -> "Iterator[StreamItem]":
+    def gemv_items(self, *, payloads: bool = True) -> "Iterator[StreamItem]":
         """The compiled command stream for one matrix-vector product.
 
-        Homogeneous stretches arrive as :class:`RunStep` (run-length
-        encoded, numpy-backed); everything else as plain :class:`Step`.
-        ``gemv_steps()`` is always exactly this stream with every run
-        expanded in place."""
+        Tile pieces arrive as :class:`BlockStep`; refresh barriers as
+        plain :class:`Step`. ``gemv_steps()`` is always exactly this
+        stream with every block expanded in place. ``payloads=False``
+        lowers the same commands without functional payloads (no tile
+        evaluations, result emits or buffer loads) — the timing-only
+        stream, whose row-independent pieces are the shared templates
+        themselves."""
         if self.config.command_family == "output_stationary":
-            yield from self._output_stationary_items()
+            yield from self._output_stationary_items(payloads)
         elif self.opt.interleaved_reuse:
-            yield from self._interleaved_items()
+            yield from self._interleaved_items(payloads)
         else:
-            yield from self._no_reuse_items()
+            yield from self._no_reuse_items(payloads)
 
-    def _interleaved_items(self) -> "Iterator[StreamItem]":
+    def _interleaved_items(self, payloads: bool) -> "Iterator[StreamItem]":
         layout = self.layout
         assert isinstance(layout, InterleavedLayout)
-        tile_est = self.tile_duration_estimate()
+        barrier = Step(barrier_cycles=self.tile_duration_estimate())
         for chunk in range(layout.num_chunks):
-            yield from self._gwrite_items(chunk)
+            cols = layout.cols_in_chunk(chunk)
+            yield self._gwrite_item(chunk, payloads)
             for tile in range(layout.tiles):
                 dram_row = layout.dram_row(chunk, tile)
-                yield Step(barrier_cycles=tile_est)
-                yield from self._activation_steps(dram_row)
-                yield from self._compute_items(
-                    chunk, dram_row, latch=0, cols=layout.cols_in_chunk(chunk)
+                yield barrier
+                yield self._activation_block(dram_row)
+                yield self._compute_item(
+                    cols, TileComputeOp(chunk, dram_row) if payloads else None
                 )
-                emit = EmitOp(
-                    latch=0, chunk=chunk, matrix_rows=layout.tile_matrix_rows(tile)
+                yield self._readres_item(
+                    EmitOp(0, chunk, layout.tile_matrix_rows(tile))
+                    if payloads
+                    else None
                 )
-                yield from self._readres_steps(emit)
 
-    def _output_stationary_items(self) -> "Iterator[StreamItem]":
+    def _output_stationary_items(self, payloads: bool) -> "Iterator[StreamItem]":
         """MAC-DO-style output-stationary traversal (tile-major).
 
         Partials for one tile accumulate in result latch 0 across every
@@ -380,40 +450,43 @@ class CommandStreamGenerator:
         """
         layout = self.layout
         assert isinstance(layout, InterleavedLayout)
-        tile_est = self.tile_duration_estimate()
+        barrier = Step(barrier_cycles=self.tile_duration_estimate())
         for tile in range(layout.tiles):
             for chunk in range(layout.num_chunks):
-                yield from self._gwrite_items(chunk)
+                yield self._gwrite_item(chunk, payloads)
                 dram_row = layout.dram_row(chunk, tile)
-                yield Step(barrier_cycles=tile_est)
-                yield from self._activation_steps(dram_row)
-                yield from self._compute_items(
-                    chunk, dram_row, latch=0, cols=layout.cols_in_chunk(chunk)
+                yield barrier
+                yield self._activation_block(dram_row)
+                yield self._compute_item(
+                    layout.cols_in_chunk(chunk),
+                    TileComputeOp(chunk, dram_row) if payloads else None,
                 )
-            emit = EmitOp(
-                latch=0, chunk=None, matrix_rows=layout.tile_matrix_rows(tile)
+            yield self._readres_item(
+                EmitOp(0, None, layout.tile_matrix_rows(tile)) if payloads else None
             )
-            yield from self._readres_steps(emit)
 
-    def _no_reuse_items(self) -> "Iterator[StreamItem]":
+    def _no_reuse_items(self, payloads: bool) -> "Iterator[StreamItem]":
         layout = self.layout
         assert isinstance(layout, NoReuseLayout)
-        tile_est = self.tile_duration_estimate()
+        barrier = Step(barrier_cycles=self.tile_duration_estimate())
         for pass_index in range(layout.passes):
             slots = list(layout.pass_slots(pass_index))
             for chunk in range(layout.num_chunks):
                 # The input chunk must be re-fetched every pass: this is
                 # the traffic the interleaved layout eliminates.
-                yield from self._gwrite_items(chunk)
+                yield self._gwrite_item(chunk, payloads)
+                cols = layout.cols_in_chunk(chunk)
                 for latch, slot in enumerate(slots):
                     dram_row = layout.dram_row(slot, chunk)
-                    yield Step(barrier_cycles=tile_est)
-                    yield from self._activation_steps(dram_row)
-                    yield from self._compute_items(
-                        chunk, dram_row, latch=latch, cols=layout.cols_in_chunk(chunk)
+                    yield barrier
+                    yield self._activation_block(dram_row)
+                    yield self._compute_item(
+                        cols,
+                        TileComputeOp(chunk, dram_row, latch) if payloads else None,
                     )
             for latch, slot in enumerate(slots):
-                emit = EmitOp(
-                    latch=latch, chunk=None, matrix_rows=layout.slot_matrix_rows(slot)
+                yield self._readres_item(
+                    EmitOp(latch, None, layout.slot_matrix_rows(slot))
+                    if payloads
+                    else None
                 )
-                yield from self._readres_steps(emit)

@@ -30,11 +30,15 @@ cycle of exactness (see :mod:`repro.core.schedule_cache`,
 * the **per-command reference** solver handles everything else, and the
   whole stream when the fast path is off.
 
-The **stream cache** additionally materializes each layout's lowered,
-run-length-compiled stream once, so ``gemm``/``gemv_batch``/serving
-re-runs skip Algorithm 1's lowering entirely. Refresh barriers are
-always executed exactly in every tier, and tracing or mixed background
-traffic forces the per-command reference for the run.
+Lowering itself (:func:`~repro.core.schedule_cache.segment_stream`)
+costs O(tiles): each row-independent tile piece is a template built
+once per tile shape, segments key by interned fragment ids, and a
+timing-only engine lowers no functional payloads. Each resident
+layout's segmented stream is kept for the engine's lifetime, so
+``gemm``/``gemv_batch``/serving/model re-runs skip lowering entirely.
+Refresh barriers are always executed exactly in every tier, and tracing
+or mixed background traffic forces the per-command reference for the
+run.
 
 Set ``fast=False`` (or the ``NEWTON_NO_FASTPATH=1`` environment
 variable) to force per-command issue everywhere.
@@ -42,7 +46,7 @@ variable) to force per-command issue everywhere.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -55,7 +59,6 @@ from repro.core.result import ChannelRunResult, stats_delta, stats_snapshot
 from repro.core.schedule_cache import (
     ScheduleCache,
     SegmentedStream,
-    StreamCache,
     segment_stream,
 )
 from repro.dram import fastpath
@@ -147,7 +150,11 @@ class NewtonChannelEngine:
         interned and signatures are relative, so tiles recorded by one
         engine replay in another — the design-space explorer's
         cross-point reuse."""
-        self._stream_cache = StreamCache()
+        self._streams: Dict[object, SegmentedStream] = {}
+        # Each resident layout's lowered stream, keyed by the layout (or
+        # ``(layout, True)`` for the fused lowering). Layouts are
+        # immutable and never freed, so this is bounded by what is
+        # resident.
         self.burst_runs = 0
         """Homogeneous runs issued through the cold-path burst kernel."""
         self.burst_commands = 0
@@ -228,21 +235,25 @@ class NewtonChannelEngine:
         return rows
 
     def _segments_for(self, layout: Layout, *, fused: bool = False) -> SegmentedStream:
-        """The layout's lowered, segmented command stream (memoized).
+        """The layout's lowered, segmented command stream (lowered once).
 
-        The fused (GWRITE-less) lowering is cached separately from the
+        The fused (GWRITE-less) lowering is kept separately from the
         round-trip one — same layout, different command identity — so a
         session that alternates fused and unfused runs replays each
         schedule from its own cache entries.
         """
         key = (layout, True) if fused else layout
-        stream = self._stream_cache.get(key)
+        stream = self._streams.get(key)
         if stream is None:
             generator = CommandStreamGenerator(
                 self.config, self.timing, self.opt, layout
             )
-            stream = segment_stream(generator, self.schedule_cache, fused=fused)
-            self._stream_cache.put(key, stream)
+            stream = self._streams[key] = segment_stream(
+                generator,
+                self.schedule_cache,
+                fused=fused,
+                functional=self.functional,
+            )
         return stream
 
     def run_gemv(
@@ -325,8 +336,6 @@ class NewtonChannelEngine:
                             notify(command, record)
                 boundary += 1
                 controller.refresh_barrier(segment.barrier_cycles)
-            if not segment.items and not segment.functional_steps:
-                continue
 
             signature = (
                 fastpath.relative_signature(controller) if use_fast else None

@@ -8,9 +8,17 @@ are overwhelmingly identical — the same command kinds against the same
 bank/column operands, differing only in the DRAM row they open, which
 never affects timing.
 
+A segment's key is the sequence of its pieces' *fragment ids*: each
+tile piece the generator lowers (activations, compute phase, result
+read, GWRITE prologue) carries a row-blind
+:class:`~repro.core.command_gen.Fragment`, whose content key the cache
+interns once per stream. Two segments share a key exactly when they
+issue the same command sequence, rows aside — without building or
+hashing a key per command.
+
 :class:`ScheduleCache` keys recorded
 :class:`~repro.dram.fastpath.ControllerDelta` segment effects by
-``(segment command identity, relative controller signature)``. The
+``(segment key id, relative controller signature)``. The
 signature check is what makes replay *exact* rather than heuristic: a
 hit proves the controller is in the same steady-state phase (same
 open-row offsets, bus/FAW/tCCD offsets, adder-tree anchor relative to
@@ -23,11 +31,10 @@ periodically and becomes cacheable).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.command_gen import CommandStreamGenerator, RunStep, Step
+from repro.core.command_gen import BlockStep, CommandStreamGenerator, Fragment, Step
 from repro.dram.commands import CommandKind, CommandRun
 from repro.dram.fastpath import ControllerDelta, Signature
 
@@ -63,7 +70,7 @@ class StreamSegment:
     n_commands: int
     """Commands the segment expands to (``len(self.commands)``)."""
     key_id: int
-    """Engine-interned id of the command-identity key."""
+    """Cache-interned id of the segment's fragment-id sequence."""
     functional_steps: Tuple[Step, ...]
     """The subset of steps carrying a functional payload, in order."""
     _commands: Optional[Tuple] = None
@@ -99,51 +106,16 @@ class SegmentedStream:
         return sum(s.n_commands for s in self.segments)
 
 
-def _command_key(command) -> tuple:
-    """The timing-relevant identity of a command.
-
-    The DRAM row is deliberately excluded: which row an activation opens
-    never affects the schedule, and it is the one operand that differs
-    tile to tile in an otherwise periodic stream.
-    """
-    return (
-        command.kind,
-        command.bank,
-        command.group,
-        command.col,
-        command.subchunk,
-        command.auto_precharge,
-    )
-
-
-def _item_key(item) -> tuple:
-    """The timing-relevant identity of a stream item.
-
-    A :class:`~repro.dram.commands.CommandRun` keys as its whole run
-    identity (kind, bank scope, operand arrays, trailing AP) — runnable
-    kinds never carry a row, so the key stays row-blind by construction
-    and a compiled segment gets the same replay hit rate as its expanded
-    per-command form.
-    """
-    if isinstance(item, CommandRun):
-        return ("run",) + item.timing_key
-    return _command_key(item)
-
-
-def _has_payload(step: Step) -> bool:
-    return (
-        step.new_chunk is not None
-        or step.load is not None
-        or step.load_run is not None
-        or step.compute is not None
-        or step.emit is not None
-    )
-
-
 class ScheduleCache:
-    """Interns segment keys and stores recorded segment deltas."""
+    """Interns fragment and segment keys; stores recorded segment deltas.
+
+    Both id spaces are content-derived (never object ids), so one cache
+    can be shared across engines with identical architecture — the
+    design-space explorer's cross-point reuse.
+    """
 
     def __init__(self, max_entries: int = MAX_DELTA_ENTRIES):
+        self._fragment_ids: Dict[tuple, int] = {}
         self._key_ids: Dict[tuple, int] = {}
         self._deltas: Dict[Tuple[int, Signature], ControllerDelta] = {}
         self.max_entries = max_entries
@@ -151,8 +123,12 @@ class ScheduleCache:
         self.misses = 0
         self.replayed_commands = 0
 
+    def intern_fragment(self, key: tuple) -> int:
+        """Map a fragment's content key to a small stable id."""
+        return self._fragment_ids.setdefault(key, len(self._fragment_ids))
+
     def intern_key(self, key: tuple) -> int:
-        """Map a segment command-identity key to a small stable id."""
+        """Map a segment key (a fragment-id sequence) to a small stable id."""
         return self._key_ids.setdefault(key, len(self._key_ids))
 
     def lookup(
@@ -183,15 +159,22 @@ def segment_stream(
     cache: ScheduleCache,
     *,
     fused: bool = False,
+    functional: bool = True,
 ) -> SegmentedStream:
     """Lower a generator's compiled stream into barrier-delimited segments.
 
-    Consumes :meth:`~repro.core.command_gen.CommandStreamGenerator.gemv_items`
-    so homogeneous runs survive lowering as single
-    :class:`~repro.dram.commands.CommandRun` items; their functional
-    payloads (loads, the tile compute) are re-attached as skeleton steps
-    in issue order. A barrier always flushes the open segment, so no run
-    ever straddles a refresh decision point.
+    Consumes :meth:`~repro.core.command_gen.CommandStreamGenerator.gemv_items`:
+    each :class:`~repro.core.command_gen.BlockStep` contributes its timed
+    items (homogeneous runs stay single
+    :class:`~repro.dram.commands.CommandRun` items), one fragment id to
+    the segment key, and — for a ``functional`` stream — its payloads as
+    skeleton steps in issue order. A timing-only stream
+    (``functional=False``) is lowered without payloads at all, so its
+    row-independent pieces are shared templates; its segments hold the
+    same items under the same key ids. Every other stream item is a
+    refresh-barrier :class:`~repro.core.command_gen.Step`, which always
+    flushes the open segment, so no run ever straddles a refresh
+    decision point.
 
     With ``fused=True`` the lowering models a fused-layer dataflow: the
     input activation is already channel-resident (produced by the
@@ -205,82 +188,53 @@ def segment_stream(
     cache never conflates the two schedules.
     """
     stream = SegmentedStream()
+    fragment_ids: Dict[Fragment, int] = {}
     barrier = 0
+    lowered = False
     items: List = []
+    key: List[int] = []
     n_commands = 0
-    functional: List[Step] = []
+    payload: List[Step] = []
 
     def flush() -> None:
-        nonlocal barrier, n_commands
-        if items or functional or barrier:
-            key = tuple(_item_key(i) for i in items)
+        nonlocal barrier, lowered, n_commands
+        if barrier or lowered:
             stream.segments.append(
                 StreamSegment(
                     barrier_cycles=barrier,
                     items=tuple(items),
                     n_commands=n_commands,
-                    key_id=cache.intern_key(key),
-                    functional_steps=tuple(functional),
+                    key_id=cache.intern_key(tuple(key)),
+                    functional_steps=tuple(payload),
                 )
             )
         barrier = 0
+        lowered = False
         n_commands = 0
         items.clear()
-        functional.clear()
+        key.clear()
+        payload.clear()
 
-    for item in generator.gemv_items():
-        if isinstance(item, RunStep):
-            if fused and item.run.kind is CommandKind.GWRITE:
-                # Fused: the buffer fill happens off the command bus.
-                stream.skipped_gwrites += item.run.count
-                functional.extend(item.payload_steps())
-                continue
-            items.append(item.run)
-            n_commands += item.run.count
-            functional.extend(item.payload_steps())
-            continue
-        if item.barrier_cycles:
+    for item in generator.gemv_items(payloads=functional):
+        if not isinstance(item, BlockStep):
             flush()
             barrier = item.barrier_cycles
             continue
-        if item.command is not None:
-            if fused and item.command.kind is CommandKind.GWRITE:
-                stream.skipped_gwrites += 1
-            else:
-                items.append(item.command)
-                n_commands += 1
-        if _has_payload(item):
-            functional.append(item)
+        lowered = True
+        fragment = item.fragment
+        if fused and fragment.kind is CommandKind.GWRITE:
+            # Fused: the buffer fill happens off the command bus.
+            stream.skipped_gwrites += fragment.n_commands
+        else:
+            fragment_id = fragment_ids.get(fragment)
+            if fragment_id is None:
+                fragment_id = fragment_ids[fragment] = cache.intern_fragment(
+                    fragment.key
+                )
+            items.extend(item.items)
+            key.append(fragment_id)
+            n_commands += fragment.n_commands
+        if functional:
+            payload.extend(item.payload_steps())
     flush()
     return stream
-
-
-class StreamCache:
-    """Per-layout memo of segmented streams (LRU, identity-keyed).
-
-    Lowering Algorithm 1 costs as much as several tiles of simulation;
-    ``gemm``, ``gemv_batch``, and the serving study re-run the same
-    layout hundreds of times, so the step list is materialized once per
-    (layout, engine) and reused. The key is the layout *object*: layouts
-    are immutable after construction and one engine only ever sees the
-    layouts its own ``add_matrix`` produced.
-    """
-
-    def __init__(self, max_entries: int = 16):
-        self._streams: "OrderedDict[object, SegmentedStream]" = OrderedDict()
-        self.max_entries = max_entries
-
-    def get(self, layout: object) -> Optional[SegmentedStream]:
-        stream = self._streams.get(layout)
-        if stream is not None:
-            self._streams.move_to_end(layout)
-        return stream
-
-    def put(self, layout: object, stream: SegmentedStream) -> None:
-        self._streams[layout] = stream
-        self._streams.move_to_end(layout)
-        while len(self._streams) > self.max_entries:
-            self._streams.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._streams)

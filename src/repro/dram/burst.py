@@ -43,8 +43,8 @@ stream compiler (:func:`repro.core.schedule_cache.segment_stream`)
 guarantees it structurally by splitting runs at every barrier, exactly
 as it splits replay segments for the fast path.
 
-The functional side mirrors this shape: a compiled run's payloads
-(:meth:`repro.core.command_gen.RunStep.payload_steps`) compact a GWRITE
+The functional side mirrors this shape: a compiled block's payloads
+(:meth:`repro.core.command_gen.BlockStep.payload_steps`) compact a GWRITE
 run to a single ``load_run`` buffer load, and the batched functional datapath
 (:mod:`repro.core.datapath`) evaluates a whole buffer-group of COMP
 runs as one :func:`repro.numerics.vectorized.batched_tile_compute`

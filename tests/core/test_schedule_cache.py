@@ -1,53 +1,152 @@
 """Unit tests for stream segmentation and the schedule/stream caches."""
 
-import numpy as np
+import dataclasses
+
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.command_gen import CommandStreamGenerator
+from repro.core.device import NewtonDevice
 from repro.core.engine import NewtonChannelEngine
 from repro.core.layout import make_layout
-from repro.core.optimizations import FULL, NON_OPT
-from repro.core.schedule_cache import (
-    ScheduleCache,
-    StreamCache,
-    segment_stream,
-)
+from repro.core.optimizations import FULL, NON_OPT, figure9_ladder
+from repro.core.schedule_cache import ScheduleCache, segment_stream
+from repro.dram.commands import CommandKind
 from repro.dram.config import DRAMConfig
 from repro.dram.timing import TimingParams
+from repro.experiments.common import eval_config, eval_timing
 
 CFG = DRAMConfig(num_channels=1, banks_per_channel=16, rows_per_bank=512)
 TIMING = TimingParams()
 
 
-def make_stream(opt, m, n):
+def make_stream(opt, m, n, config=CFG):
     layout = make_layout(
-        CFG,
+        config,
         m,
         n,
         interleaved=opt.interleaved_reuse,
         latches_per_bank=opt.result_latches,
     )
-    generator = CommandStreamGenerator(CFG, TIMING, opt, layout)
+    generator = CommandStreamGenerator(config, TIMING, opt, layout)
     return generator, layout
 
 
+def row_blind(command):
+    """A command's schedule-relevant operands (everything but the row)."""
+    return (
+        command.kind,
+        command.bank,
+        command.group,
+        command.col,
+        command.subchunk,
+        command.auto_precharge,
+    )
+
+
+def payload_records(step):
+    """A step's functional payload as plain comparable values.
+
+    Compared field by field: ``EmitOp`` equality would compare numpy
+    arrays. A compiled ``load_run`` counts as its per-GWRITE loads.
+    """
+    records = []
+    if step.new_chunk is not None:
+        records.append(("new_chunk", step.new_chunk))
+    if step.load is not None:
+        records.append(("load",) + tuple(step.load))
+    if step.load_run is not None:
+        chunk, count = step.load_run
+        records += [("load", chunk, sub) for sub in range(count)]
+    if step.compute is not None:
+        op = step.compute
+        records.append(("compute", op.chunk, op.dram_row, op.latch))
+    if step.emit is not None:
+        emit = step.emit
+        records.append(("emit", emit.latch, emit.chunk, emit.matrix_rows.tolist()))
+    return records
+
+
+LADDER = [
+    (step.lstrip("+").split(" ")[0].lower(), opt) for step, opt in figure9_ladder()
+] + [("four-latch", FULL.evolve(interleaved_reuse=False, result_latches=4))]
+"""The six Figure 9 steps plus the Section III-C four-latch variant."""
+
+LOWERINGS = [
+    pytest.param(
+        opt, family, fused, id=f"{step}-{family}-{'fused' if fused else 'unfused'}"
+    )
+    for step, opt in LADDER
+    for family in ("newton", "output_stationary", "bankgroup_ext")
+    # The output-stationary walk is tile-major over the interleaved layout.
+    if opt.interleaved_reuse or family != "output_stationary"
+    for fused in (False, True)
+]
+
+
 class TestSegmentation:
-    @pytest.mark.parametrize("opt", [FULL, NON_OPT], ids=["full", "non_opt"])
-    def test_segments_preserve_the_step_stream(self, opt):
-        generator, _ = make_stream(opt, m=40, n=700)
+    @pytest.mark.parametrize("opt, family, fused", LOWERINGS)
+    def test_segments_preserve_the_step_stream(self, opt, family, fused):
+        """Ragged shape (m % 16 != 0, a partial last chunk): the segments
+        expand to exactly ``gemv_steps()``, keys neither falsely share
+        nor split, and the timing-only lowering matches minus payloads."""
+        config = dataclasses.replace(CFG, command_family=family)
+        generator, layout = make_stream(opt, m=40, n=700, config=config)
         steps = list(generator.gemv_steps())
-        stream = segment_stream(generator, ScheduleCache())
+        cache = ScheduleCache()
+        stream = segment_stream(
+            CommandStreamGenerator(config, TIMING, opt, layout), cache, fused=fused
+        )
+        timing_only = segment_stream(
+            CommandStreamGenerator(config, TIMING, opt, layout),
+            cache,
+            fused=fused,
+            functional=False,
+        )
 
-        commands = [c for seg in stream.segments for c in seg.commands]
-        assert commands == [s.command for s in steps if s.command is not None]
-        assert stream.total_commands == len(commands)
+        # The per-command stream split at its barriers, as segmented.
+        groups, barriers = [[]], [0]
+        for step in steps:
+            if step.barrier_cycles:
+                groups.append([])
+                barriers.append(step.barrier_cycles)
+            else:
+                groups[-1].append(step)
+        assert [seg.barrier_cycles for seg in stream.segments] == barriers
+        elided = 0
+        for segment, group in zip(stream.segments, groups):
+            commands = [s.command for s in group if s.command is not None]
+            if fused:
+                gwrites = [c for c in commands if c.kind is CommandKind.GWRITE]
+                elided += len(gwrites)
+                commands = [c for c in commands if c.kind is not CommandKind.GWRITE]
+            assert list(segment.commands) == commands
+            assert segment.n_commands == len(commands)
+            assert [
+                r for s in segment.functional_steps for r in payload_records(s)
+            ] == [r for s in group for r in payload_records(s)]
+        assert stream.skipped_gwrites == elided
+        issued = sum(s.command is not None for s in steps) - elided
+        assert stream.total_commands == issued
 
-        barriers = [
-            seg.barrier_cycles
-            for seg in stream.segments
-            if seg.barrier_cycles
-        ]
-        assert barriers == [s.barrier_cycles for s in steps if s.barrier_cycles]
+        # Replay keys: one key id per distinct row-blind command sequence.
+        sequences = {}
+        for segment in stream.segments:
+            sequences.setdefault(segment.key_id, set()).add(
+                tuple(row_blind(c) for c in segment.commands)
+            )
+        assert all(len(seqs) == 1 for seqs in sequences.values())  # no false sharing
+        assert len(sequences) == len(set().union(*sequences.values()))  # no lost hits
+
+        assert len(timing_only.segments) == len(stream.segments)
+        for ours, theirs in zip(timing_only.segments, stream.segments):
+            assert ours.barrier_cycles == theirs.barrier_cycles
+            assert ours.key_id == theirs.key_id
+            assert ours.n_commands == theirs.n_commands
+            assert [type(i) for i in ours.items] == [type(i) for i in theirs.items]
+            assert ours.commands == theirs.commands
+            assert ours.functional_steps == ()
+        assert timing_only.skipped_gwrites == stream.skipped_gwrites
 
     def test_identical_tiles_share_one_key(self):
         """Same command shape (row aside) must intern to the same key."""
@@ -72,6 +171,39 @@ class TestSegmentation:
         rows_b = {c.row for c in b.commands if c.row is not None}
         assert rows_a != rows_b  # different tiles touch different rows...
         assert a.key_id == b.key_id  # ...but replay under the same key
+
+
+class TestTileTemplates:
+    """Deterministic counts for lowering the Table II AlexNetL7 layer
+    (2048x2048, channel 0 of the evaluation config) as Non-opt-Newton,
+    timing-only: every tile reuses one set of compute-phase ``Command``
+    objects, so the stream holds each tile's own activations plus one
+    body per tile shape — not one object per command. A regression to
+    per-tile lowering moves a count rather than a wall-clock ratio."""
+
+    def test_non_opt_alexnet_l7_shares_tile_bodies(self):
+        device = NewtonDevice(
+            eval_config(), eval_timing(), NON_OPT, functional=False
+        )
+        handle = device.load_matrix(m=2048, n=2048)
+        ((channel, _, layout),) = handle.placements
+        stream = device.engines[channel]._segments_for(layout)
+        tiles = [s for s in stream.segments if s.barrier_cycles]
+        banks = device.config.banks_per_channel
+        # BUF_READ + COL_READ + MAC per bank and column.
+        body = 3 * banks * device.config.cols_per_row
+        compute = tiles[0].items[banks : banks + body]
+        assert len(compute) == body == 1536
+        for tile in tiles:
+            assert all(c.kind is CommandKind.ACT for c in tile.items[:banks])
+            ours = tile.items[banks : banks + body]
+            assert all(a is b for a, b in zip(ours, compute))
+        distinct = {id(c) for s in stream.segments for c in s.commands}
+        assert len(tiles) == 24
+        assert stream.total_commands == 38_112
+        # Each tile's 16 ACTs, one compute body, one per-bank result read
+        # (16 READRES_BANK) and one GWRITE run (32) shared by every chunk.
+        assert len(distinct) == len(tiles) * banks + body + banks + 32 == 1968
 
 
 class TestScheduleCacheCounters:
@@ -99,15 +231,26 @@ class TestStreamCache:
         first = engine._segments_for(layout)
         assert engine._segments_for(layout) is first
 
-    def test_lru_eviction_bound(self):
-        cache = StreamCache(max_entries=2)
-        streams = [object(), object(), object()]
-        keys = [
-            make_layout(CFG, 8, 128, interleaved=True, base_row=i)
-            for i in range(3)
-        ]
-        for key, stream in zip(keys, streams):
-            cache.put(key, stream)
-        assert cache.get(keys[0]) is None  # evicted
-        assert cache.get(keys[1]) is streams[1]
-        assert cache.get(keys[2]) is streams[2]
+    def test_every_resident_layout_lowers_once(self, monkeypatch):
+        """More resident layouts than any small cache would hold: each
+        layout (and its fused lowering) is lowered exactly once however
+        many times the engine re-runs them."""
+        lowered = []
+
+        def counting(generator, cache, **kwargs):
+            lowered.append((generator.layout, kwargs["fused"]))
+            return segment_stream(generator, cache, **kwargs)
+
+        monkeypatch.setattr(engine_module, "segment_stream", counting)
+        engine = NewtonChannelEngine(
+            CFG, TIMING, FULL, functional=False, refresh_enabled=False
+        )
+        layouts = [engine.add_matrix(16, 128) for _ in range(20)]
+        for _ in range(3):
+            for layout in layouts:
+                engine.run_gemv(layout)
+                engine.run_gemv(layout, fused_input=True)
+        assert len(lowered) == 2 * len(layouts)
+        assert {(id(layout), fused) for layout, fused in lowered} == {
+            (id(layout), fused) for layout in layouts for fused in (False, True)
+        }

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.optimizations import FULL
 from repro.core.schedule_cache import ScheduleCache, segment_stream
-from repro.core.command_gen import RunStep, Step
+from repro.core.command_gen import BlockStep, Fragment, Step
 from repro.dram import commands as cmds
 from repro.dram.burst import BURST_KINDS, BurstRecord, issue_burst
 from repro.dram.commands import (
@@ -233,21 +233,20 @@ class _SplitBurstGenerator:
         self.total = total
         self.reactivate = reactivate
 
-    def gemv_items(self):
-        yield Step(barrier_cycles=600)
-        for group in range(CFG.bank_groups):
-            yield Step(command=cmds.g_act(group, 0))
-        yield RunStep(
-            run=comp_run(self.split, auto_precharge_last=False)
+    def gemv_items(self, *, payloads=True):
+        activations = tuple(
+            cmds.g_act(group, 0) for group in range(CFG.bank_groups)
         )
+        yield Step(barrier_cycles=600)
+        yield _block(*activations)
+        yield _block(comp_run(self.split, auto_precharge_last=False))
         yield Step(barrier_cycles=600)
         if self.reactivate:
             # The barrier fired a refresh and closed every bank: the
             # stream must re-open the tile rows before continuing.
-            for group in range(CFG.bank_groups):
-                yield Step(command=cmds.g_act(group, 0))
-        yield RunStep(
-            run=CommandRun(
+            yield _block(*activations)
+        yield _block(
+            CommandRun(
                 CommandKind.COMP,
                 self.total - self.split,
                 cols=np.arange(self.split, self.total, dtype=np.int32),
@@ -255,7 +254,11 @@ class _SplitBurstGenerator:
                 auto_precharge_last=True,
             )
         )
-        yield Step(command=cmds.readres())
+        yield _block(cmds.readres())
+
+
+def _block(*items):
+    return BlockStep(Fragment(items), items)
 
 
 def _execute(stream, controller, *, use_burst):
