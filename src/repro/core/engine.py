@@ -21,8 +21,12 @@ cycle of exactness (see :mod:`repro.core.schedule_cache`,
 
 * the **schedule cache** replays recorded per-tile timing deltas when a
   tile starts from a controller state already seen (same relative
-  bus/bank/FAW phase), fast-forwarding the controller in O(1) per tile —
-  the steady-state tier;
+  bus/bank/FAW phase) — the steady-state tier. Replay walks the
+  segments on a local clock: a hit is one lookup and one addition, the
+  delta's end-signature id keys the next lookup, a refresh barrier that
+  cannot fire is one comparison, and the controller is written back
+  only before a refresh that fires, before a miss and at the end of the
+  run;
 * on a replay miss (the *cold* path: first encounter of a layer shape
   or controller phase), homogeneous command runs go through the **burst
   kernel** — first command solved by the constraint solver, the rest in
@@ -36,7 +40,7 @@ once per tile shape, segments key by interned fragment ids, and a
 timing-only engine lowers no functional payloads. Each resident
 layout's segmented stream is kept for the engine's lifetime, so
 ``gemm``/``gemv_batch``/serving/model re-runs skip lowering entirely.
-Refresh barriers are always executed exactly in every tier, and tracing
+Every refresh that fires is executed exactly in every tier, and tracing
 or mixed background traffic forces the per-command reference for the
 run.
 
@@ -46,7 +50,7 @@ variable) to force per-command issue everywhere.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -65,6 +69,7 @@ from repro.dram import fastpath
 from repro.dram.channel import Channel
 from repro.dram.commands import CommandRun
 from repro.dram.config import DRAMConfig
+from repro.dram.fastpath import ControllerDelta
 from repro.dram.power import PowerParams, PowerReport
 from repro.dram.timing import TimingParams
 from repro.errors import ProtocolError
@@ -308,83 +313,24 @@ class NewtonChannelEngine:
             if vector is None:
                 raise ProtocolError("functional mode requires an input vector")
             padded = layout.pad_vector(vector)
-        else:
-            padded = np.zeros(0, dtype=np.float32)
         self._row_cache.clear()
-        use_fast = (
-            self.fast and background is None and controller.trace is None
-        )
-        cache = self.schedule_cache
-
         before = stats_snapshot(controller.stats)
         start = controller.now
-        end = start
-        output = (
-            np.zeros(layout.m, dtype=np.float32) if self.functional else None
-        )
-        boundary = 0
-        for segment in stream.segments:
-            if segment.barrier_cycles:
-                if background is not None:
-                    for command in background.commands_for_boundary(
-                        boundary, controller.now
-                    ):
-                        record = controller.issue(command)
-                        end = max(end, record.complete)
-                        notify = getattr(background, "record_completion", None)
-                        if notify is not None:
-                            notify(command, record)
-                boundary += 1
-                controller.refresh_barrier(segment.barrier_cycles)
-
-            signature = (
-                fastpath.relative_signature(controller) if use_fast else None
-            )
-            if signature is not None:
-                base = controller.now
-                delta = cache.lookup(segment.key_id, signature)
-                if delta is not None:
-                    # Steady state: replay the recorded schedule in O(1).
-                    fastpath.apply_delta(controller, delta, base)
-                    cache.replayed_commands += segment.n_commands
-                    if delta.max_complete is not None:
-                        end = max(end, base + delta.max_complete)
-                else:
-                    # Cold path: homogeneous runs go through the burst
-                    # kernel (first command solved, tail in closed form);
-                    # everything else through the per-command solver.
-                    counters_before = fastpath.counters(controller)
-                    segment_complete: Optional[int] = None
-                    for item in segment.items:
-                        if isinstance(item, CommandRun):
-                            complete = controller.issue_burst(item).complete
-                            self.burst_runs += 1
-                            self.burst_commands += item.count
-                        else:
-                            complete = controller.issue(item).complete
-                        if (
-                            segment_complete is None
-                            or complete > segment_complete
-                        ):
-                            segment_complete = complete
-                    if segment_complete is not None:
-                        end = max(end, segment_complete)
-                    delta = fastpath.capture_delta(
-                        controller, base, counters_before, segment_complete
-                    )
-                    if delta is not None:
-                        cache.store(segment.key_id, signature, delta)
-            else:
-                for command in segment.commands:
-                    record = controller.issue(command)
-                    end = max(end, record.complete)
-            if output is not None:
+        if self.fast and background is None and controller.trace is None:
+            end = self._replay_walk(stream, start)
+        else:
+            end = self._issue_each(stream, background, start)
+        output = None
+        if self.functional:
+            # The datapath and the controller are independent state
+            # machines: the payload steps depend only on their own order.
+            output = np.zeros(layout.m, dtype=np.float32)
+            for segment in stream.segments:
                 for step in segment.functional_steps:
                     self.datapath.step(step, padded, layout, output)
-        if output is not None:
             # Apply the datapath's deferred work (it evaluates whole
-            # buffer groups at flush points), then drop
-            # the run's expanded-row memo.
+            # buffer groups at flush points), then drop the run's
+            # expanded-row memo.
             self.datapath.finish(output)
             self._row_cache.clear()
         after = stats_snapshot(controller.stats)
@@ -399,6 +345,124 @@ class NewtonChannelEngine:
             stats=stats_delta(before, after),
             output=output,
         )
+
+    def _issue_each(
+        self, stream: SegmentedStream, background, end: int
+    ) -> int:
+        """The per-command reference: every barrier and every command
+        through the controller, background traffic at tile boundaries.
+        Returns the latest completion (at least ``end``)."""
+        controller = self.channel.controller
+        boundary = 0
+        for segment in stream.segments:
+            if segment.barrier_cycles:
+                if background is not None:
+                    for command in background.commands_for_boundary(
+                        boundary, controller.now
+                    ):
+                        record = controller.issue(command)
+                        end = max(end, record.complete)
+                        notify = getattr(background, "record_completion", None)
+                        if notify is not None:
+                            notify(command, record)
+                boundary += 1
+                controller.refresh_barrier(segment.barrier_cycles)
+            for command in segment.commands:
+                record = controller.issue(command)
+                end = max(end, record.complete)
+        return end
+
+    def _signature_id(self) -> Optional[int]:
+        """The interned relative signature of the controller's state
+        (``None``: not replayable)."""
+        signature = fastpath.relative_signature(self.channel.controller)
+        if signature is None:
+            return None
+        return self.schedule_cache.intern_signature(signature)
+
+    def _replay_walk(self, stream: SegmentedStream, end: int) -> int:
+        """The fast tier: walk the segments on a local clock.
+
+        A hit costs one lookup and one addition: the delta's recorded
+        end signature keys the next lookup, and the replayed deltas
+        accumulate in ``replays`` until one :func:`fastpath.apply_delta`
+        writes them back — before a refresh that fires, before a miss,
+        and at the end of the run. A barrier that cannot fire is one
+        comparison against the cycle :meth:`RefreshScheduler.last_safe_start`
+        gives; one that fires runs :meth:`ChannelController.refresh_barrier`
+        exactly. A miss runs the cold path and records its delta.
+        Returns the latest completion (at least ``end``).
+        """
+        controller = self.channel.controller
+        cache = self.schedule_cache
+        lookup = cache.lookup
+        refresh = controller.refresh
+        window = stream.barrier_cycles
+        limit = refresh.last_safe_start(window)
+        now = controller.now
+        signature = self._signature_id()
+        replays: List[ControllerDelta] = []
+        replayed = 0
+
+        def write_back() -> None:
+            if replays:
+                fastpath.apply_delta(controller, replays, now - replays[-1].dt_now)
+                replays.clear()
+
+        for segment in stream.segments:
+            if segment.barrier_cycles and now > limit:
+                write_back()
+                now = controller.refresh_barrier(window)
+                limit = refresh.last_safe_start(window)
+                signature = self._signature_id()
+            if signature is not None:
+                delta = lookup(segment.key_id, signature)
+                if delta is not None:
+                    replays.append(delta)
+                    if delta.max_complete is not None:
+                        complete = now + delta.max_complete
+                        if complete > end:
+                            end = complete
+                    now += delta.dt_now
+                    signature = delta.end_signature
+                    replayed += segment.n_commands
+                    continue
+            write_back()
+            if signature is None:
+                # A bank holds an open row: issue per command.
+                for command in segment.commands:
+                    record = controller.issue(command)
+                    end = max(end, record.complete)
+                signature = self._signature_id()
+            else:
+                # Cold path: homogeneous runs go through the burst
+                # kernel (first command solved, tail in closed form);
+                # everything else through the per-command solver.
+                counters_before = fastpath.counters(controller)
+                segment_complete: Optional[int] = None
+                for item in segment.items:
+                    if isinstance(item, CommandRun):
+                        complete = controller.issue_burst(item).complete
+                        self.burst_runs += 1
+                        self.burst_commands += item.count
+                    else:
+                        complete = controller.issue(item).complete
+                    if segment_complete is None or complete > segment_complete:
+                        segment_complete = complete
+                if segment_complete is not None:
+                    end = max(end, segment_complete)
+                end_signature = self._signature_id()
+                delta = fastpath.capture_delta(
+                    controller, now, counters_before, segment_complete,
+                    end_signature,
+                )
+                if delta is not None:
+                    cache.store(segment.key_id, signature, delta)
+                signature = end_signature
+            now = controller.now
+        write_back()
+        cache.replayed_commands += replayed
+        return end
 
     def power_report(self) -> PowerReport:
         """Normalized power breakdown over everything run so far."""

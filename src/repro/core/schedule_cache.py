@@ -16,15 +16,17 @@ interns once per stream. Two segments share a key exactly when they
 issue the same command sequence, rows aside — without building or
 hashing a key per command.
 
-:class:`ScheduleCache` keys recorded
-:class:`~repro.dram.fastpath.ControllerDelta` segment effects by
-``(segment key id, relative controller signature)``. The
-signature check is what makes replay *exact* rather than heuristic: a
-hit proves the controller is in the same steady-state phase (same
-open-row offsets, bus/FAW/tCCD offsets, adder-tree anchor relative to
-the segment's first issue opportunity) the recording started from, so
-the recorded schedule is the true schedule shifted rigidly in time.
-Refresh breaks phase — the engine executes every barrier exactly, and a
+:class:`ScheduleCache` interns relative controller signatures to small
+ids and keys recorded :class:`~repro.dram.fastpath.ControllerDelta`
+segment effects by ``(segment key id, signature id)``. The signature
+check is what makes replay *exact* rather than heuristic: a hit proves
+the controller is in the same steady-state phase (same open-row
+offsets, bus/FAW/tCCD offsets, adder-tree anchor relative to the
+segment's first issue opportunity) the recording started from, so the
+recorded schedule is the true schedule shifted rigidly in time. Each
+delta carries the id of the signature it ends in, so a run of hits
+chains lookup to lookup without recomputing a signature. Refresh breaks
+phase — the engine executes every barrier that fires exactly, and a
 post-refresh state simply forms its own signature (which itself recurs
 periodically and becomes cacheable).
 """
@@ -37,9 +39,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.command_gen import BlockStep, CommandStreamGenerator, Fragment, Step
 from repro.dram.commands import CommandKind, CommandRun
 from repro.dram.fastpath import ControllerDelta, Signature
+from repro.errors import ProtocolError
 
 MAX_DELTA_ENTRIES = 8192
-"""Replay-cache size backstop; real workloads use a handful of entries."""
+"""Replay-cache size backstop (deltas, and interned signatures); real
+workloads use a handful of entries."""
 
 
 @dataclass
@@ -94,6 +98,10 @@ class SegmentedStream:
     """One layout's full command stream, lowered and segmented once."""
 
     segments: List[StreamSegment] = field(default_factory=list)
+    barrier_cycles: int = 0
+    """The row-operation window every barrier in the stream guards (the
+    generator sizes them all by one tile-duration bound; 0: no barrier),
+    so a walk tests each barrier against one precomputed cycle."""
     skipped_gwrites: int = 0
     """GWRITE commands elided from a fused lowering (0 for the ordinary
     round-trip stream). The functional buffer loads are kept — a fused
@@ -107,9 +115,10 @@ class SegmentedStream:
 
 
 class ScheduleCache:
-    """Interns fragment and segment keys; stores recorded segment deltas.
+    """Interns fragment, segment and signature keys; stores recorded
+    segment deltas.
 
-    Both id spaces are content-derived (never object ids), so one cache
+    Every id space is content-derived (never object ids), so one cache
     can be shared across engines with identical architecture — the
     design-space explorer's cross-point reuse.
     """
@@ -117,7 +126,9 @@ class ScheduleCache:
     def __init__(self, max_entries: int = MAX_DELTA_ENTRIES):
         self._fragment_ids: Dict[tuple, int] = {}
         self._key_ids: Dict[tuple, int] = {}
-        self._deltas: Dict[Tuple[int, Signature], ControllerDelta] = {}
+        self._signature_ids: Dict[Signature, int] = {}
+        self._next_signature_id = 0
+        self._deltas: Dict[Tuple[int, int], ControllerDelta] = {}
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -131,10 +142,27 @@ class ScheduleCache:
         """Map a segment key (a fragment-id sequence) to a small stable id."""
         return self._key_ids.setdefault(key, len(self._key_ids))
 
+    def intern_signature(self, signature: Signature) -> int:
+        """Map a relative controller signature to a small id.
+
+        Ids come from a counter that never restarts, so an id names one
+        signature for the cache's lifetime: a walk holding an id across
+        a backstop clear can only miss, never replay another signature's
+        delta.
+        """
+        signature_id = self._signature_ids.get(signature)
+        if signature_id is None:
+            if len(self._signature_ids) >= self.max_entries:
+                self._clear()
+            signature_id = self._next_signature_id
+            self._next_signature_id += 1
+            self._signature_ids[signature] = signature_id
+        return signature_id
+
     def lookup(
-        self, key_id: int, signature: Signature
+        self, key_id: int, signature_id: int
     ) -> Optional[ControllerDelta]:
-        delta = self._deltas.get((key_id, signature))
+        delta = self._deltas.get((key_id, signature_id))
         if delta is None:
             self.misses += 1
         else:
@@ -142,13 +170,17 @@ class ScheduleCache:
         return delta
 
     def store(
-        self, key_id: int, signature: Signature, delta: ControllerDelta
+        self, key_id: int, signature_id: int, delta: ControllerDelta
     ) -> None:
         if len(self._deltas) >= self.max_entries:
-            # Pathological (non-periodic) streams only; a full reset is
-            # cheaper and simpler than eviction bookkeeping.
-            self._deltas.clear()
-        self._deltas[(key_id, signature)] = delta
+            self._clear()
+        self._deltas[(key_id, signature_id)] = delta
+
+    def _clear(self) -> None:
+        # Pathological (non-periodic) streams only; a full reset is
+        # cheaper and simpler than eviction bookkeeping.
+        self._deltas.clear()
+        self._signature_ids.clear()
 
     def __len__(self) -> int:
         return len(self._deltas)
@@ -174,7 +206,8 @@ def segment_stream(
     same items under the same key ids. Every other stream item is a
     refresh-barrier :class:`~repro.core.command_gen.Step`, which always
     flushes the open segment, so no run ever straddles a refresh
-    decision point.
+    decision point; every barrier in a stream must guard the same
+    window (:attr:`SegmentedStream.barrier_cycles`).
 
     With ``fused=True`` the lowering models a fused-layer dataflow: the
     input activation is already channel-resident (produced by the
@@ -219,6 +252,12 @@ def segment_stream(
         if not isinstance(item, BlockStep):
             flush()
             barrier = item.barrier_cycles
+            if stream.barrier_cycles not in (0, barrier):
+                raise ProtocolError(
+                    f"barrier windows {stream.barrier_cycles} and {barrier} "
+                    "in one stream"
+                )
+            stream.barrier_cycles = barrier
             continue
         lowered = True
         fragment = item.fragment

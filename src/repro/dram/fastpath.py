@@ -8,9 +8,7 @@ fields plus timing constants, and every state update adds a constant to
 the issue cycle. So if two tile boundaries present the same *relative*
 timing state (every time field expressed as an offset from ``now``) and
 the same command sequence follows, the second tile's schedule is the
-first one's shifted rigidly in time — and the controller can jump
-straight to the end state in O(1) instead of re-running the solver per
-command.
+first one's shifted rigidly in time.
 
 This module provides the three primitives that make that sound:
 
@@ -19,15 +17,28 @@ This module provides the three primitives that make that sound:
   not replayable, i.e. a bank holds an open row whose identity is
   row-specific);
 * :func:`capture_delta` — after executing a command segment normally,
-  record its effect as a :class:`ControllerDelta`: relative end state
-  plus statistics deltas;
-* :func:`apply_delta` — replay a recorded delta from a new base cycle,
-  fast-forwarding ``now``, bank state, bus timers, the activation
-  window, the adder-tree drain anchor, and all statistics.
+  record its effect as a :class:`ControllerDelta`: relative end state,
+  statistics deltas, and the interned id of the signature the segment
+  leaves behind;
+* :func:`apply_delta` — write a chain of replayed deltas back to the
+  controller: ``now``, bank state, bus timers, the activation window
+  and the adder-tree drain anchor from the last delta, every statistic
+  folded once per distinct delta.
+
+The engine (:mod:`repro.core.engine`) replays on a local clock. Because a
+delta records the signature it ends in, a hit chains straight to the
+next segment's lookup: the walk adds ``dt_now`` and moves on, computing
+no signature and touching no controller state. Every delta overwrites
+the whole timing state relative to its base, so the chain's end state
+is its last delta's, and the counters it advanced are additive; one
+:func:`apply_delta` per chain is therefore exactly the per-segment
+replay. The walk writes back before a refresh that fires, before a
+miss, and at the end of the run.
 
 Refresh is deliberately **excluded**: the refresh scheduler works on
-absolute deadlines, so the engine runs every refresh barrier exactly and
-only consults the cache afterwards — refresh interference stays exact.
+absolute deadlines, so the engine checks every barrier against the
+local clock and runs every refresh that fires exactly — refresh
+interference stays exact.
 
 Sentinel time fields (``NEG_INF`` markers for "never happened") are
 preserved as ``None`` offsets so a replayed controller is bit-identical
@@ -36,12 +47,15 @@ to one that executed the segment command by command.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from itertools import repeat
+from operator import add, mul
+from typing import Optional, Sequence, Tuple
 
 from repro.dram.bank import NEG_INF
 from repro.dram.commands import CommandKind
-from repro.dram.controller import ChannelController
+from repro.dram.controller import ATTRIBUTION_CATEGORIES, ChannelController
 
 _REL_FLOOR = -(10**17)
 """Offsets below this are sentinel ("never happened") values."""
@@ -56,6 +70,14 @@ _STAT_FIELDS = (
     "refresh_stall_cycles",
 )
 
+_KINDS = tuple(CommandKind)
+
+# Where each group of counters starts in a :func:`counters` vector.
+_ATTR_AT = len(_KINDS)
+_STATS_AT = _ATTR_AT + len(ATTRIBUTION_CATEGORIES)
+_BUSES_AT = _STATS_AT + len(_STAT_FIELDS)
+_BANKS_AT = _BUSES_AT + 5
+
 
 def _rel(value: int, base: int) -> Optional[int]:
     """Offset from ``base``, or ``None`` for a sentinel value."""
@@ -67,9 +89,14 @@ def _abs(offset: Optional[int], base: int) -> int:
     return NEG_INF if offset is None else base + offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControllerDelta:
-    """One command segment's effect, relative to its start cycle."""
+    """One command segment's effect, relative to its start cycle.
+
+    Compared and hashed by identity: :func:`apply_delta` counts replays
+    per delta object, and hashing every field would cost more than the
+    replay itself.
+    """
 
     dt_now: int
     """``now`` advance over the segment."""
@@ -85,20 +112,16 @@ class ControllerDelta:
     per bank group under the ``bankgroup_ext`` family)."""
     window_last_act: Optional[int]
     last_tree_feed: Optional[int]
-    command_counts: Tuple[Tuple[CommandKind, int], ...]
-    stat_deltas: Tuple[int, ...]
-    """Deltas of ``_STAT_FIELDS``, in order."""
-    attribution: Tuple[Tuple[str, int], ...]
-    """Cycle-attribution bucket deltas. Attribution is shift-invariant
-    (gaps between issue cycles and binding-constraint argmaxes survive a
-    rigid time shift), so a replay accumulates the exact counters the
-    per-command path would have."""
-    bank_counters: Tuple[Tuple[int, int], ...]
-    """Per bank: (activations, column_accesses) deltas."""
-    cmd_bus_counters: Tuple[int, int]
-    """(slots_used, busy_cycles) deltas."""
-    data_bus_counters: Tuple[int, int]
-    window_activations: int
+    counters: Tuple[int, ...]
+    """The :func:`counters` vector's advance over the segment: command
+    counts, cycle-attribution buckets, stats fields, bus and window
+    counters, per-bank activations and column accesses. Attribution is
+    shift-invariant (gaps between issue cycles and binding-constraint
+    argmaxes survive a rigid time shift), so a replay accumulates the
+    exact counters the per-command path would have."""
+    end_signature: int
+    """Interned id of the relative signature the segment ends in: the
+    key of the next segment's lookup when no refresh intervenes."""
 
 
 Signature = Tuple
@@ -138,17 +161,31 @@ def relative_signature(controller: ChannelController) -> Optional[Signature]:
     )
 
 
-def counters(controller: ChannelController) -> tuple:
-    """Snapshot of every monotone counter a segment can advance."""
+def counters(controller: ChannelController) -> Tuple[int, ...]:
+    """Every additive counter a segment can advance, as one flat vector.
+
+    Command counts (in :class:`CommandKind` order), attribution buckets
+    (in :data:`ATTRIBUTION_CATEGORIES` order), the stats fields, the
+    command- and data-bus slot and busy counters, the window's
+    activation total, then each bank's activations and each bank's
+    column accesses. A flat vector lets :func:`apply_delta` fold many
+    replays with a few vector additions.
+    """
     stats = controller.stats
+    counts = stats.command_counts
+    attribution = stats.cycle_attribution
+    banks = controller.banks
     return (
-        dict(stats.command_counts),
-        dict(stats.cycle_attribution),
-        tuple(getattr(stats, name) for name in _STAT_FIELDS),
-        tuple((b.activations, b.column_accesses) for b in controller.banks),
-        (controller.cmd_bus.slots_used, controller.cmd_bus.busy_cycles),
-        (controller.data_bus.slots_used, controller.data_bus.busy_cycles),
+        *[counts.get(kind, 0) for kind in _KINDS],
+        *[attribution.get(category, 0) for category in ATTRIBUTION_CATEGORIES],
+        *[getattr(stats, name) for name in _STAT_FIELDS],
+        controller.cmd_bus.slots_used,
+        controller.cmd_bus.busy_cycles,
+        controller.data_bus.slots_used,
+        controller.data_bus.busy_cycles,
         controller.window.total_activations,
+        *[bank.activations for bank in banks],
+        *[bank.column_accesses for bank in banks],
     )
 
 
@@ -157,30 +194,19 @@ def capture_delta(
     base: int,
     before: tuple,
     max_complete: Optional[int],
+    end_signature: Optional[int],
 ) -> Optional[ControllerDelta]:
     """Record a just-executed segment as a replayable delta.
 
-    ``base`` is the controller's ``now`` when the segment started and
-    ``before`` the :func:`counters` snapshot taken then. Returns ``None``
-    when the end state is not replayable (an open row would pin the
-    recorded row identity into every replay).
+    ``base`` is the controller's ``now`` when the segment started,
+    ``before`` the :func:`counters` snapshot taken then, and
+    ``end_signature`` the interned id of :func:`relative_signature` now.
+    Returns ``None`` when that signature is ``None``: the end state is
+    not replayable (an open row would pin the recorded row identity into
+    every replay).
     """
-    for bank in controller.banks:
-        if bank.open_row is not None:
-            return None
-    counts_before: Dict[CommandKind, int] = before[0]
-    count_deltas = tuple(
-        (kind, count - counts_before.get(kind, 0))
-        for kind, count in controller.stats.command_counts.items()
-        if count - counts_before.get(kind, 0)
-    )
-    attr_before: Dict[str, int] = before[1]
-    attr_deltas = tuple(
-        (category, charged - attr_before.get(category, 0))
-        for category, charged in controller.stats.cycle_attribution.items()
-        if charged - attr_before.get(category, 0)
-    )
-    after_fields = tuple(getattr(controller.stats, name) for name in _STAT_FIELDS)
+    if end_signature is None:
+        return None
     scopes, last_act = controller.window.snapshot()
     return ControllerDelta(
         dt_now=controller.now - base,
@@ -201,69 +227,79 @@ def capture_delta(
         ),
         window_last_act=_rel(last_act, base),
         last_tree_feed=_rel(controller._last_tree_feed, base),
-        command_counts=count_deltas,
-        attribution=attr_deltas,
-        stat_deltas=tuple(a - b for a, b in zip(after_fields, before[2])),
-        bank_counters=tuple(
-            (b.activations - a, b.column_accesses - c)
-            for b, (a, c) in zip(controller.banks, before[3])
+        counters=tuple(
+            after - prior for after, prior in zip(counters(controller), before)
         ),
-        cmd_bus_counters=(
-            controller.cmd_bus.slots_used - before[4][0],
-            controller.cmd_bus.busy_cycles - before[4][1],
-        ),
-        data_bus_counters=(
-            controller.data_bus.slots_used - before[5][0],
-            controller.data_bus.busy_cycles - before[5][1],
-        ),
-        window_activations=controller.window.total_activations - before[6],
+        end_signature=end_signature,
     )
 
 
 def apply_delta(
-    controller: ChannelController, delta: ControllerDelta, base: int
+    controller: ChannelController,
+    replays: Sequence[ControllerDelta],
+    base: int,
 ) -> None:
-    """Fast-forward the controller past a segment recorded earlier.
+    """Write a chain of replayed segments back to the controller.
 
-    ``base`` is the current ``now``; the controller must be in a state
-    whose :func:`relative_signature` matches the one the delta was
-    recorded under (the cache key guarantees this).
+    ``replays`` lists the deltas replayed since the last write-back, in
+    order; ``base`` is the cycle the last one was replayed from. The
+    controller must be in the state the first delta was recorded from
+    (the cache keys guarantee it), and each later delta's recorded start
+    is its predecessor's end. The timing state comes from the last delta
+    alone — every delta overwrites all of it — while each distinct
+    delta's counters are folded once, times its replay count.
     """
-    for bank, (ra, cr, pr, lci), (da, dc) in zip(
-        controller.banks, delta.banks, delta.bank_counters
+    delta = replays[-1]
+    total = None
+    for replayed, times in Counter(replays).items():
+        advance = replayed.counters
+        if times > 1:
+            advance = map(mul, advance, repeat(times))
+        total = (
+            tuple(advance) if total is None else tuple(map(add, total, advance))
+        )
+    stats = controller.stats
+    counts = stats.command_counts
+    for kind, count in zip(_KINDS, total):
+        if count:
+            counts[kind] = counts.get(kind, 0) + count
+    attribution = stats.cycle_attribution
+    for category, charged in zip(ATTRIBUTION_CATEGORIES, total[_ATTR_AT:]):
+        if charged:
+            attribution[category] = attribution.get(category, 0) + charged
+    for name, advance in zip(_STAT_FIELDS, total[_STATS_AT:]):
+        if advance:
+            setattr(stats, name, getattr(stats, name) + advance)
+    cmd_slots, cmd_busy, data_slots, data_busy, activations = total[
+        _BUSES_AT:_BANKS_AT
+    ]
+    banks = controller.banks
+    for bank, (ra, cr, pr, lci), bank_activations, column_accesses in zip(
+        banks, delta.banks, total[_BANKS_AT:], total[_BANKS_AT + len(banks) :]
     ):
         bank.open_row = None
         bank.ready_for_act = base + ra
         bank.column_ready = base + cr
         bank.precharge_ready = base + pr
         bank.last_column_issue = _abs(lci, base)
-        bank.activations += da
-        bank.column_accesses += dc
-    controller.cmd_bus.fastforward(
-        base + delta.cmd_next_free, *delta.cmd_bus_counters
-    )
+        bank.activations += bank_activations
+        bank.column_accesses += column_accesses
+    controller.cmd_bus.fastforward(base + delta.cmd_next_free, cmd_slots, cmd_busy)
     controller.data_bus.fastforward(
-        base + delta.data_next_free, *delta.data_bus_counters
+        base + delta.data_next_free, data_slots, data_busy
     )
     controller.window.fastforward_scopes(
         tuple(
             tuple(base + t for t in recent) for recent in delta.window_recent
         ),
         _abs(delta.window_last_act, base),
-        delta.window_activations,
+        activations,
     )
     controller._last_tree_feed = _abs(delta.last_tree_feed, base)
-    stats = controller.stats
-    for kind, count in delta.command_counts:
-        stats.command_counts[kind] = stats.command_counts.get(kind, 0) + count
-    for category, charged in delta.attribution:
-        stats.cycle_attribution[category] = (
-            stats.cycle_attribution.get(category, 0) + charged
-        )
-    for name, d in zip(_STAT_FIELDS, delta.stat_deltas):
-        setattr(stats, name, getattr(stats, name) + d)
     controller.now = base + delta.dt_now
-    # The attribution cursor tracks the last issued command, which is
-    # also where ``now`` lands after any segment — restore the invariant
-    # so the next segment (or refresh barrier) charges from here.
-    controller._attr_cursor = controller.now
+    if controller.telemetry:
+        # The attribution cursor tracks the last issued command, which
+        # is also where ``now`` lands after any segment — restore the
+        # invariant so the next segment (or refresh barrier) charges
+        # from here. Without telemetry nothing moves the cursor.
+        controller._attr_cursor = controller.now

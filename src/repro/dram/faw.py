@@ -82,21 +82,9 @@ class ActivationWindow:
             bound = max(bound, anchor + self.t_faw)
         return bound
 
-    def history(self) -> "tuple[tuple[int, ...], int]":
-        """Scope 0's recent-activation times and the last activation cycle."""
-        return tuple(self._scopes[0]), self._last_act
-
     def snapshot(self) -> "tuple[tuple[tuple[int, ...], ...], int]":
         """All scopes' recent-activation times and the last activation cycle."""
         return tuple(tuple(scope) for scope in self._scopes), self._last_act
-
-    def fastforward(
-        self, recent: "tuple[int, ...]", last_act: int, activations: int
-    ) -> None:
-        """Jump scope 0 to a known future history (single-scope replay)."""
-        self.fastforward_scopes((recent,) + tuple(
-            tuple(scope) for scope in self._scopes[1:]
-        ), last_act, activations)
 
     def fastforward_scopes(
         self,

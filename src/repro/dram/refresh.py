@@ -4,14 +4,20 @@ Newton's result latch accumulates across an entire DRAM row, so a refresh
 maturing mid-row would destroy the open row and the partial result. The
 paper's fix: "the memory controller simply waits for the pending refresh
 to mature, sends the refresh command, and then sends the Newton command."
-:meth:`RefreshScheduler.stall_for_refresh` implements exactly that check
-at row-operation granularity.
+:meth:`RefreshScheduler.last_safe_start` states that check once, at
+row-operation granularity; :meth:`RefreshScheduler.stall_for_refresh`
+applies it, and the engine's replay walk compares its local clock
+against it so that a barrier that cannot fire costs one comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import List, Tuple
+
+NEVER = 1 << 62
+"""A cycle no simulation reaches: :meth:`RefreshScheduler.last_safe_start`
+with refresh disabled."""
 
 
 @dataclass
@@ -30,22 +36,33 @@ class RefreshScheduler:
     def __post_init__(self) -> None:
         self.next_due = self.t_refi
 
+    def last_safe_start(self, op_duration: int) -> int:
+        """The latest cycle a row operation of ``op_duration`` may start
+        without a refresh maturing inside it.
+
+        A refresh matures within an operation starting at ``now`` exactly
+        when ``next_due < now + min(op_duration, tREFI - tRFC)``, i.e.
+        when ``now`` exceeds the returned cycle. An operation longer than
+        a refresh interval can never be fully protected, so the
+        protection window is capped at ``tREFI - tRFC``. The value only
+        moves when a refresh is issued.
+        """
+        if not self.enabled:
+            return NEVER
+        return self.next_due - min(op_duration, self.t_refi - self.t_rfc)
+
     def stall_for_refresh(self, now: int, op_duration: int) -> int:
         """Return the cycle at which a row operation of ``op_duration`` may start.
 
-        If a refresh would mature inside ``[now, now + op_duration)``, it
-        is performed first and the operation starts after it completes.
-        An operation longer than a refresh interval can never be fully
-        protected; the protection window is capped at ``tREFI - tRFC``
-        and the overflowing refresh is postponed to the next barrier
+        If a refresh would mature inside the operation (see
+        :meth:`last_safe_start`), it is performed first and the
+        operation starts after it completes. A refresh that overflows
+        the capped protection window is postponed to the next barrier
         (JEDEC permits postponing refreshes), so the average refresh rate
         is always preserved.
         """
-        if not self.enabled:
-            return now
         start = now
-        guard = min(op_duration, self.t_refi - self.t_rfc)
-        while self.next_due < start + guard:
+        while start > self.last_safe_start(op_duration):
             issue_at = max(start, self.next_due)
             done_at = issue_at + self.t_rfc
             self.log.append((issue_at, done_at))

@@ -1,13 +1,16 @@
 """Differential validation: steady-state fast path vs per-command issue.
 
 The fast path must be invisible: cycle-identical timing, identical
-``ControllerStats``, bit-identical functional outputs, and a final
-controller state indistinguishable from the slow path's — across every
-optimization combination, refresh on/off, and arbitrary shapes. Same
-rigor as the ticksim cross-check (``tests/dram/test_ticksim.py``), but
-against the production engine's own slow path.
+``ControllerStats``, bit-identical functional outputs, and a controller
+state indistinguishable from the slow path's after every run — across
+every optimization combination, every command family, refresh on/off,
+every refresh phase, and arbitrary shapes. Same rigor as the ticksim
+cross-check (``tests/dram/test_ticksim.py``), but against the production
+engine's own slow path.
 """
 
+import collections
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,8 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import NewtonChannelEngine
-from repro.core.optimizations import FULL, OptimizationConfig
+from repro.core.optimizations import FULL, OptimizationConfig, figure9_ladder
+from repro.core.schedule_cache import ScheduleCache
 from repro.dram import commands as cmds
+from repro.dram import fastpath
 from repro.dram.config import DRAMConfig, hbm2e_like_config
 from repro.dram.timing import TimingParams, hbm2e_like_timing
 from repro.dram.trace import CommandTrace
@@ -35,14 +40,29 @@ FLAGS = (
 )
 
 
-def make_engine(fast, opt, *, refresh=True, functional=False):
+RIVAL_FAMILIES = ("output_stationary", "bankgroup_ext")
+
+RIVAL_LADDER = [
+    pytest.param(family, opt, id=f"{family}-{name.strip('+').split()[0].lower()}")
+    for family in RIVAL_FAMILIES
+    for name, opt in figure9_ladder()
+    # output_stationary requires the interleaved traversal.
+    if family != "output_stationary" or opt.interleaved_reuse
+]
+
+
+def make_engine(
+    fast, opt, *, refresh=True, functional=False, family="newton",
+    schedule_cache=None,
+):
     return NewtonChannelEngine(
-        CFG,
+        dataclasses.replace(CFG, command_family=family),
         TIMING,
         opt,
         functional=functional,
         refresh_enabled=refresh,
         fast=fast,
+        schedule_cache=schedule_cache,
     )
 
 
@@ -79,7 +99,7 @@ def controller_fingerprint(controller):
             controller.data_bus.slots_used,
             controller.data_bus.busy_cycles,
         ),
-        controller.window.history(),
+        controller.window.snapshot(),
         controller.window.total_activations,
         controller._last_tree_feed,
         controller._attr_cursor,
@@ -106,10 +126,24 @@ def disable_replay(engine):
     engine.schedule_cache.lookup = lambda *a, **k: None
 
 
-def run_pair(opt, m, n, *, refresh=True, runs=1, cold=False):
+def assert_same_run(slow, fast, a, b):
+    """One run's results and the controllers after it must agree."""
+    assert (a.start_cycle, a.end_cycle) == (b.start_cycle, b.end_cycle)
+    assert a.stats == b.stats
+    assert controller_fingerprint(
+        slow.channel.controller
+    ) == controller_fingerprint(fast.channel.controller)
+
+
+def run_pair(
+    opt, m, n, *, refresh=True, runs=1, cold=False, family="newton",
+    schedule_cache=None,
+):
     """Run identical GEMV sequences on a fast and a slow engine."""
-    slow = make_engine(False, opt, refresh=refresh)
-    fast = make_engine(True, opt, refresh=refresh)
+    slow = make_engine(False, opt, refresh=refresh, family=family)
+    fast = make_engine(
+        True, opt, refresh=refresh, family=family, schedule_cache=schedule_cache
+    )
     if cold:
         disable_replay(fast)
     layout_slow = slow.add_matrix(m, n)
@@ -117,11 +151,7 @@ def run_pair(opt, m, n, *, refresh=True, runs=1, cold=False):
     for _ in range(runs):
         a = slow.run_gemv(layout_slow)
         b = fast.run_gemv(layout_fast)
-        assert (a.start_cycle, a.end_cycle) == (b.start_cycle, b.end_cycle)
-        assert a.stats == b.stats
-    assert controller_fingerprint(
-        slow.channel.controller
-    ) == controller_fingerprint(fast.channel.controller)
+        assert_same_run(slow, fast, a, b)
     assert_metrics_parity(slow, fast, a.end_cycle)
     return slow, fast
 
@@ -165,6 +195,111 @@ class TestAllCombinations:
         cache = fast.schedule_cache
         assert cache.hits > 0
         assert cache.replayed_commands > 0
+
+
+class TestRivalFamilies:
+    """The rival command families through the same differential: the
+    per-group tFAW scopes of ``bankgroup_ext`` and the per-tile GWRITE
+    re-streams and single drains of ``output_stationary`` must replay
+    exactly too."""
+
+    @pytest.mark.parametrize("refresh", [True, False], ids=["ref", "noref"])
+    @pytest.mark.parametrize("family,opt", RIVAL_LADDER)
+    def test_ladder_replays_exactly(self, family, opt, refresh):
+        _, fast = run_pair(
+            opt, m=48, n=1024, refresh=refresh, runs=3, family=family
+        )
+        assert fast.schedule_cache.hits > 0
+
+    @pytest.mark.parametrize("family", RIVAL_FAMILIES)
+    def test_cold_burst_matches(self, family):
+        _, fast = run_pair(FULL, m=48, n=1024, runs=2, cold=True, family=family)
+        assert fast.schedule_cache.hits == 0
+        assert fast.burst_commands > 0
+
+
+class TestRefreshPhases:
+    """A firing refresh at every barrier of a short stream.
+
+    Prologue plus two chunks of three tiles: seven segments, six of them
+    behind a barrier. Identical runs alone settle into a refresh cycle
+    that only ever fires at four of the six barriers, so a one-tile GEMV
+    between runs shifts the phase until a refresh has landed on each
+    barrier index. Fast must equal per-command after every run, with
+    cycle attribution on and off."""
+
+    M, N = 48, 1024
+    MAX_RUNS = 100
+
+    @pytest.mark.parametrize("telemetry", ["1", "0"], ids=["attr", "noattr"])
+    def test_every_barrier_fires(self, telemetry, monkeypatch):
+        monkeypatch.setenv("NEWTON_TELEMETRY", telemetry)
+        slow = make_engine(False, FULL)
+        fast = make_engine(True, FULL)
+        assert fast.telemetry is (telemetry == "1")
+        layouts = [
+            (engine.add_matrix(self.M, self.N), engine.add_matrix(16, 64))
+            for engine in (slow, fast)
+        ]
+        segments = fast._segments_for(layouts[1][0]).segments
+        assert len(segments) == 7
+        barriers = sum(1 for segment in segments if segment.barrier_cycles)
+        assert barriers == 6
+
+        # The slow engine meets every barrier of the stream in order:
+        # note which of them issued a refresh.
+        controller = slow.channel.controller
+        barrier = controller.refresh_barrier
+        watching = False
+        position = 0
+        fired = set()
+
+        def watched(op_duration):
+            nonlocal position
+            issued = controller.refresh.refreshes_issued
+            start = barrier(op_duration)
+            if watching:
+                if controller.refresh.refreshes_issued > issued:
+                    fired.add(position)
+                position += 1
+            return start
+
+        monkeypatch.setattr(controller, "refresh_barrier", watched)
+        for _ in range(self.MAX_RUNS):
+            watching, position = True, 0
+            a = slow.run_gemv(layouts[0][0])
+            b = fast.run_gemv(layouts[1][0])
+            watching = False
+            assert_same_run(slow, fast, a, b)
+            assert position == barriers
+            if len(fired) == barriers:
+                break
+            a = slow.run_gemv(layouts[0][1])
+            b = fast.run_gemv(layouts[1][1])
+            assert_same_run(slow, fast, a, b)
+        assert fired == set(range(barriers))
+        assert fast.schedule_cache.hits > 0
+        assert_metrics_parity(slow, fast, a.end_cycle)
+
+
+class TestCacheBackstop:
+    def test_clearing_mid_walk_stays_exact(self, monkeypatch):
+        """A four-entry cache clears deltas and signatures mid-walk again
+        and again; ids held across a clear may only miss."""
+        cache = ScheduleCache(max_entries=4)
+        clear = cache._clear
+        clears = []
+
+        def counted():
+            clears.append(cache.hits + cache.misses)
+            clear()
+
+        monkeypatch.setattr(cache, "_clear", counted)
+        slow, fast = run_pair(FULL, m=64, n=1024, runs=6, schedule_cache=cache)
+        assert len(clears) >= 3
+        assert len(cache) <= 4
+        assert fast.channel.controller.refresh.refreshes_issued >= 3
+        assert cache.hits > 0
 
 
 class TestColdBurstAllCombinations:
@@ -238,11 +373,33 @@ class TestTierEngagement:
         )
         return engine, engine.add_matrix(2048, 2048)
 
-    def test_alexnet_l7_counters(self):
+    def test_alexnet_l7_counters(self, monkeypatch):
         slow, slow_layout = self.alexnet_l7_engine(False)
         fast, fast_layout = self.alexnet_l7_engine(True)
-        burst, hits = [], []
+        controller = fast.channel.controller
+        cache = fast.schedule_cache
+        calls = collections.Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(fastpath, "apply_delta")
+        count(fastpath, "relative_signature")
+        count(controller, "refresh_barrier")
+        burst, hits, runs = [], [], []
         for _ in range(self.RUNS):
+            calls.clear()
+            before = (
+                cache.hits,
+                cache.misses,
+                controller.refresh.refreshes_issued,
+            )
             a = slow.run_gemv(slow_layout)
             b = fast.run_gemv(fast_layout)
             assert (a.start_cycle, a.end_cycle) == (b.start_cycle, b.end_cycle)
@@ -251,6 +408,14 @@ class TestTierEngagement:
                 assert sum(a.stats["command_counts"].values()) == 19103
             burst.append(fast.burst_commands)
             hits.append(fast.schedule_cache.hits)
+            after = (
+                cache.hits,
+                cache.misses,
+                controller.refresh.refreshes_issued,
+            )
+            runs.append(
+                (tuple(y - x for x, y in zip(before, after)), dict(calls))
+            )
         assert b.end_cycle == 498730
         assert slow.burst_commands == 0
         assert slow.schedule_cache.hits == 0
@@ -259,6 +424,23 @@ class TestTierEngagement:
         # served by replay alone.
         assert burst == [288, 320, 320, 320]
         assert all(later > earlier for earlier, later in zip(hits, hits[1:]))
+        # Per run (hits, misses, refreshes): the second run still misses
+        # on its one new refresh phase; the steady runs miss nothing.
+        assert [counts for counts, _ in runs] == [
+            (505, 8, 31),
+            (512, 1, 32),
+            (513, 0, 32),
+            (513, 0, 32),
+        ]
+        # Steady runs: the walk writes the controller back once per firing
+        # refresh plus once at the end (not once per tile), computing a
+        # signature only at run start and after each refresh.
+        for (_, _, refreshes), counted in runs[2:]:
+            assert counted == {
+                "apply_delta": 1 + refreshes,
+                "relative_signature": 1 + refreshes,
+                "refresh_barrier": refreshes,
+            }
 
 
 class TestPropertyDifferential:

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core import engine as engine_module
-from repro.core.command_gen import CommandStreamGenerator
+from repro.core.command_gen import CommandStreamGenerator, Step
 from repro.core.device import NewtonDevice
 from repro.core.engine import NewtonChannelEngine
 from repro.core.layout import make_layout
@@ -14,6 +14,7 @@ from repro.core.schedule_cache import ScheduleCache, segment_stream
 from repro.dram.commands import CommandKind
 from repro.dram.config import DRAMConfig
 from repro.dram.timing import TimingParams
+from repro.errors import ProtocolError
 from repro.experiments.common import eval_config, eval_timing
 
 CFG = DRAMConfig(num_channels=1, banks_per_channel=16, rows_per_bank=512)
@@ -160,6 +161,18 @@ class TestSegmentation:
         assert payload_segments > 10
         assert len(keys) < payload_segments / 2
 
+    def test_mixed_barrier_windows_are_refused(self):
+        """The replay walk tests every barrier against one window's
+        refresh deadline, so a stream must not mix windows."""
+
+        class TwoWindows:
+            def gemv_items(self, *, payloads=True):
+                yield Step(barrier_cycles=100)
+                yield Step(barrier_cycles=200)
+
+        with pytest.raises(ProtocolError):
+            segment_stream(TwoWindows(), ScheduleCache())
+
     def test_key_ignores_dram_row(self):
         cache = ScheduleCache()
         generator, _ = make_stream(FULL, m=512, n=2048)
@@ -220,6 +233,35 @@ class TestScheduleCacheCounters:
         engine.run_gemv(layout)
         assert cache.hits > hits_first
         assert cache.replayed_commands > 0
+
+
+class TestSignatureIds:
+    def test_equal_signatures_share_an_id(self):
+        cache = ScheduleCache()
+        first = cache.intern_signature(((0, 1), 2))
+        assert cache.intern_signature(((0, 1), 2)) == first
+        assert cache.intern_signature(((0, 1), 3)) != first
+
+    def test_ids_are_never_reused_after_a_clear(self):
+        """The backstop clears the signature table, not the id counter:
+        a signature interned after a clear gets a fresh id, so a walk
+        holding an old id can only miss."""
+        cache = ScheduleCache(max_entries=2)
+        before = {cache.intern_signature(("a",)), cache.intern_signature(("b",))}
+        after = cache.intern_signature(("c",))  # table full: clears first
+        again = cache.intern_signature(("a",))
+        assert len(before | {after, again}) == 4
+
+    def test_delta_backstop_clears_signatures_too(self):
+        cache = ScheduleCache(max_entries=1)
+        old = cache.intern_signature(("a",))
+        recorded = object()
+        cache.store(0, old, recorded)
+        assert cache.lookup(0, old) is recorded
+        cache.store(1, old, object())  # delta table full: clears both
+        assert len(cache) == 1
+        assert cache.lookup(0, old) is None
+        assert cache.intern_signature(("a",)) != old
 
 
 class TestStreamCache:

@@ -52,3 +52,20 @@ class TestRefreshScheduler:
         r = RefreshScheduler(t_refi=1000, t_rfc=100)
         r.stall_for_refresh(now=990, op_duration=100)
         assert r.stall_cycles == 110  # waited 10 to maturity + 100 tRFC
+
+    def test_last_safe_start_is_the_stall_boundary(self):
+        """The one comparison the replay walk makes: an operation
+        starting at or before ``last_safe_start`` never stalls, one
+        starting a cycle later always does."""
+        for op_duration in (10, 200, 899, 900, 50_000):
+            r = RefreshScheduler(t_refi=1000, t_rfc=100)
+            limit = r.last_safe_start(op_duration)
+            assert r.stall_for_refresh(limit, op_duration) == limit
+            assert r.refreshes_issued == 0
+            assert r.stall_for_refresh(limit + 1, op_duration) > limit + 1
+            assert r.refreshes_issued == 1
+            assert r.last_safe_start(op_duration) == limit + r.t_refi
+
+    def test_disabled_scheduler_never_fires(self):
+        r = RefreshScheduler(t_refi=1000, t_rfc=100, enabled=False)
+        assert r.last_safe_start(10) > 10**15
