@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.dram import commands as cmds
 from repro.dram.commands import Command, CommandKind, CommandRun
-from repro.dram.config import DRAMConfig
+from repro.dram.config import COMMAND_FAMILY_OUTPUT_STATIONARY, DRAMConfig
 from repro.dram.timing import TimingParams
 from repro.core.layout import InterleavedLayout, Layout, NoReuseLayout
 from repro.core.optimizations import OptimizationConfig
@@ -216,6 +216,25 @@ StreamItem = Union[Step, BlockStep]
 :class:`Step`."""
 
 
+def check_traversal(config: DRAMConfig, opt: OptimizationConfig) -> None:
+    """Raise :class:`ConfigurationError` unless ``config``'s command
+    family can walk ``opt``'s traversal.
+
+    The output_stationary family is a tile-major walk of the interleaved
+    layout, so it needs ``interleaved_reuse``. Engines check this when
+    they are built, the generator when it lowers, and the design-space
+    explorer when it prunes.
+    """
+    if (
+        config.command_family == COMMAND_FAMILY_OUTPUT_STATIONARY
+        and not opt.interleaved_reuse
+    ):
+        raise ConfigurationError(
+            "the output_stationary family is a tile-major traversal of "
+            "the interleaved layout; it requires interleaved_reuse"
+        )
+
+
 class CommandStreamGenerator:
     """Generates the command stream for one channel's GEMV slice."""
 
@@ -230,14 +249,7 @@ class CommandStreamGenerator:
             raise ConfigurationError("interleaved_reuse requires an InterleavedLayout")
         if not opt.interleaved_reuse and not isinstance(layout, NoReuseLayout):
             raise ConfigurationError("the no-reuse traversal requires a NoReuseLayout")
-        if (
-            config.command_family == "output_stationary"
-            and not opt.interleaved_reuse
-        ):
-            raise ConfigurationError(
-                "the output_stationary family is a tile-major traversal of "
-                "the interleaved layout; it requires interleaved_reuse"
-            )
+        check_traversal(config, opt)
         self.config = config
         self.timing = timing
         self.opt = opt
@@ -410,7 +422,7 @@ class CommandStreamGenerator:
         evaluations, result emits or buffer loads) — the timing-only
         stream, whose row-independent pieces are the shared templates
         themselves."""
-        if self.config.command_family == "output_stationary":
+        if self.config.command_family == COMMAND_FAMILY_OUTPUT_STATIONARY:
             yield from self._output_stationary_items(payloads)
         elif self.opt.interleaved_reuse:
             yield from self._interleaved_items(payloads)

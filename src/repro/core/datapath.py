@@ -12,6 +12,13 @@ evaluated as one
 ``(tiles, banks, chunk_elems)`` block, with GWRITE runs loading the
 buffer as one vectorized quantize instead of 32 sub-chunk stores.
 
+A buffer group's rows are evenly spaced in the layout's slab
+(:attr:`~repro.core.engine.NewtonChannelEngine.slabs`): consecutive
+rows for an interleaved chunk, a stride of one matrix row's chunks for
+a no-reuse pass. So a flush reads the group as one strided slice of
+the slab — cut to the sub-chunks the chunk's COMPs cover — and expands
+it to float32 with one shift.
+
 The bit-level contract is the per-command
 :class:`~repro.core.reference.ReferenceExecutor`, which walks the same
 stream COMP by COMP through one
@@ -129,9 +136,10 @@ class BatchedDatapath(FunctionalDatapath):
     * DRAM storage is immutable during a run, so each slot's matrix
       rows can be gathered at flush time;
     * a latch holds either a concrete value (in ``engine._latches``) or
-      one slot reference — a second compute into a referenced latch, or
-      a compute against a different chunk, flushes first (neither
-      occurs in generated streams; both stay correct);
+      one slot reference — a second compute into a referenced latch, a
+      compute against a different chunk, or one whose row breaks the
+      group's even spacing flushes first (none occurs in generated
+      streams; all stay correct);
     * deferred emits replay in issue order, so the fp32 host
       accumulation performs the identical operation sequence.
     """
@@ -140,9 +148,10 @@ class BatchedDatapath(FunctionalDatapath):
 
     def __init__(self, engine):
         super().__init__(engine)
-        self._rows: List[int] = []
+        self._rows: List[int] = []  # each slot's row within the slab
         self._carries: List[np.ndarray] = []
         self._latch_ref: Dict[int, int] = {}
+        self._slab: Optional[np.ndarray] = None
         self._chunk_data: Optional[np.ndarray] = None
         self._chunk_index: Optional[int] = None
         self._output: Optional[np.ndarray] = None
@@ -151,17 +160,25 @@ class BatchedDatapath(FunctionalDatapath):
             Tuple[EmitOp, Optional[int], Optional[np.ndarray]]
         ] = []
 
+    def _group_tiles(self) -> np.ndarray:
+        """The open slots' rows as ``(tiles, banks, chunk_elems)``
+        float32: one slab slice, expanded by one shift."""
+        rows = self._rows
+        stride = rows[1] - rows[0] if len(rows) > 1 else 1
+        bits = self._slab[
+            rows[0] : rows[0] + stride * len(rows) : stride,
+            :,
+            : self._chunk_data.shape[0],
+        ]
+        return np.left_shift(bits, 16, dtype=np.uint32).view(np.float32)
+
     def _flush(self, output: np.ndarray) -> None:
         engine = self.engine
         if self._rows:
-            matrix_tiles = np.stack(
-                [engine._tile_matrix(row) for row in self._rows]
-            )
-            carry = np.stack(self._carries)
             results = batched_tile_compute(
-                matrix_tiles,
+                self._group_tiles(),
                 self._chunk_data,
-                carry,
+                np.stack(self._carries),
                 engine.config.mults_per_bank,
             )
             # Latches still holding a slot reference become concrete.
@@ -177,6 +194,7 @@ class BatchedDatapath(FunctionalDatapath):
         self._carries.clear()
         self._latch_ref.clear()
         self._emits.clear()
+        self._slab = None
         self._chunk_data = None
         self._chunk_index = None
 
@@ -184,19 +202,35 @@ class BatchedDatapath(FunctionalDatapath):
         if self._rows or self._emits:
             self._flush(self._output)
 
+    def _spaces_evenly(self, row: int) -> bool:
+        """Whether ``row`` continues the open slots' even spacing."""
+        rows = self._rows
+        if not rows:
+            return True
+        stride = row - rows[-1]
+        return stride > 0 and (len(rows) == 1 or stride == rows[1] - rows[0])
+
     def on_compute(self, op: TileComputeOp, layout) -> None:
         engine = self.engine
-        if op.latch in self._latch_ref or (
-            self._chunk_index is not None and self._chunk_index != op.chunk
+        row = op.dram_row - layout.base_row
+        if (
+            op.latch in self._latch_ref
+            or (self._chunk_index is not None and self._chunk_index != op.chunk)
+            or not self._spaces_evenly(row)
         ):
             self._flush(self._output)
         if self._chunk_data is None:
-            self._chunk_data = engine.buffer.chunk(
-                layout.cols_in_chunk(op.chunk)
-            )
+            # Only the sub-chunks the chunk's COMPs cover: the rest of
+            # the buffer and of the rows is padding the hardware never
+            # reads.
+            subchunks = layout.cols_in_chunk(op.chunk)
+            self._chunk_data = engine.buffer.chunk(subchunks)[
+                : subchunks * engine.config.elems_per_col
+            ]
             self._chunk_index = op.chunk
+            self._slab = engine.slabs[layout.base_row]
         slot = len(self._rows)
-        self._rows.append(op.dram_row)
+        self._rows.append(row)
         self._carries.append(engine._latches[:, op.latch].copy())
         self._latch_ref[op.latch] = slot
 

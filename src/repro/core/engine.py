@@ -10,6 +10,16 @@ host-side partial accumulation. The functional interpretation
 single vector kernels, bit-identical to the per-command
 :class:`~repro.core.reference.ReferenceExecutor`.
 
+Residency is a bump pointer: each resident layout takes the next free
+DRAM rows of every bank, and a functional engine backs them with one
+contiguous uint16 slab (:attr:`NewtonChannelEngine.slabs`) that
+:meth:`NewtonChannelEngine.add_matrix`,
+:meth:`NewtonChannelEngine.update_matrix` and the ECC scrubber write
+whole, and the datapath reads a buffer group at a time. A timing-only
+engine allocates no storage. Construction rejects a command family
+that cannot walk the configured traversal
+(:func:`~repro.core.command_gen.check_traversal`).
+
 A single engine persists across runs: successive layers (or batch inputs)
 execute back-to-back on the same controller clock, so refresh interference
 accumulates across an end-to-end model exactly as it would on hardware —
@@ -54,7 +64,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.command_gen import CommandStreamGenerator
+from repro.core.command_gen import CommandStreamGenerator, check_traversal
 from repro.core.datapath import BatchedDatapath
 from repro.core.global_buffer import GlobalBuffer
 from repro.core.layout import Layout, make_layout
@@ -73,7 +83,6 @@ from repro.dram.fastpath import ControllerDelta
 from repro.dram.power import PowerParams, PowerReport
 from repro.dram.timing import TimingParams
 from repro.errors import ProtocolError
-from repro.numerics.bfloat16 import bf16_bits_to_float
 from repro.numerics.lut import ActivationLUT
 from repro.utils.envflags import env_flag
 
@@ -116,6 +125,7 @@ class NewtonChannelEngine:
         telemetry: bool = True,
         schedule_cache: Optional[ScheduleCache] = None,
     ):
+        check_traversal(config, opt)
         self.config = config
         self.timing = timing
         self.opt = opt
@@ -132,17 +142,15 @@ class NewtonChannelEngine:
             power_params=power_params,
             telemetry=self.telemetry,
         )
+        self.slabs: Optional[Dict[int, np.ndarray]] = {} if functional else None
+        """The resident matrices' bf16 bits: one uint16 slab of shape
+        ``layout.slab_shape`` per layout, keyed by its base row (``None``
+        on a timing-only engine)."""
         self.buffer = GlobalBuffer(config)
         self._latches = np.zeros(
             (config.banks_per_channel, opt.result_latches), dtype=np.float32
         )
         self._next_free_row = 0
-        # Per-run memo of expanded (banks, elems_per_row) float rows:
-        # the interleaved traversal revisits every tile once per chunk,
-        # so expanding storage bits once per run instead of once per
-        # (chunk, tile) removes a whole-matrix decode per chunk. Cleared
-        # at run start — storage may be mutated between runs (scrub).
-        self._row_cache: dict = {}
         self.datapath = BatchedDatapath(self)
         """The functional datapath interpreting this engine's payload
         steps (see :mod:`repro.core.datapath`)."""
@@ -191,9 +199,11 @@ class NewtonChannelEngine:
     def add_matrix(self, m: int, n: int, matrix: Optional[np.ndarray] = None) -> Layout:
         """Allocate DRAM rows for an ``m x n`` matrix and (optionally) load it.
 
-        The load itself is not timed: the filter matrix is resident in
-        the AiM for the model's lifetime (the paper re-loads it only for
-        ECC scrubbing, about once per thousand inputs).
+        The layout takes the next free rows of every bank; a functional
+        engine backs them with one zeroed slab in :attr:`slabs`. The load
+        itself is not timed: the filter matrix is resident in the AiM
+        for the model's lifetime (the paper re-loads it only for ECC
+        scrubbing, about once per thousand inputs).
         """
         layout = make_layout(
             self.config,
@@ -204,9 +214,11 @@ class NewtonChannelEngine:
             latches_per_bank=self.opt.result_latches,
         )
         self._next_free_row += layout.rows_per_bank_used
-        if self.functional and matrix is not None:
-            for bank, row, bits in layout.place(matrix):
-                self.channel.storage[bank].write_row(row, bits)
+        if self.functional:
+            slab = np.zeros(layout.slab_shape, dtype=np.uint16)
+            self.slabs[layout.base_row] = slab
+            if matrix is not None:
+                layout.write_slab(slab, matrix)
         return layout
 
     def update_matrix(self, layout: Layout, matrix: np.ndarray) -> None:
@@ -220,24 +232,10 @@ class NewtonChannelEngine:
         """
         if not self.functional:
             raise ProtocolError("update_matrix needs a functional engine")
-        for bank, row, bits in layout.place(matrix):
-            self.channel.storage[bank].write_row(row, bits)
+        layout.write_slab(self.slabs[layout.base_row], matrix)
 
     # ------------------------------------------------------------------
     # execution
-
-    def _tile_matrix(self, dram_row: int) -> np.ndarray:
-        """All banks' open-row data as float32 on the bfloat16 grid."""
-        rows = self._row_cache.get(dram_row)
-        if rows is None:
-            rows = np.stack(
-                [
-                    bf16_bits_to_float(storage.row_array(dram_row))
-                    for storage in self.channel.storage
-                ]
-            )
-            self._row_cache[dram_row] = rows
-        return rows
 
     def _segments_for(self, layout: Layout, *, fused: bool = False) -> SegmentedStream:
         """The layout's lowered, segmented command stream (lowered once).
@@ -313,7 +311,6 @@ class NewtonChannelEngine:
             if vector is None:
                 raise ProtocolError("functional mode requires an input vector")
             padded = layout.pad_vector(vector)
-        self._row_cache.clear()
         before = stats_snapshot(controller.stats)
         start = controller.now
         if self.fast and background is None and controller.trace is None:
@@ -329,10 +326,8 @@ class NewtonChannelEngine:
                 for step in segment.functional_steps:
                     self.datapath.step(step, padded, layout, output)
             # Apply the datapath's deferred work (it evaluates whole
-            # buffer groups at flush points), then drop the run's
-            # expanded-row memo.
+            # buffer groups at flush points).
             self.datapath.finish(output)
-            self._row_cache.clear()
         after = stats_snapshot(controller.stats)
         if self.verifier is not None:
             # Raises VerificationError if this run broke the protocol.

@@ -65,40 +65,35 @@ class MatrixScrubber:
         self.golden = np.asarray(matrix, dtype=np.float32).copy()
         self.flips_injected = 0
 
+    def _slabs(self):
+        """(layout, resident slab, golden rows) per channel placement."""
+        for channel, (lo, hi), layout in self.handle.placements:
+            slab = self.device.engines[channel].slabs[layout.base_row]
+            yield layout, slab, self.golden[lo:hi]
+
     def inject_faults(self, count: int, seed: int = 0) -> None:
         """Flip ``count`` random bits in resident matrix rows."""
         if count <= 0:
             raise ConfigurationError("inject at least one fault")
         rng = np.random.default_rng(seed)
+        slabs = [slab for _, slab, _ in self._slabs()]
         for _ in range(count):
-            channel, (lo, hi), layout = self.handle.placements[
-                rng.integers(len(self.handle.placements))
-            ]
-            storage = self.device.engines[channel].channel.storage
+            slab = slabs[rng.integers(len(slabs))]
             bank = int(rng.integers(self.device.config.banks_per_channel))
-            row = layout.base_row + int(rng.integers(layout.rows_per_bank_used))
+            row = int(rng.integers(slab.shape[0]))
             elem = int(rng.integers(self.device.config.elems_per_row))
-            bit = np.uint16(1 << int(rng.integers(16)))
-            arr = storage[bank].row_array(row)
-            arr[elem] ^= bit
+            slab[row, bank, elem] ^= np.uint16(1 << int(rng.integers(16)))
             self.flips_injected += 1
 
     def scrub(self) -> None:
         """Reload the matrix from the golden (non-AiM, ECC-protected) copy."""
-        for channel, (lo, hi), layout in self.handle.placements:
-            storage = self.device.engines[channel].channel.storage
-            for bank, row, bits in layout.place(self.golden[lo:hi]):
-                storage[bank].write_row(row, bits)
+        self.device.store_matrix(self.handle, self.golden)
 
     def residency_matches_golden(self) -> bool:
         """Bit-compare the resident matrix against the golden copy."""
-        for channel, (lo, hi), layout in self.handle.placements:
-            storage = self.device.engines[channel].channel.storage
-            for bank, row, bits in layout.place(self.golden[lo:hi]):
-                resident = storage[bank].row_array(row)
-                expected = np.zeros_like(resident)
-                expected[: bits.shape[0]] = bits
-                # place() emits whole rows, so compare whole rows.
-                if not np.array_equal(resident, expected):
-                    return False
+        for layout, slab, golden in self._slabs():
+            expected = np.empty_like(slab)
+            layout.write_slab(expected, golden)
+            if not np.array_equal(slab, expected):
+                return False
         return True

@@ -1,24 +1,21 @@
-"""A channel: the timing controller plus functional bank storage.
+"""A channel: the timing controller plus its power model.
 
-This is the DRAM-only composition; the Newton-specific units (global
-input-vector buffer, per-bank MAC arrays, result latches) are layered on
-top by :mod:`repro.core.engine`, keeping the substrate reusable as a
-plain DRAM model.
+This is the DRAM-only composition; the Newton-specific units (functional
+storage, global input-vector buffer, per-bank MAC arrays, result
+latches) are layered on top by :mod:`repro.core.engine`, keeping the
+substrate reusable as a plain DRAM model.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.dram.config import DRAMConfig
 from repro.dram.controller import ChannelController
 from repro.dram.power import PowerModel, PowerParams, PowerReport
-from repro.dram.storage import BankStorage
 from repro.dram.timing import TimingParams
 
 
 class Channel:
-    """One (pseudo) channel: controller + per-bank storage."""
+    """One (pseudo) channel: controller + power model."""
 
     def __init__(
         self,
@@ -39,9 +36,6 @@ class Channel:
             refresh_enabled=refresh_enabled,
             telemetry=telemetry,
         )
-        self.storage: List[BankStorage] = [
-            BankStorage(config, i) for i in range(config.banks_per_channel)
-        ]
         self.power_model = PowerModel(config, timing, power_params)
 
     def power_report(self) -> PowerReport:

@@ -21,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.command_gen import check_traversal
 from repro.core.engine import NewtonChannelEngine
 from repro.core.optimizations import OptimizationConfig
 from repro.core.schedule_cache import ScheduleCache
@@ -75,19 +76,15 @@ def point_arch(
     # One latch <=> the interleaved full-reuse traversal; four latches
     # <=> the Section III-C row-major partial-reuse variant. The config
     # layer enforces the coupling, so the sweep axis is just `latches`.
-    interleaved = latches == 1
-    if family == "output_stationary" and not interleaved:
-        raise ConfigurationError(
-            "the output_stationary family requires the interleaved traversal"
-        )
     opt = OptimizationConfig(
         ganged_compute=True,
         complex_commands=True,
-        interleaved_reuse=interleaved,
+        interleaved_reuse=latches == 1,
         four_bank_activation=True,
         aggressive_tfaw=True,
         result_latches=latches,
     )
+    check_traversal(config, opt)
     return config, timing, opt
 
 

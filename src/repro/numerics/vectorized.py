@@ -9,12 +9,12 @@ group's worth of tiles evaluated as ``(tiles, banks, subchunks, lanes)``
 arrays — so the per-command (and per-tile) Python interpreter overhead
 amortizes across hundreds of COMP commands per NumPy call.
 
-Two facts make the batch bit-identical rather than merely close:
+Three facts make the batch bit-identical rather than merely close:
 
 * every rounding step is **elementwise** (:func:`quantize_bf16` is a
   pure bit transform of each float32 independently), so evaluating many
   lanes/banks/tiles in one array op performs the identical operation on
-  each element as evaluating them one at a time; and
+  each element as evaluating them one at a time;
 * operand re-quantization is the **identity** on values already on the
   bfloat16 grid (idempotence, pinned by the property suite) and NaN
   payloads are canonicalized by the *result* rounding regardless, so
@@ -23,7 +23,14 @@ Two facts make the batch bit-identical rather than merely close:
   operands) whenever the operands are on-grid — which every producer in
   the datapath guarantees: storage rows are expanded bf16 bit patterns,
   the global buffer quantizes on load, latches only ever hold rounded
-  results or zero.
+  results or zero; and
+* a NaN computed from on-grid operands has **zero low bits**, so
+  rounding keeps it a NaN. :func:`tree_reduce_block` and
+  :func:`latch_accumulate_block` (and so :func:`batched_tile_compute`,
+  built from them) therefore round in place on ``uint32`` views and
+  canonicalize NaNs only on entry and exit: in between, only their
+  payload and sign can differ from the per-step-canonicalizing
+  reference.
 
 The differential suites in ``tests/numerics/test_vectorized.py`` pin the
 batched kernels bit-identical to the per-COMP MAC unit across NaN, ±inf,
@@ -51,6 +58,24 @@ CANONICAL_NAN_F32: np.float32 = np.array([0x7FC00000], dtype=np.uint32).view(
 expanded to float32)."""
 
 
+def _round_to_grid(bits: np.ndarray, bias: np.ndarray) -> None:
+    """Round float32 bit patterns to the bfloat16 grid, in place.
+
+    Round-to-nearest-even on the discarded 16 bits: add ``0x7FFF`` plus
+    the surviving half's lowest bit (uint32 wrap included, exactly like
+    :func:`~repro.numerics.bfloat16.float_to_bf16_bits`), then clear
+    them. ``bias`` is uint32 scratch of ``bits``' shape. NaNs are left
+    to the caller: rounding is the identity on every on-grid pattern,
+    NaNs included, but a NaN with low payload bits may round to an
+    infinity or wrap to zero.
+    """
+    np.right_shift(bits, 16, out=bias)
+    np.bitwise_and(bias, 1, out=bias)
+    np.add(bias, 0x7FFF, out=bias)
+    np.add(bits, bias, out=bits)
+    np.bitwise_and(bits, 0xFFFF0000, out=bits)
+
+
 def quantize_bf16_into(
     values: np.ndarray,
     out: np.ndarray,
@@ -68,20 +93,10 @@ def quantize_bf16_into(
     """
     if out is not values:
         np.copyto(out, values)
-    bits = out.view(np.uint32)
-    if nan_scratch is not None:
-        nan_mask = np.isnan(out, out=nan_scratch)
-    else:
-        nan_mask = np.isnan(out)
-    if bias_scratch is not None:
-        bias = np.right_shift(bits, 16, out=bias_scratch)
-    else:
-        bias = bits >> np.uint32(16)
-    np.bitwise_and(bias, 1, out=bias)
-    np.add(bias, 0x7FFF, out=bias)
-    np.add(bits, bias, out=bits)  # uint32 wrap, exactly like the reference
-    np.right_shift(bits, 16, out=bits)
-    np.left_shift(bits, 16, out=bits)
+    nan_mask = np.isnan(out, out=nan_scratch)
+    if bias_scratch is None:
+        bias_scratch = np.empty(out.shape, dtype=np.uint32)
+    _round_to_grid(out.view(np.uint32), bias_scratch)
     if nan_mask.any():
         out[nan_mask] = CANONICAL_NAN_F32
     return out
@@ -100,7 +115,25 @@ def grid_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return quantize_bf16(a + b)
 
 
-def tree_reduce_block(products: np.ndarray) -> np.ndarray:
+def _check_tree_width(lanes: int) -> None:
+    if lanes <= 0 or lanes & (lanes - 1):
+        raise ProtocolError(
+            f"adder tree width must be a power of two, got {lanes}"
+        )
+
+
+def _canonical_nans(values: np.ndarray) -> np.ndarray:
+    """``values`` with every NaN replaced by :data:`CANONICAL_NAN_F32`
+    (a copy only when there is a NaN to replace)."""
+    nan = np.isnan(values)
+    if nan.any():
+        values = np.where(nan, CANONICAL_NAN_F32, values)
+    return values
+
+
+def tree_reduce_block(
+    products: np.ndarray, *, bias_scratch: "np.ndarray | None" = None
+) -> np.ndarray:
     """Reduce the trailing ``lanes`` axis through the bf16 adder tree.
 
     ``products`` is ``(..., lanes)`` with ``lanes`` a power of two,
@@ -108,16 +141,25 @@ def tree_reduce_block(products: np.ndarray) -> np.ndarray:
     Returns the ``(...)``-shaped tree sums, rounding at every stage in
     the hardware's fixed pairing order — identical, element for element,
     to :func:`~repro.numerics.adder_tree.adder_tree_reduce` per slice.
+
+    Each stage pairs neighbouring lanes by reshape and rounds in place
+    on a ``uint32`` view; NaNs are canonicalized once, on exit (see the
+    module docstring). ``bias_scratch``, if given, is uint32 with at
+    least half as many elements as ``products``.
     """
     lanes = products.shape[-1]
-    if lanes == 0 or (lanes & (lanes - 1)) != 0:
-        raise ProtocolError(
-            f"adder tree width must be a power of two, got {lanes}"
-        )
-    level = products
-    while level.shape[-1] > 1:
-        level = grid_add(level[..., 0::2], level[..., 1::2])
-    return level[..., 0]
+    _check_tree_width(lanes)
+    level = products.reshape(-1, lanes)
+    if bias_scratch is None:
+        bias_scratch = np.empty(level.size // 2, dtype=np.uint32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while level.shape[1] > 1:
+            pairs = level.reshape(level.shape[0], -1, 2)
+            level = np.add(pairs[:, :, 0], pairs[:, :, 1])
+            _round_to_grid(
+                level.reshape(-1).view(np.uint32), bias_scratch[: level.size]
+            )
+    return _canonical_nans(level.reshape(products.shape[:-1]))
 
 
 def latch_accumulate_block(
@@ -126,19 +168,30 @@ def latch_accumulate_block(
     """Accumulate per-sub-chunk tree sums into result latches, in order.
 
     ``carry`` is the latches' entry value, shape ``(...)``;
-    ``tree_sums`` is ``(..., subchunks)``. The sub-chunk axis is walked
-    sequentially in ascending order — the one serialization the COMP
-    stream's accumulation order genuinely imposes — while every leading
-    axis (tiles, banks) advances in parallel. Returns the updated
-    latches (a new array).
+    ``tree_sums`` is ``(..., subchunks)``, on the bfloat16 grid. The
+    sub-chunk axis is walked sequentially in ascending order — the one
+    serialization the COMP stream's accumulation order genuinely
+    imposes — over a contiguous ``(subchunks, ...)`` copy, while every
+    leading axis (tiles, banks) advances in parallel. Each step rounds
+    in place on a ``uint32`` view; NaNs are canonicalized on entry (the
+    carry's rounding) and on exit. Returns the updated latches (a new
+    array).
     """
     # Entry rounding of the carry: the identity for the on-grid values
     # the engine's latches always hold, and exactly what the reference
     # path's per-step operand rounding would do to anything else.
-    acc = quantize_bf16(np.asarray(carry, dtype=np.float32))
-    for s in range(tree_sums.shape[-1]):
-        acc = grid_add(acc, tree_sums[..., s])
-    return acc
+    carry = np.asarray(carry, dtype=np.float32)
+    acc = quantize_bf16_into(carry, np.empty(carry.shape, dtype=np.float32))
+    bits = acc.view(np.uint32)
+    bias = np.empty(acc.shape, dtype=np.uint32)
+    steps = np.ascontiguousarray(
+        tree_sums.transpose(-1, *range(tree_sums.ndim - 1))
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tree_sum in steps:
+            np.add(acc, tree_sum, out=acc)
+            _round_to_grid(bits, bias)
+    return _canonical_nans(acc)
 
 
 def batched_tile_compute(
@@ -151,6 +204,9 @@ def batched_tile_compute(
 
     The batched form of :func:`~repro.core.mac_unit.tile_compute`: every
     tile that reads the same global-buffer chunk is evaluated together.
+    The products are rounded in place on a ``uint32`` view, then reduced
+    by :func:`tree_reduce_block` and accumulated by
+    :func:`latch_accumulate_block`.
 
     Args:
         matrix_tiles: ``(tiles, banks, chunk_elems)`` float32 on the
@@ -160,7 +216,8 @@ def batched_tile_compute(
             (the global buffer's contents, shared by every tile).
         carry: ``(tiles, banks)`` float32 — each tile's target-latch
             value on entry.
-        lanes: multipliers per bank (the sub-chunk width).
+        lanes: multipliers per bank (the sub-chunk width, a power of
+            two).
 
     Returns:
         The ``(tiles, banks)`` updated latch values: multiplier
@@ -184,11 +241,13 @@ def batched_tile_compute(
         )
     if lanes <= 0 or chunk_elems % lanes != 0:
         raise ProtocolError("chunk width must be a whole number of sub-chunks")
-    subchunks = chunk_elems // lanes
     with np.errstate(over="ignore", invalid="ignore"):
-        products = quantize_bf16(matrix_tiles * input_chunk)
+        products = np.multiply(matrix_tiles, input_chunk, dtype=np.float32)
+    bias = np.empty(products.size, dtype=np.uint32)
+    _round_to_grid(products.reshape(-1).view(np.uint32), bias)
     tree_sums = tree_reduce_block(
-        products.reshape(tiles, banks, subchunks, lanes)
+        products.reshape(tiles, banks, chunk_elems // lanes, lanes),
+        bias_scratch=bias,
     )
     return latch_accumulate_block(carry, tree_sums)
 

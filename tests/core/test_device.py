@@ -6,10 +6,26 @@ import pytest
 from repro.core.device import NewtonDevice
 from repro.core.optimizations import FULL
 from repro.dram.config import DRAMConfig
-from repro.errors import LayoutError, ProtocolError
+from repro.errors import ConfigurationError, LayoutError, ProtocolError
 
 CFG2 = DRAMConfig(num_channels=2, banks_per_channel=16, rows_per_bank=512)
 CFG1 = DRAMConfig(num_channels=1, banks_per_channel=16, rows_per_bank=512)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("functional", [True, False])
+    def test_family_traversal_checked_at_construction(self, functional):
+        """output_stationary walks the interleaved layout tile-major, so
+        pairing it with the no-reuse traversal fails when the device is
+        built, not at its first gemv."""
+        config = DRAMConfig(num_channels=1, command_family="output_stationary")
+        with pytest.raises(ConfigurationError, match="interleaved_reuse"):
+            NewtonDevice(
+                config,
+                opt=FULL.evolve(interleaved_reuse=False),
+                functional=functional,
+            )
+        NewtonDevice(config, opt=FULL, functional=functional)
 
 
 class TestLoadMatrix:

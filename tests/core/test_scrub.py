@@ -79,6 +79,18 @@ class TestMatrixScrubber:
         assert scrubber.residency_matches_golden()
         assert np.array_equal(device.gemv(handle, vector).output, clean)
 
+    def test_scrub_clears_padding_banks(self, rng):
+        """A ragged matrix (40 rows on 16 banks) leaves padding banks in
+        its last tile; the reload rewrites those too."""
+        device, handle, matrix = loaded_device(rng, m=40)
+        scrubber = MatrixScrubber(device, handle, matrix)
+        _, _, layout = handle.placements[0]
+        slab = device.engines[0].slabs[layout.base_row]
+        slab[-1, -1, 0] ^= 1  # bank 15 of the last tile holds no matrix row
+        assert not scrubber.residency_matches_golden()
+        scrubber.scrub()
+        assert scrubber.residency_matches_golden()
+
     def test_requires_functional_device(self):
         device = NewtonDevice(CFG, functional=False)
         handle = device.load_matrix(m=16, n=512)

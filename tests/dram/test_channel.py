@@ -1,6 +1,4 @@
-"""The channel composition (controller + storage + power)."""
-
-import numpy as np
+"""The channel composition (controller + power)."""
 
 from repro.dram import commands as cmds
 from repro.dram.channel import Channel
@@ -11,13 +9,8 @@ from repro.dram.timing import TimingParams
 class TestChannel:
     def test_composition(self, small_config, timing):
         channel = Channel(small_config, timing)
-        assert len(channel.storage) == small_config.banks_per_channel
         assert channel.controller.config is small_config
-
-    def test_storage_independent_per_bank(self, small_config, timing):
-        channel = Channel(small_config, timing)
-        channel.storage[0].write_row(0, np.ones(512, dtype=np.uint16))
-        assert np.all(channel.storage[1].read_row(0) == 0)
+        assert channel.power_model.config is small_config
 
     def test_power_report_after_activity(self, small_config, timing):
         channel = Channel(small_config, timing, refresh_enabled=False)

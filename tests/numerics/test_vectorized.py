@@ -172,6 +172,17 @@ class TestTreeReduceBlock:
                 np.array([single], dtype=np.float32),
             )
 
+    def test_nan_from_opposite_infinities_is_canonical(self):
+        """+inf and -inf meet in the first stage: float32 makes a NaN
+        whose sign the hardware picks, and the tree must return the
+        reference's canonical pattern."""
+        products = _on_grid([0x7F80, 0xFF80] + [0x3F80] * 14)
+        block = tree_reduce_block(products[None, :])
+        assert _bits_equal(block, np.array([CANONICAL_NAN_F32]))
+        assert _bits_equal(
+            block, np.array([adder_tree_reduce(products)], dtype=np.float32)
+        )
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ProtocolError):
             tree_reduce_block(np.zeros((2, 12), dtype=np.float32))
@@ -192,10 +203,16 @@ class TestLatchAccumulateBlock:
         acc = carry.copy()
         for s in range(sums.shape[0]):
             acc = bf16_add(acc, sums[s : s + 1])
-        assert _bits_equal(
-            float_to_bf16_bits(np.array([batched[0]], dtype=np.float32)),
-            float_to_bf16_bits(acc),
-        )
+        # Raw float32 patterns: every NaN must be the canonical one.
+        assert _bits_equal(np.array([batched[0]], dtype=np.float32), acc)
+
+    def test_nan_from_opposite_infinities_is_canonical(self):
+        """A +inf latch meeting a -inf tree sum makes a float32 NaN of
+        either sign; the latch must hold the canonical pattern."""
+        carry = _on_grid([0x7F80, 0x3F80])
+        sums = _on_grid([0xFF80, 0x3F80, 0x7F80, 0xFF80]).reshape(2, 2)
+        batched = latch_accumulate_block(carry, sums)
+        assert _bits_equal(batched, np.full(2, CANONICAL_NAN_F32))
 
     def test_off_grid_carry_entry_rounded_like_reference(self):
         """A carry not on the grid gets one entry rounding — exactly the
@@ -258,12 +275,15 @@ class TestBatchedTileCompute:
             reference = self._scalar_tile(
                 matrix[t], chunk, carry[t].copy(), lanes
             )
-            assert _bits_equal(
-                float_to_bf16_bits(batched[t]), float_to_bf16_bits(reference)
-            )
+            # Raw float32 patterns: every NaN must be the canonical one.
+            assert _bits_equal(batched[t], reference)
 
     def test_special_values_flow_through(self):
-        """NaN/inf in the matrix propagate identically batched vs scalar."""
+        """NaN/inf in the matrix propagate identically batched vs scalar.
+
+        +inf and -inf share the first sub-chunk, so the tree's first
+        stage makes a NaN from float32 arithmetic (not from an operand):
+        the kernel must still return the canonical ``0x7FC00000``."""
         lanes = 16
         matrix = _on_grid(
             [0x7F80, 0xFF80, 0x7FC0, 0x0001, 0x8001] + [0x3F80] * 11
@@ -274,9 +294,25 @@ class TestBatchedTileCompute:
         reference = self._scalar_tile(
             matrix[0], chunk, carry[0].copy(), lanes
         )
-        assert _bits_equal(
-            float_to_bf16_bits(batched[0]), float_to_bf16_bits(reference)
+        assert _bits_equal(batched[0], reference)
+        assert _bits_equal(batched[0], np.array([CANONICAL_NAN_F32]))
+
+    def test_nan_made_in_the_latch_is_canonical(self):
+        """+inf and -inf in two sub-chunks: the latch's accumulation,
+        not the tree, makes the NaN, and the kernel must still return
+        the canonical ``0x7FC00000``."""
+        lanes = 16
+        matrix = _on_grid(
+            [0x7F80] + [0x3F80] * 15 + [0xFF80] + [0x3F80] * 15
+        ).reshape(1, 1, 2 * lanes)
+        chunk = _on_grid([0x3F80] * 2 * lanes)
+        carry = np.zeros((1, 1), dtype=np.float32)
+        batched = batched_tile_compute(matrix, chunk, carry, lanes)
+        reference = self._scalar_tile(
+            matrix[0], chunk, carry[0].copy(), lanes
         )
+        assert _bits_equal(batched[0], reference)
+        assert _bits_equal(batched[0], np.array([CANONICAL_NAN_F32]))
 
     def test_shape_validation(self):
         lanes = 16
