@@ -110,7 +110,7 @@ class HeteroBackend(Backend):
             **{
                 k: v
                 for k, v in newton_knobs.items()
-                if k in ("fast", "channel_workers", "telemetry")
+                if k in ("fast", "telemetry")
             },
         )
         from repro.baselines.gpu import titan_v_like

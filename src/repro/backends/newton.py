@@ -35,7 +35,6 @@ class NewtonBackend(Backend):
         functional: bool = True,
         refresh_enabled: bool = True,
         fast: bool = True,
-        channel_workers: int = 0,
         telemetry: bool = True,
         device: Optional[NewtonDevice] = None,
     ):
@@ -50,7 +49,6 @@ class NewtonBackend(Backend):
                 functional=functional,
                 refresh_enabled=refresh_enabled,
                 fast=fast,
-                channel_workers=channel_workers,
                 telemetry=telemetry,
             )
         )

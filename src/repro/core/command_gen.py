@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.dram import commands as cmds
 from repro.dram.commands import Command, CommandKind, CommandRun
-from repro.dram.config import COMMAND_FAMILY_OUTPUT_STATIONARY, DRAMConfig
+from repro.dram.config import DRAMConfig
 from repro.dram.timing import TimingParams
 from repro.core.layout import InterleavedLayout, Layout, NoReuseLayout
 from repro.core.optimizations import OptimizationConfig
@@ -63,8 +63,9 @@ class EmitOp:
 
     ``chunk`` is the chunk the partials belong to for the interleaved
     traversal, or ``None`` when the latch already accumulated the whole
-    matrix row (the no-reuse traversal, where the in-DRAM LUT applies
-    the activation before readout).
+    matrix row (a whole-row readout: the no-reuse traversal or a
+    tile-major family, where the in-DRAM LUT applies the activation
+    before readout; see :meth:`~repro.dram.config.FamilyRules.whole_row_readout`).
     """
 
     latch: int
@@ -216,25 +217,6 @@ StreamItem = Union[Step, BlockStep]
 :class:`Step`."""
 
 
-def check_traversal(config: DRAMConfig, opt: OptimizationConfig) -> None:
-    """Raise :class:`ConfigurationError` unless ``config``'s command
-    family can walk ``opt``'s traversal.
-
-    The output_stationary family is a tile-major walk of the interleaved
-    layout, so it needs ``interleaved_reuse``. Engines check this when
-    they are built, the generator when it lowers, and the design-space
-    explorer when it prunes.
-    """
-    if (
-        config.command_family == COMMAND_FAMILY_OUTPUT_STATIONARY
-        and not opt.interleaved_reuse
-    ):
-        raise ConfigurationError(
-            "the output_stationary family is a tile-major traversal of "
-            "the interleaved layout; it requires interleaved_reuse"
-        )
-
-
 class CommandStreamGenerator:
     """Generates the command stream for one channel's GEMV slice."""
 
@@ -249,7 +231,7 @@ class CommandStreamGenerator:
             raise ConfigurationError("interleaved_reuse requires an InterleavedLayout")
         if not opt.interleaved_reuse and not isinstance(layout, NoReuseLayout):
             raise ConfigurationError("the no-reuse traversal requires a NoReuseLayout")
-        check_traversal(config, opt)
+        config.rules.check_traversal(opt.interleaved_reuse)
         self.config = config
         self.timing = timing
         self.opt = opt
@@ -422,8 +404,8 @@ class CommandStreamGenerator:
         evaluations, result emits or buffer loads) — the timing-only
         stream, whose row-independent pieces are the shared templates
         themselves."""
-        if self.config.command_family == COMMAND_FAMILY_OUTPUT_STATIONARY:
-            yield from self._output_stationary_items(payloads)
+        if self.config.rules.tile_major:
+            yield from self._tile_major_items(payloads)
         elif self.opt.interleaved_reuse:
             yield from self._interleaved_items(payloads)
         else:
@@ -449,8 +431,8 @@ class CommandStreamGenerator:
                     else None
                 )
 
-    def _output_stationary_items(self, payloads: bool) -> "Iterator[StreamItem]":
-        """MAC-DO-style output-stationary traversal (tile-major).
+    def _tile_major_items(self, payloads: bool) -> "Iterator[StreamItem]":
+        """The tile-major traversal (MAC-DO-style output-stationary).
 
         Partials for one tile accumulate in result latch 0 across every
         input chunk — exactly the in-latch accumulation the no-reuse

@@ -16,19 +16,13 @@ Two modes:
   the critical path and its cycle count is the device's wall clock.
   This keeps 24-channel benchmark sweeps fast.
 
-Channels are fully independent, so functional multi-channel ``gemv``
-can execute them concurrently: pass ``channel_workers >= 2`` to fan the
-per-channel runs out over a thread pool. This pays off in functional
-mode, where the vectorized tile math releases the GIL; timing-only
-devices simulate a single channel and gain nothing. Results are
-gathered in channel order, so outputs and statistics are deterministic
-regardless of scheduling.
+A functional ``gemv`` runs the channels one after another, in channel
+order.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -37,7 +31,7 @@ import numpy as np
 from repro.core.engine import NewtonChannelEngine
 from repro.core.layout import Layout, partition_rows
 from repro.core.optimizations import FULL, OptimizationConfig
-from repro.core.result import ChannelRunResult, GemvRunResult
+from repro.core.result import GemvRunResult
 from repro.dram.config import DRAMConfig, hbm2e_like_config
 from repro.dram.power import PowerParams, PowerReport
 from repro.dram.timing import TimingParams, hbm2e_like_timing
@@ -111,21 +105,21 @@ class NewtonDevice:
         power_params: PowerParams = PowerParams(),
         lut_activation: Optional[str] = None,
         fast: bool = True,
-        channel_workers: int = 0,
         telemetry: bool = True,
     ):
         self.config = config if config is not None else hbm2e_like_config()
         self.timing = timing if timing is not None else hbm2e_like_timing()
         self.opt = opt
         self.functional = functional
-        self.channel_workers = channel_workers
         self.load_truncations = 0
         """Loads whose per-channel placements were truncated (timing-only
         mode simulates channel 0 only); see :meth:`load_matrix`."""
-        self._executor: Optional[ThreadPoolExecutor] = None
+        # The in-DRAM LUT activates whole row sums at readout; a traversal
+        # that reads out per-chunk partials applies activations on the host.
         lut = (
             ActivationLUT(lut_activation)
-            if (lut_activation is not None and not opt.interleaved_reuse)
+            if lut_activation is not None
+            and self.config.rules.whole_row_readout(opt.interleaved_reuse)
             else None
         )
         active_channels = self.config.num_channels if functional else 1
@@ -218,17 +212,6 @@ class NewtonDevice:
             )
         return handle
 
-    def _channel_executor(self) -> Optional[ThreadPoolExecutor]:
-        """The shared channel pool, created lazily when it pays off."""
-        if self.channel_workers < 2 or not self.functional:
-            return None
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=min(self.channel_workers, len(self.engines)),
-                thread_name_prefix="newton-channel",
-            )
-        return self._executor
-
     def store_matrix(
         self, handle: MatrixHandle, matrix: np.ndarray
     ) -> None:
@@ -257,7 +240,7 @@ class NewtonDevice:
         *,
         fused_input: bool = False,
     ) -> GemvRunResult:
-        """One matrix-vector product; channels execute in parallel.
+        """One matrix-vector product; channels run in simulated parallel.
 
         ``fused_input=True`` marks the input as already channel-resident
         (fused-layer dataflow): every channel elides the host GWRITEs
@@ -266,27 +249,10 @@ class NewtonDevice:
         """
         if not handle.placements:
             raise ProtocolError("the matrix handle has no placements")
-        executor = (
-            self._channel_executor() if len(handle.placements) > 1 else None
-        )
-        if executor is not None:
-            # Each engine is touched by exactly one task; results are
-            # gathered in placement order, so the run is deterministic.
-            channel_results = list(
-                executor.map(
-                    lambda p: self.engines[p[0]].run_gemv(
-                        p[2], vector, fused_input=fused_input
-                    ),
-                    handle.placements,
-                )
-            )
-        else:
-            channel_results = [
-                self.engines[channel].run_gemv(
-                    layout, vector, fused_input=fused_input
-                )
-                for channel, _, layout in handle.placements
-            ]
+        channel_results = [
+            self.engines[channel].run_gemv(layout, vector, fused_input=fused_input)
+            for channel, _, layout in handle.placements
+        ]
         output = np.zeros(handle.m, dtype=np.float32) if self.functional else None
         for result, (_, (lo, hi), _) in zip(channel_results, handle.placements):
             result.row_slice = (lo, hi)
@@ -378,7 +344,5 @@ class NewtonDevice:
         return device_metrics(self)
 
     def close(self) -> None:
-        """Release the channel thread pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Release the device's resources (the ``Backend`` protocol; a
+        device holds none beyond its memory, so this does nothing)."""

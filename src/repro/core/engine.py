@@ -18,7 +18,7 @@ contiguous uint16 slab (:attr:`NewtonChannelEngine.slabs`) that
 whole, and the datapath reads a buffer group at a time. A timing-only
 engine allocates no storage. Construction rejects a command family
 that cannot walk the configured traversal
-(:func:`~repro.core.command_gen.check_traversal`).
+(:meth:`~repro.dram.config.FamilyRules.check_traversal`).
 
 A single engine persists across runs: successive layers (or batch inputs)
 execute back-to-back on the same controller clock, so refresh interference
@@ -64,7 +64,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.command_gen import CommandStreamGenerator, check_traversal
+from repro.core.command_gen import CommandStreamGenerator
 from repro.core.datapath import BatchedDatapath
 from repro.core.global_buffer import GlobalBuffer
 from repro.core.layout import Layout, make_layout
@@ -125,7 +125,7 @@ class NewtonChannelEngine:
         telemetry: bool = True,
         schedule_cache: Optional[ScheduleCache] = None,
     ):
-        check_traversal(config, opt)
+        config.rules.check_traversal(opt.interleaved_reuse)
         self.config = config
         self.timing = timing
         self.opt = opt
@@ -284,21 +284,20 @@ class NewtonChannelEngine:
             fused_input: the input vector is already channel-resident
                 (fused-layer dataflow), so the stream's host GWRITEs are
                 elided from the command bus; outputs stay bit-identical.
-                Ignored when the protocol verifier is attached — the
+                Ignored on a family whose rules keep the GWRITEs
+                (:attr:`~repro.dram.config.FamilyRules.elides_gwrites`),
+                and when the protocol verifier is attached — the
                 verifier checks the *host* protocol, whose
                 GWRITE-before-COMP rule a fused stream intentionally
                 bypasses.
         """
         controller = self.channel.controller
-        # Fused lowering elides GWRITEs from the timed stream — sound for
-        # Newton's chunk-major traversal where GWRITE is a pure host
-        # round trip, but the output_stationary family *re-streams* the
-        # input per tile (its GWRITEs are the dataflow's cost), so only
-        # the newton family may fuse.
+        # Fused lowering elides GWRITEs from the timed stream, where the
+        # family's rules allow it (the controller resolved them once).
         fused = (
             fused_input
             and self.verifier is None
-            and self.config.command_family == "newton"
+            and controller.rules.elides_gwrites
         )
         stream = self._segments_for(layout, fused=fused)
         if fused:

@@ -23,7 +23,13 @@ from repro.core.global_buffer import GlobalBuffer
 from repro.core.layout import Layout
 from repro.core.mac_unit import BankMacUnit
 from repro.core.optimizations import OptimizationConfig
-from repro.dram.commands import Command, CommandKind
+from repro.dram.commands import (
+    ACTIVATION_KINDS,
+    COLUMN_KINDS,
+    Command,
+    CommandKind,
+    target_banks,
+)
 from repro.dram.config import DRAMConfig
 from repro.dram.storage import BankStorage
 from repro.dram.timing import TimingParams
@@ -71,11 +77,8 @@ class ReferenceExecutor:
 
     def _execute(self, command: Command, padded_vector: np.ndarray, chunk: int):
         kind = command.kind
-        if kind in (CommandKind.ACT,):
-            self._open_row[command.bank] = command.row
-        elif kind is CommandKind.G_ACT:
-            size = self.config.bank_group_size
-            for bank in range(command.group * size, (command.group + 1) * size):
+        if kind in ACTIVATION_KINDS:
+            for bank in target_banks(command, self.config):
                 self._open_row[bank] = command.row
         elif kind is CommandKind.GWRITE:
             k = self.config.elems_per_col
@@ -109,18 +112,9 @@ class ReferenceExecutor:
             for bank in range(self.config.banks_per_channel):
                 self._mac(bank, self._column_latch[bank], self._broadcast)
         # PRE/PRE_ALL/REF/RD/WR/READRES* handled by the caller or no-op
-        if command.auto_precharge and kind in (
-            CommandKind.RD,
-            CommandKind.WR,
-            CommandKind.COMP,
-            CommandKind.COMP_BANK,
-            CommandKind.COL_READ,
-            CommandKind.COL_READ_ALL,
-        ):
-            if command.bank is not None:
-                self._open_row[command.bank] = None
-            else:
-                self._open_row = [None] * self.config.banks_per_channel
+        if command.auto_precharge and kind in COLUMN_KINDS:
+            for bank in target_banks(command, self.config):
+                self._open_row[bank] = None
 
     def run_gemv(
         self,

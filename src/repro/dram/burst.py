@@ -64,12 +64,6 @@ from repro.dram.commands import CommandKind, CommandRun
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dram.controller import ChannelController
 
-BURST_KINDS = frozenset(
-    {CommandKind.COMP, CommandKind.COMP_BANK, CommandKind.GWRITE}
-)
-"""Run kinds whose tail satisfies the affine recurrence above."""
-
-
 @dataclass(frozen=True)
 class BurstRecord:
     """Outcome of issuing one command run.
@@ -101,7 +95,7 @@ class BurstRecord:
 
 
 def _fallback(controller: "ChannelController", run: CommandRun) -> BurstRecord:
-    """Issue the run per-command (trace attached, or a non-affine kind)."""
+    """Issue the run per-command (trace attached, or a single command)."""
     cycles = []
     complete = 0
     for command in run.commands():
@@ -126,15 +120,12 @@ def issue_burst(controller: "ChannelController", run: CommandRun) -> BurstRecord
     The first command goes through the ordinary constraint solver (it
     faces the run's arbitrary entry state: bank readiness after the
     activation phase, bus phases, the previous tile's cadence); the tail
-    is applied in closed form. Falls back to per-command issue when a
-    trace recorder needs individual records or the kind is not burstable,
-    so the call is always safe.
+    is applied in closed form. Every kind a :class:`CommandRun` accepts
+    (:data:`~repro.dram.commands.RUN_KINDS`) satisfies the recurrence;
+    the run falls back to per-command issue only when a trace recorder
+    needs individual records or there is no tail.
     """
-    if (
-        controller.trace is not None
-        or run.kind not in BURST_KINDS
-        or run.count < 2
-    ):
+    if controller.trace is not None or run.count < 2:
         return _fallback(controller, run)
 
     from repro.dram.controller import (

@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dram.config import DRAMConfig
 
 
 class CommandKind(enum.Enum):
@@ -63,6 +66,61 @@ NEWTON_KINDS: Tuple[CommandKind, ...] = (
     CommandKind.READRES,
 )
 """The four commands Table I adds to the DRAM interface."""
+
+# ----------------------------------------------------------------------
+# the kind table: which resources each kind touches (DESIGN.md, "Command
+# rules", lists who reads each set)
+
+
+def _kinds(*names: str) -> "frozenset[CommandKind]":
+    return frozenset(CommandKind[name] for name in names)
+
+
+ACTIVATION_KINDS = _kinds("ACT", "G_ACT")
+"""Kinds that open rows (tRRD, tFAW)."""
+
+COLUMN_KINDS = _kinds("RD", "WR", "COMP", "COMP_BANK", "COL_READ", "COL_READ_ALL")
+"""Kinds that access a column of an open row (tRCD, tCCD); the only
+kinds that may carry auto-precharge."""
+
+DATA_KINDS = _kinds("RD", "WR", "GWRITE", "READRES", "READRES_BANK")
+"""Kinds that take a data-bus slot ``t_aa`` after issue (ganged COMP
+never crosses the channel I/O)."""
+
+TREE_FEED_KINDS = _kinds("COMP", "COMP_BANK", "MAC", "MAC_ALL")
+"""Kinds that feed the adder tree and a result latch (a result read
+waits out the tree drain after the last one)."""
+
+BUFFER_READ_KINDS = _kinds("COMP", "COMP_BANK", "BUF_READ")
+"""Kinds that read a global-buffer sub-chunk a GWRITE must have loaded."""
+
+ALL_BANK_KINDS = _kinds("COMP", "COL_READ_ALL", "MAC_ALL", "READRES")
+"""The ganged kinds: one command drives every bank of the channel."""
+
+
+def target_banks(command: Command, config: DRAMConfig) -> Sequence[int]:
+    """The banks ``command`` acts on under ``config``'s geometry.
+
+    A G_ACT's four-bank cluster, every bank for the ganged kinds, the
+    named bank otherwise, and none for bank-less commands (GWRITE,
+    BUF_READ, PRE_ALL, REF).
+    """
+    kind = command.kind
+    if kind is CommandKind.G_ACT:
+        size = config.bank_group_size
+        return range(command.group * size, (command.group + 1) * size)
+    if kind in ALL_BANK_KINDS:
+        return range(config.banks_per_channel)
+    if command.bank is not None:
+        return (command.bank,)
+    return ()
+
+
+def bank_group(command: Command, config: DRAMConfig) -> int:
+    """The bank group an activation command opens rows in."""
+    if command.kind is CommandKind.G_ACT:
+        return command.group
+    return command.bank // config.bank_group_size
 
 
 @dataclass(frozen=True)

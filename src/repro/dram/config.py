@@ -25,15 +25,110 @@ COMMAND_FAMILY_BANKGROUP_EXT = "bankgroup_ext"
 issued per bank group, so the four-activation tFAW window is tracked per
 group instead of per channel (tRRD stays channel-global)."""
 
-COMMAND_FAMILIES = (
-    COMMAND_FAMILY_NEWTON,
+RIVAL_COMMAND_FAMILIES = (
     COMMAND_FAMILY_OUTPUT_STATIONARY,
     COMMAND_FAMILY_BANKGROUP_EXT,
 )
+"""The non-Newton families the explorer and the fuzzer compare against."""
+
+COMMAND_FAMILIES = (COMMAND_FAMILY_NEWTON, *RIVAL_COMMAND_FAMILIES)
 """Every in-DRAM command family the simulator models. The family rides
 on :class:`DRAMConfig` so it reaches every consumer that already takes
 the config — controller, command generation, invariant checker, cycle
-oracle — without new plumbing."""
+oracle — without new plumbing; each reads its rules from
+:attr:`DRAMConfig.rules`."""
+
+
+@dataclass(frozen=True)
+class FamilyRules:
+    """One command family's protocol rules, declared once (DESIGN.md,
+    "Command rules", lists who reads each). The defaults are Newton's;
+    a rival family states where it differs. Helpers take the traversal
+    as ``interleaved`` (``interleaved_reuse``), so this layer needs
+    nothing from :mod:`repro.core`."""
+
+    name: str
+    faw_per_bank_group: bool = False
+    """tFAW counts activations per bank group, not per channel (tRRD is
+    channel-wide in every family)."""
+    tile_major: bool = False
+    """Tiles are walked outermost: a tile's partials accumulate in latch 0
+    across every input chunk and drain with one READRES. Needs the
+    interleaved layout."""
+    elides_gwrites: bool = True
+    """A fused session may drop the host GWRITEs of a channel-resident
+    input (a tile-major walk re-streams the input as its dataflow)."""
+    multi_latch: bool = True
+    """The family specifies the row-major multi-latch variants."""
+
+    def faw_windows(self, config: "DRAMConfig") -> int:
+        """How many independent tFAW windows a channel keeps."""
+        return config.bank_groups if self.faw_per_bank_group else 1
+
+    def faw_window(self, group: int) -> int:
+        """The tFAW window an activation of bank group ``group`` counts in."""
+        return group if self.faw_per_bank_group else 0
+
+    def whole_row_readout(self, interleaved: bool) -> bool:
+        """Whether READRES carries finished row sums (a tile-major walk or
+        the row-major traversal): then the in-DRAM activation LUT applies
+        and the one-read-per-fill latch rule does not."""
+        return self.tile_major or not interleaved
+
+    def can_walk(self, interleaved: bool) -> bool:
+        """Whether the family can walk the traversal ``interleaved`` picks."""
+        return interleaved or not self.tile_major
+
+    def check_traversal(self, interleaved: bool) -> None:
+        """Raise :class:`ConfigurationError` unless :meth:`can_walk`."""
+        if not self.can_walk(interleaved):
+            raise ConfigurationError(
+                f"the {self.name} family is a tile-major traversal of "
+                "the interleaved layout; it requires interleaved_reuse"
+            )
+
+    def check_latches(self, latches: int) -> None:
+        """Raise :class:`ConfigurationError` for an unspecified
+        multi-latch variant (the design-space sweep's prune)."""
+        if latches != 1 and not self.multi_latch:
+            raise ConfigurationError(
+                "rival command families are specified against the "
+                "single-latch adder tree; multi-latch variants only exist "
+                "for the newton row-major traversal"
+            )
+
+
+FAMILY_RULES = {
+    rules.name: rules
+    for rules in (
+        FamilyRules(COMMAND_FAMILY_NEWTON),
+        FamilyRules(
+            COMMAND_FAMILY_OUTPUT_STATIONARY,
+            tile_major=True,
+            elides_gwrites=False,
+            multi_latch=False,
+        ),
+        FamilyRules(
+            COMMAND_FAMILY_BANKGROUP_EXT,
+            faw_per_bank_group=True,
+            elides_gwrites=False,
+            multi_latch=False,
+        ),
+    )
+}
+"""Every command family's rules, keyed by name."""
+
+
+def family_rules(name: str) -> FamilyRules:
+    """The rules of command family ``name`` (:class:`ConfigurationError`
+    if there is no such family)."""
+    try:
+        return FAMILY_RULES[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown command family {name!r}; "
+            f"available: {list(COMMAND_FAMILIES)}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -93,11 +188,12 @@ class DRAMConfig:
                 f"mults_per_bank ({self.mults_per_bank}) must equal elements "
                 f"per column access ({self.elems_per_col})"
             )
-        if self.command_family not in COMMAND_FAMILIES:
-            raise ConfigurationError(
-                f"unknown command family {self.command_family!r}; "
-                f"available: {list(COMMAND_FAMILIES)}"
-            )
+        family_rules(self.command_family)  # raises for an unknown family
+
+    @property
+    def rules(self) -> FamilyRules:
+        """The rules of this device's command family."""
+        return FAMILY_RULES[self.command_family]
 
     @property
     def elems_per_col(self) -> int:

@@ -144,14 +144,13 @@ class ChannelController:
         ]
         self.cmd_bus = BusTimer(timing.t_cmd, name="command bus")
         self.data_bus = BusTimer(timing.t_ccd, name="data bus")
-        self._window_grouped = config.command_family == "bankgroup_ext"
-        """bankgroup_ext scopes the tFAW window per bank group (GradPIM's
-        per-group command issue); every other family keeps the JEDEC
-        channel-wide window."""
+        self.rules = config.rules
+        """The command family's rules (:class:`~repro.dram.config.FamilyRules`),
+        resolved once: the activation handlers read its tFAW scope."""
         self.window = ActivationWindow(
             timing.t_rrd,
             timing.faw_window(aggressive_tfaw),
-            groups=config.bank_groups if self._window_grouped else 1,
+            groups=self.rules.faw_windows(config),
         )
         self.refresh = RefreshScheduler(
             t_refi=timing.t_refi, t_rfc=timing.t_rfc, enabled=refresh_enabled
@@ -286,15 +285,11 @@ class ChannelController:
         handler = self._HANDLERS[command.kind]
         return handler(self, command)
 
-    def _window_scope(self, group: int) -> int:
-        """The activation-window scope a command's activations land in."""
-        return group if self._window_grouped else 0
-
     def _issue_act(self, command: Command) -> IssueRecord:
         bank = self._bank(command.bank)
         if command.row is None:
             raise TimingViolationError("ACT requires a row operand")
-        scope = self._window_scope(bank.index // self.config.bank_group_size)
+        scope = self.rules.faw_window(bank.index // self.config.bank_group_size)
         at = self._issue_after(
             (ATTR_BANK, bank.ready_for_act),
             (ATTR_ACT_WINDOW, self.window.earliest(1, scope)),
@@ -307,7 +302,7 @@ class ChannelController:
         banks = self._group_banks(command.group)
         if command.row is None:
             raise TimingViolationError("G_ACT requires a row operand")
-        scope = self._window_scope(command.group)
+        scope = self.rules.faw_window(command.group)
         at = self._issue_after(
             (ATTR_BANK, max(b.ready_for_act for b in banks)),
             (ATTR_ACT_WINDOW, self.window.earliest(len(banks), scope)),

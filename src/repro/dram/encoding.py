@@ -24,7 +24,13 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.dram.commands import Command, CommandKind
+from repro.dram.commands import (
+    ACTIVATION_KINDS,
+    BUFFER_READ_KINDS,
+    COLUMN_KINDS,
+    Command,
+    CommandKind,
+)
 from repro.errors import ProtocolError
 
 _OPCODE_BITS = 5
@@ -107,21 +113,15 @@ def decode(word: int) -> Command:
     ):
         bank = bank_field
 
-    row_value = row if kind in (CommandKind.ACT, CommandKind.G_ACT) else None
+    row_value = row if kind in ACTIVATION_KINDS else None
     col_value = None
     subchunk = None
     if kind in _SUBCHUNK_ONLY:
         subchunk = col
-    elif kind in (
-        CommandKind.RD,
-        CommandKind.WR,
-        CommandKind.COL_READ,
-        CommandKind.COL_READ_ALL,
-    ):
+    elif kind in COLUMN_KINDS:
         col_value = col
-    elif kind in (CommandKind.COMP, CommandKind.COMP_BANK):
-        col_value = col
-        subchunk = col  # Table I: COMP# names one sub-chunk parameter
+        if kind in BUFFER_READ_KINDS:
+            subchunk = col  # Table I: COMP# names one sub-chunk parameter
     return Command(
         kind=kind,
         bank=bank,

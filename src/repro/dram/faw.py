@@ -6,11 +6,15 @@ issues four activations *in one command*, so one G_ACT consumes an entire
 window and consecutive G_ACTs are separated by max(tRRD, tFAW) — exactly
 the Section III-F model's ``max(tRRD, tFAW) * (n/4 - 1)`` term.
 
-The ``bankgroup_ext`` command family (GradPIM-style) scopes the
-four-activation window to a bank group instead of the whole channel, so
-the tracker optionally keeps one rolling window per group. tRRD remains
-channel-global in every family — the activation *command* still occupies
-the shared command path regardless of which group it targets.
+A command family's rules say which window an activation counts
+against (:class:`~repro.dram.config.FamilyRules`): the channel's one
+window, or — for the GradPIM-style ``bankgroup_ext`` family — its bank
+group's own. The tracker keeps one rolling window per scope; the
+controller sizes it with :meth:`FamilyRules.faw_windows` and passes
+each activation's scope from :meth:`FamilyRules.faw_window`. The
+tracker itself knows nothing of families. tRRD remains channel-global in
+every family — the activation *command* still occupies the shared
+command path regardless of which group it targets.
 """
 
 from __future__ import annotations

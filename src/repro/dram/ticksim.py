@@ -11,41 +11,35 @@ incremental bookkeeping.
 Because the mechanism is different (polling vs. computation) while the
 rules are the same, agreement between the two is meaningful: a mistake
 in either engine's handling of, say, the tFAW sliding window or the
-auto-precharge timing shows up as a cycle-level divergence.
-`tests/dram/test_ticksim.py` pins them identical on the full command
-streams Newton generates, for every optimization combination.
+auto-precharge timing shows up as a cycle-level divergence. The two
+share only the rule tables — the kind sets and
+:func:`~repro.dram.commands.target_banks` of :mod:`repro.dram.commands`
+and the family's :class:`~repro.dram.config.FamilyRules` (here, its tFAW
+scope) — never their bookkeeping. `tests/dram/test_ticksim.py` pins them
+identical on the full command streams every command family generates,
+for every optimization combination.
 
 The tick loop is O(cycles), so use it on small streams only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
-from repro.dram.commands import Command, CommandKind
+from repro.dram.commands import (
+    ACTIVATION_KINDS,
+    COLUMN_KINDS,
+    DATA_KINDS,
+    TREE_FEED_KINDS,
+    Command,
+    CommandKind,
+    bank_group,
+    target_banks,
+)
 from repro.dram.config import DRAMConfig
 from repro.dram.timing import TimingParams
 from repro.errors import ConfigurationError, TimingViolationError
-
-_COLUMN_KINDS = frozenset(
-    {
-        CommandKind.RD,
-        CommandKind.WR,
-        CommandKind.COMP,
-        CommandKind.COMP_BANK,
-        CommandKind.COL_READ,
-        CommandKind.COL_READ_ALL,
-    }
-)
-_DATA_KINDS = frozenset(
-    {CommandKind.RD, CommandKind.WR, CommandKind.GWRITE, CommandKind.READRES,
-     CommandKind.READRES_BANK}
-)
-_TREE_FEED_KINDS = frozenset(
-    {CommandKind.COMP, CommandKind.COMP_BANK, CommandKind.MAC, CommandKind.MAC_ALL}
-)
-
 
 @dataclass
 class _TickBank:
@@ -63,29 +57,21 @@ class TickSimulator:
         self.config = config
         self.timing = timing
         self.faw = timing.faw_window(aggressive_tfaw)
+        self.rules = config.rules
 
     # ------------------------------------------------------------------
 
-    def _target_banks(self, command: Command) -> Sequence[int]:
-        kind = command.kind
-        if kind in (CommandKind.G_ACT,):
-            size = self.config.bank_group_size
-            return range(command.group * size, (command.group + 1) * size)
-        if kind in (
-            CommandKind.COMP,
-            CommandKind.COL_READ_ALL,
-        ):
-            return range(self.config.banks_per_channel)
-        if command.bank is not None:
-            return [command.bank]
-        return []
+    def _window(self, command: Command, histories: List[List[int]]) -> List[int]:
+        """The activation history of the tFAW window ``command`` counts in."""
+        return histories[self.rules.faw_window(bank_group(command, self.config))]
 
     def _can_issue(
         self,
         command: Command,
         now: int,
         banks: List[_TickBank],
-        act_history: List[int],
+        act_histories: List[List[int]],
+        last_act: int,
         bus_free: int,
         data_free: int,
         last_tree_feed: int,
@@ -94,26 +80,29 @@ class TickSimulator:
         kind = command.kind
         if now < bus_free:
             return False
-        if kind in (CommandKind.ACT, CommandKind.G_ACT):
-            targets = list(self._target_banks(command))
+        if kind in ACTIVATION_KINDS:
+            targets = target_banks(command, self.config)
             count = len(targets)
             for b in targets:
                 if banks[b].open_row is not None:
                     raise TimingViolationError(f"tick sim: ACT on open bank {b}")
                 if now < banks[b].pre_done:
                     return False
-            if act_history and now - act_history[-1] < t.t_rrd:
+            # tRRD spaces activations channel-wide; tFAW counts only the
+            # activations of the family's window this command lands in.
+            if now - last_act < t.t_rrd:
                 return False
             # Appending `count` activations at `now`: every new one must
             # start >= tFAW after its fourth-previous activation. The
             # binding anchor is the (4 - count + 1)-th most recent entry.
+            act_history = self._window(command, act_histories)
             back = 4 - count + 1
             if len(act_history) >= back:
                 if now - act_history[-back] < self.faw:
                     return False
             return True
-        if kind in _COLUMN_KINDS:
-            for b in self._target_banks(command):
+        if kind in COLUMN_KINDS:
+            for b in target_banks(command, self.config):
                 bank = banks[b]
                 if bank.open_row is None:
                     raise TimingViolationError(f"tick sim: column on closed bank {b}")
@@ -121,7 +110,7 @@ class TickSimulator:
                     return False
                 if now - bank.last_col < t.t_ccd:
                     return False
-            if kind in _DATA_KINDS and now + t.t_aa < data_free:
+            if kind in DATA_KINDS and now + t.t_aa < data_free:
                 return False
             return True
         if kind in (CommandKind.GWRITE,):
@@ -148,7 +137,10 @@ class TickSimulator:
         """Issue every command in order; return per-command issue cycles."""
         t = self.timing
         banks = [_TickBank() for _ in range(self.config.banks_per_channel)]
-        act_history: List[int] = []
+        act_histories: List[List[int]] = [
+            [] for _ in range(self.rules.faw_windows(self.config))
+        ]
+        last_act = -(10**9)
         issues: List[int] = []
         bus_free = 0
         data_free = 0
@@ -156,8 +148,8 @@ class TickSimulator:
         now = 0
         for command in commands:
             while not self._can_issue(
-                command, now, banks, act_history, bus_free, data_free,
-                last_tree_feed,
+                command, now, banks, act_histories, last_act, bus_free,
+                data_free, last_tree_feed,
             ):
                 now += 1
                 if now > max_cycles:
@@ -167,14 +159,15 @@ class TickSimulator:
             issues.append(now)
             bus_free = now + t.t_cmd
             kind = command.kind
-            if kind in (CommandKind.ACT, CommandKind.G_ACT):
-                targets = list(self._target_banks(command))
+            if kind in ACTIVATION_KINDS:
+                targets = target_banks(command, self.config)
                 for b in targets:
                     banks[b].open_row = command.row
                     banks[b].act_time = now
-                act_history.extend([now] * len(targets))
-            elif kind in _COLUMN_KINDS:
-                for b in self._target_banks(command):
+                self._window(command, act_histories).extend([now] * len(targets))
+                last_act = now
+            elif kind in COLUMN_KINDS:
+                for b in target_banks(command, self.config):
                     banks[b].last_col = now
                     if kind is CommandKind.WR:
                         banks[b].wr_recovery_until = now + t.t_wr
@@ -183,11 +176,11 @@ class TickSimulator:
                         ap_at = max(ap_at, banks[b].wr_recovery_until)
                         banks[b].open_row = None
                         banks[b].pre_done = ap_at + t.t_rp
-                if kind in _TREE_FEED_KINDS:
+                if kind in TREE_FEED_KINDS:
                     last_tree_feed = now
-                if kind in _DATA_KINDS:
+                if kind in DATA_KINDS:
                     data_free = now + t.t_aa + t.t_ccd
-            elif kind in (CommandKind.GWRITE, CommandKind.READRES, CommandKind.READRES_BANK):
+            elif kind in DATA_KINDS:  # GWRITE / READRES / READRES_BANK
                 data_free = now + t.t_aa + t.t_ccd
             elif kind in (CommandKind.MAC, CommandKind.MAC_ALL):
                 last_tree_feed = now

@@ -19,14 +19,13 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.command_gen import check_traversal
 from repro.core.engine import NewtonChannelEngine
 from repro.core.optimizations import OptimizationConfig
 from repro.core.schedule_cache import ScheduleCache
 from repro.dram.area import AreaModel
-from repro.dram.config import DRAMConfig
+from repro.dram.config import DRAMConfig, family_rules
 from repro.dram.timing import TimingParams, hbm2e_like_timing
 from repro.errors import ConfigurationError
 from repro.explore.pareto import pareto_front
@@ -56,12 +55,7 @@ def point_arch(
     shards = int(params["shards"])
     if shards < 1:
         raise ConfigurationError("shards must be at least 1")
-    if family != "newton" and latches != 1:
-        raise ConfigurationError(
-            "rival command families are specified against the single-latch "
-            "adder tree; multi-latch variants only exist for the newton "
-            "row-major traversal"
-        )
+    family_rules(family).check_latches(latches)
     config = DRAMConfig(
         num_channels=1,
         banks_per_channel=int(params["banks"]),
@@ -84,7 +78,7 @@ def point_arch(
         aggressive_tfaw=True,
         result_latches=latches,
     )
-    check_traversal(config, opt)
+    config.rules.check_traversal(opt.interleaved_reuse)
     return config, timing, opt
 
 
@@ -172,13 +166,9 @@ def evaluate_chunk(
             AreaModel(config)
             .newton(
                 latches_per_bank=int(params["latches"]),
-                # The row-major traversal and the output-stationary
-                # dataflow both emit unreduced partials: they carry the
-                # activation LUT; the interleaved Newton path does not.
-                with_lut=(
-                    not opt.interleaved_reuse
-                    or config.command_family == "output_stationary"
-                ),
+                # A whole-row readout carries the in-DRAM activation LUT;
+                # a traversal that reads per-chunk partials does not.
+                with_lut=config.rules.whole_row_readout(opt.interleaved_reuse),
                 aggressive_tfaw=opt.aggressive_tfaw,
             )
             .overhead_fraction

@@ -58,7 +58,14 @@ from repro.backends.newton import NewtonBackend
 from repro.cluster import ShardedCluster
 from repro.core.engine import NewtonChannelEngine
 from repro.core.optimizations import OptimizationConfig
-from repro.dram.config import DRAMConfig, hbm2e_like_config
+from repro.dram.config import (
+    COMMAND_FAMILIES,
+    COMMAND_FAMILY_NEWTON,
+    RIVAL_COMMAND_FAMILIES,
+    DRAMConfig,
+    family_rules,
+    hbm2e_like_config,
+)
 from repro.dram.timing import TimingParams, hbm2e_like_timing
 from repro.dram.trace import CommandTrace
 from repro.errors import VerificationError
@@ -92,13 +99,6 @@ GRAPH_NONE = "none"
 GRAPH_FAMILIES = ("decode", "moe", "lora")
 """Scenario graphs a case may draw as its graph-execution family."""
 
-RIVAL_COMMAND_FAMILIES = ("output_stationary", "bankgroup_ext")
-"""Non-Newton command families a plain-GEMV case may draw. Rival
-families only run on ``graph == "none"`` cases: the graph sessions'
-fused-lowering differential is specific to Newton's chunk-major
-protocol, and ``output_stationary`` additionally requires the
-interleaved traversal."""
-
 ControllerMutator = Callable[[object], None]
 
 
@@ -123,7 +123,7 @@ class FuzzCase:
     t_ccd: int
     devices: int
     graph: str = GRAPH_NONE
-    family: str = "newton"
+    family: str = COMMAND_FAMILY_NEWTON
     """The command family the case's devices speak (rival families make
     the verifier sweep genuinely different protocols, not just knobs)."""
 
@@ -198,14 +198,14 @@ def generate_case(seed: int, index: int) -> FuzzCase:
     graph = pick([GRAPH_NONE, *GRAPH_FAMILIES], [7, 1, 1, 1])
     # The command-family roll is drawn last, after the graph, for the
     # same reproducibility reason — and always drawn (even when it
-    # cannot apply) so future fields keep their stream positions.
-    family_roll = pick(["newton", *RIVAL_COMMAND_FAMILIES], [3, 1, 1])
-    family = "newton"
-    if graph == GRAPH_NONE:
-        if family_roll == "bankgroup_ext":
-            family = family_roll
-        elif family_roll == "output_stationary" and interleaved:
-            family = family_roll
+    # cannot apply) so future fields keep their stream positions. Rival
+    # families run only on plain-GEMV cases (the graph sessions'
+    # fused-lowering differential is Newton's), and only on a traversal
+    # their rules can walk.
+    family_roll = pick(list(COMMAND_FAMILIES), [3, 1, 1])
+    family = COMMAND_FAMILY_NEWTON
+    if graph == GRAPH_NONE and family_rules(family_roll).can_walk(interleaved):
+        family = family_roll
     return FuzzCase(
         index=index,
         seed=seed,
@@ -442,11 +442,8 @@ def run_case(
         case.config(),
         case.timing(),
         aggressive_tfaw=case.aggressive_tfaw,
-        # output_stationary accumulates a whole tile in latch 0 across
-        # chunks by design, so the one-emit-per-fill latch discipline the
-        # interleaved Newton traversal obeys does not apply to it.
-        check_latch=(
-            case.interleaved_reuse and case.family != "output_stationary"
+        check_latch=not family_rules(case.family).whole_row_readout(
+            case.interleaved_reuse
         ),
         check_refresh_interval=case.refresh_enabled,
     )
@@ -495,7 +492,7 @@ def _shrink_candidates(case: FuzzCase) -> List[FuzzCase]:
         evolve(batch=1),
         evolve(devices=1),
         evolve(graph=GRAPH_NONE),
-        evolve(family="newton"),
+        evolve(family=COMMAND_FAMILY_NEWTON),
         evolve(refresh=REFRESH_OFF),
         evolve(m=max(1, case.m // 2)),
         evolve(n=max(1, case.n // 2)),
@@ -658,7 +655,7 @@ def fuzz(
         report.cases_run += 1
         if case.graph != GRAPH_NONE:
             report.graph_cases += 1
-        if case.family != "newton":
+        if case.family in RIVAL_COMMAND_FAMILIES:
             report.rival_family_cases += 1
         report.commands_verified += result.commands
         report.checks += result.checks

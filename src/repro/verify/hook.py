@@ -67,7 +67,9 @@ class EngineVerifier:
             engine.config,
             engine.timing,
             aggressive_tfaw=engine.opt.aggressive_tfaw,
-            check_latch=engine.opt.interleaved_reuse,
+            check_latch=not engine.config.rules.whole_row_readout(
+                engine.opt.interleaved_reuse
+            ),
             check_refresh_interval=controller.refresh.enabled,
         )
         controller.trace = self

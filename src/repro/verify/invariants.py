@@ -46,19 +46,31 @@ Rule                       Invariant
 The checker is *incremental*: the engine's opt-in
 ``NEWTON_CHECK_INVARIANTS=1`` hook feeds it run by run, and the fuzz
 harness (:mod:`repro.verify.fuzz`) feeds it whole traces through
-:func:`check_trace`. It deliberately shares no code with the controller,
-the burst kernel, or the tick simulator — its bookkeeping is spelled out
-from the timing spec so a bug in any engine shows up as a violation
-rather than being faithfully reproduced.
+:func:`check_trace`. It shares only the rule tables with the controller,
+the burst kernel and the tick simulator — the kind sets and
+:func:`~repro.dram.commands.target_banks` of :mod:`repro.dram.commands`
+and the family's :class:`~repro.dram.config.FamilyRules` — and no
+mechanism: its bookkeeping is spelled out from the timing spec so a bug
+in any engine shows up as a violation rather than being faithfully
+reproduced.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
-from repro.dram.commands import CommandKind
+from repro.dram.commands import (
+    ACTIVATION_KINDS,
+    BUFFER_READ_KINDS,
+    COLUMN_KINDS,
+    DATA_KINDS,
+    TREE_FEED_KINDS,
+    CommandKind,
+    bank_group,
+    target_banks,
+)
 from repro.dram.config import DRAMConfig
 from repro.dram.controller import IssueRecord
 from repro.dram.timing import TimingParams
@@ -110,34 +122,6 @@ refresh model deliberately postpones *without* a cap across a long
 un-barriered operation (see :mod:`repro.dram.refresh` — the debt is paid
 at the next barrier and the average rate is preserved), so the ceiling
 is a stricter policy than the model guarantees."""
-
-_COLUMN_KINDS = frozenset(
-    {
-        CommandKind.RD,
-        CommandKind.WR,
-        CommandKind.COMP,
-        CommandKind.COMP_BANK,
-        CommandKind.COL_READ,
-        CommandKind.COL_READ_ALL,
-    }
-)
-_DATA_KINDS = frozenset(
-    {
-        CommandKind.RD,
-        CommandKind.WR,
-        CommandKind.GWRITE,
-        CommandKind.READRES,
-        CommandKind.READRES_BANK,
-    }
-)
-_TREE_FEED_KINDS = frozenset(
-    {CommandKind.COMP, CommandKind.COMP_BANK, CommandKind.MAC, CommandKind.MAC_ALL}
-)
-_LATCH_FEED_KINDS = _TREE_FEED_KINDS
-_BUFFER_READ_KINDS = frozenset(
-    {CommandKind.COMP, CommandKind.COMP_BANK, CommandKind.BUF_READ}
-)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -202,9 +186,10 @@ class InvariantChecker:
         self.timing = timing
         self.faw = timing.faw_window(aggressive_tfaw)
         self.check_latch = check_latch
-        """Enable the single-latch overwrite rule. Only sound for the
-        interleaved full-reuse traversal: the row-major variants
-        deliberately accumulate one latch across tiles."""
+        """Enable the single-latch overwrite rule. Only sound where
+        READRES reads per-chunk partials (``not
+        FamilyRules.whole_row_readout``): a whole-row readout
+        deliberately accumulates one latch across tiles or chunks."""
         self.check_refresh_interval = check_refresh_interval
         self.max_postponed = max_postponed_refreshes
         self.violations: List[Violation] = []
@@ -214,16 +199,12 @@ class InvariantChecker:
 
         self._banks = [_BankView() for _ in range(config.banks_per_channel)]
         self._last_issue: Optional[int] = None
-        # The bankgroup_ext family scopes the four-activation window per
-        # bank group (tRRD stays channel-global); every other family
-        # keeps the single channel-wide window.
-        self._faw_scopes = (
-            config.bank_groups
-            if config.command_family == "bankgroup_ext"
-            else 1
-        )
+        self.rules = config.rules
+        # One four-activation history per tFAW window of the family;
+        # tRRD stays channel-wide.
         self._acts: List[Deque[int]] = [
-            deque(maxlen=self.FAW_WINDOW) for _ in range(self._faw_scopes)
+            deque(maxlen=self.FAW_WINDOW)
+            for _ in range(self.rules.faw_windows(config))
         ]
         self._last_act = NEG_INF
         self._data_free = 0
@@ -268,17 +249,6 @@ class InvariantChecker:
         self.checks += 1
         if not ok:
             self._flag(rule, cycle, detail, command=command)
-
-    def _target_banks(self, command) -> Sequence[int]:
-        kind = command.kind
-        if kind is CommandKind.G_ACT:
-            size = self.config.bank_group_size
-            return range(command.group * size, (command.group + 1) * size)
-        if kind in (CommandKind.COMP, CommandKind.COL_READ_ALL):
-            return range(self.config.banks_per_channel)
-        if command.bank is not None:
-            return [command.bank]
-        return []
 
     # ------------------------------------------------------------------
     # refresh events
@@ -368,9 +338,9 @@ class InvariantChecker:
         self._last_issue = at
 
         kind = command.kind
-        if kind in (CommandKind.ACT, CommandKind.G_ACT):
+        if kind in ACTIVATION_KINDS:
             self._observe_activation(command, at, described)
-        elif kind in _COLUMN_KINDS:
+        elif kind in COLUMN_KINDS:
             self._observe_column(command, at, described)
         elif kind is CommandKind.PRE:
             self._observe_pre(command, at, described)
@@ -400,7 +370,7 @@ class InvariantChecker:
             self._refreshes_seen += 0  # explicit REF is not a barrier refresh
         # BUF_READ / MAC / MAC_ALL carry no bank timing constraints.
 
-        if kind in _BUFFER_READ_KINDS and kind is not CommandKind.GWRITE:
+        if kind in BUFFER_READ_KINDS:
             self._check(
                 command.subchunk in self._loaded_subchunks,
                 R_GBUF,
@@ -409,7 +379,7 @@ class InvariantChecker:
                 "loaded it",
                 command=described,
             )
-        if kind in _DATA_KINDS:
+        if kind in DATA_KINDS:
             self._check(
                 at + t.t_aa >= self._data_free,
                 R_DATA_BUS,
@@ -419,7 +389,7 @@ class InvariantChecker:
                 command=described,
             )
             self._data_free = at + t.t_aa + t.t_ccd
-        if kind in _TREE_FEED_KINDS:
+        if kind in TREE_FEED_KINDS:
             self._last_tree_feed = at
             if self.check_latch:
                 self._observe_latch_feed(command, at, described)
@@ -430,7 +400,7 @@ class InvariantChecker:
 
     def _observe_activation(self, command, at: int, described: str) -> None:
         t = self.timing
-        targets = list(self._target_banks(command))
+        targets = target_banks(command, self.config)
         for index in targets:
             bank = self._banks[index]
             self._check(
@@ -457,16 +427,9 @@ class InvariantChecker:
             f"activation, tRRD is {t.t_rrd}",
             command=described,
         )
-        if self._faw_scopes == 1:
-            scope = 0
-        elif command.kind is CommandKind.G_ACT:
-            scope = command.group
-        else:
-            scope = command.bank // self.config.bank_group_size
+        scope = self.rules.faw_window(bank_group(command, self.config))
         acts = self._acts[scope]
-        where = (
-            f" (bank group {scope})" if self._faw_scopes > 1 else ""
-        )
+        where = f" (bank group {scope})" if len(self._acts) > 1 else ""
         for _ in targets:
             if len(acts) == self.FAW_WINDOW:
                 anchor = acts[0]
@@ -491,7 +454,7 @@ class InvariantChecker:
 
     def _observe_column(self, command, at: int, described: str) -> None:
         t = self.timing
-        for index in self._target_banks(command):
+        for index in target_banks(command, self.config):
             bank = self._banks[index]
             if bank.open_row is None:
                 self._check(
@@ -606,22 +569,12 @@ class InvariantChecker:
                 command=described,
             )
         if self.check_latch:
-            if command.kind is CommandKind.READRES:
-                for bank in self._banks:
-                    bank.latch_dirty = False
-                    bank.acted_since_feed = False
-            elif command.bank is not None:
-                self._banks[command.bank].latch_dirty = False
-                self._banks[command.bank].acted_since_feed = False
+            for index in target_banks(command, self.config):
+                self._banks[index].latch_dirty = False
+                self._banks[index].acted_since_feed = False
 
     def _observe_latch_feed(self, command, at: int, described: str) -> None:
-        if command.kind in (CommandKind.COMP, CommandKind.MAC_ALL):
-            targets: Iterable[int] = range(self.config.banks_per_channel)
-        elif command.bank is not None:
-            targets = [command.bank]
-        else:
-            targets = []
-        for index in targets:
+        for index in target_banks(command, self.config):
             bank = self._banks[index]
             self._check(
                 not (bank.latch_dirty and bank.acted_since_feed),

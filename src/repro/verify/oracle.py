@@ -6,9 +6,13 @@ machines, bus timers and the activation-window tracker; the burst kernel
 and fast-path replay then reproduce its answers in closed form. This
 oracle is the third, structurally different implementation of the same
 timing rules: one flat function of explicit state per command, with no
-shared code, no attribution, and no fast paths. Three independent
-derivations (controller, :mod:`repro.dram.ticksim`, this oracle) that
-agree cycle-for-cycle make a bookkeeping bug in any one of them visible.
+attribution and no fast paths. It shares only the rule tables with the
+other two — the kind sets and
+:func:`~repro.dram.commands.target_banks` of :mod:`repro.dram.commands`
+and the family's :class:`~repro.dram.config.FamilyRules` — never their
+bookkeeping. Three independent derivations (controller,
+:mod:`repro.dram.ticksim`, this oracle) that agree cycle-for-cycle make a
+bookkeeping bug in any one of them visible.
 
 Two entry points:
 
@@ -29,38 +33,22 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Tuple
 
-from repro.dram.commands import Command, CommandKind
+from repro.dram.commands import (
+    ACTIVATION_KINDS,
+    COLUMN_KINDS,
+    DATA_KINDS,
+    TREE_FEED_KINDS,
+    Command,
+    CommandKind,
+    bank_group,
+    target_banks,
+)
 from repro.dram.config import DRAMConfig
 from repro.dram.controller import IssueRecord
 from repro.dram.timing import TimingParams
 from repro.errors import ConfigurationError
 
 NEG_INF = -(10**18)
-
-_COLUMN_KINDS = frozenset(
-    {
-        CommandKind.RD,
-        CommandKind.WR,
-        CommandKind.COMP,
-        CommandKind.COMP_BANK,
-        CommandKind.COL_READ,
-        CommandKind.COL_READ_ALL,
-    }
-)
-_DATA_KINDS = frozenset(
-    {
-        CommandKind.RD,
-        CommandKind.WR,
-        CommandKind.GWRITE,
-        CommandKind.READRES,
-        CommandKind.READRES_BANK,
-    }
-)
-_TREE_FEED_KINDS = frozenset(
-    {CommandKind.COMP, CommandKind.COMP_BANK, CommandKind.MAC, CommandKind.MAC_ALL}
-)
-_ALL_BANK_KINDS = frozenset({CommandKind.COMP, CommandKind.COL_READ_ALL})
-
 
 @dataclass(frozen=True)
 class Divergence:
@@ -107,16 +95,12 @@ class CycleOracle:
         self.timing = timing
         self.faw = timing.faw_window(aggressive_tfaw)
         self._banks = [_OracleBank() for _ in range(config.banks_per_channel)]
-        # bankgroup_ext scopes the four-activation window per bank group
-        # (tRRD stays channel-global); every other family keeps one
-        # channel-wide window.
-        self._faw_scopes = (
-            config.bank_groups
-            if config.command_family == "bankgroup_ext"
-            else 1
-        )
+        self.rules = config.rules
+        # One four-activation history per tFAW window of the family;
+        # tRRD stays channel-wide.
         self._acts: List[Deque[int]] = [
-            deque(maxlen=self.FAW_WINDOW) for _ in range(self._faw_scopes)
+            deque(maxlen=self.FAW_WINDOW)
+            for _ in range(self.rules.faw_windows(config))
         ]
         self._last_act = NEG_INF
         self._cmd_free = 0
@@ -126,24 +110,9 @@ class CycleOracle:
     # ------------------------------------------------------------------
     # state queries
 
-    def _targets(self, command: Command) -> Sequence[int]:
-        kind = command.kind
-        if kind is CommandKind.G_ACT:
-            size = self.config.bank_group_size
-            return range(command.group * size, (command.group + 1) * size)
-        if kind in _ALL_BANK_KINDS:
-            return range(self.config.banks_per_channel)
-        if command.bank is not None:
-            return [command.bank]
-        return []
-
     def _act_scope(self, command: Command) -> int:
-        """The tFAW scope an activation command's targets land in."""
-        if self._faw_scopes == 1:
-            return 0
-        if command.kind is CommandKind.G_ACT:
-            return command.group
-        return command.bank // self.config.bank_group_size
+        """The tFAW window an activation command's targets land in."""
+        return self.rules.faw_window(bank_group(command, self.config))
 
     def _window_earliest(self, count: int, scope: int = 0) -> int:
         """Earliest cycle ``count`` simultaneous activations satisfy
@@ -161,22 +130,20 @@ class CycleOracle:
         t = self.timing
         kind = command.kind
         bound = self._cmd_free
-        if kind in (CommandKind.ACT, CommandKind.G_ACT):
-            targets = self._targets(command)
+        if kind in ACTIVATION_KINDS:
+            targets = target_banks(command, self.config)
             bound = max(
                 bound,
                 max(self._banks[b].ready_for_act for b in targets),
-                self._window_earliest(
-                    len(list(targets)), self._act_scope(command)
-                ),
+                self._window_earliest(len(targets), self._act_scope(command)),
             )
-        elif kind in _COLUMN_KINDS:
-            for b in self._targets(command):
+        elif kind in COLUMN_KINDS:
+            for b in target_banks(command, self.config):
                 bank = self._banks[b]
                 bound = max(
                     bound, bank.act_time + t.t_rcd, bank.last_col + t.t_ccd
                 )
-            if kind in _DATA_KINDS:
+            if kind in DATA_KINDS:
                 bound = max(bound, self._data_free - t.t_aa)
         elif kind is CommandKind.GWRITE:
             bound = max(bound, self._data_free - t.t_aa)
@@ -215,8 +182,8 @@ class CycleOracle:
         t = self.timing
         kind = command.kind
         self._cmd_free = at + t.t_cmd
-        if kind in (CommandKind.ACT, CommandKind.G_ACT):
-            targets = list(self._targets(command))
+        if kind in ACTIVATION_KINDS:
+            targets = target_banks(command, self.config)
             for b in targets:
                 bank = self._banks[b]
                 bank.open_row = command.row
@@ -226,8 +193,8 @@ class CycleOracle:
             for _ in targets:
                 acts.append(at)
             self._last_act = at
-        elif kind in _COLUMN_KINDS:
-            for b in self._targets(command):
+        elif kind in COLUMN_KINDS:
+            for b in target_banks(command, self.config):
                 bank = self._banks[b]
                 bank.last_col = at
                 if kind is CommandKind.WR:
@@ -238,11 +205,11 @@ class CycleOracle:
                     ap_at = max(bank.precharge_ready, at + t.t_ccd)
                     bank.open_row = None
                     bank.ready_for_act = ap_at + t.t_rp
-            if kind in _TREE_FEED_KINDS:
+            if kind in TREE_FEED_KINDS:
                 self._last_tree_feed = at
-            if kind in _DATA_KINDS:
+            if kind in DATA_KINDS:
                 self._data_free = at + t.t_aa + t.t_ccd
-        elif kind in _DATA_KINDS:  # GWRITE / READRES / READRES_BANK
+        elif kind in DATA_KINDS:  # GWRITE / READRES / READRES_BANK
             self._data_free = at + t.t_aa + t.t_ccd
         elif kind in (CommandKind.MAC, CommandKind.MAC_ALL):
             self._last_tree_feed = at

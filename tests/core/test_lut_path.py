@@ -1,4 +1,5 @@
-"""The in-DRAM LUT activation path (Newton-no-reuse variant)."""
+"""The in-DRAM LUT activation path (whole-row readouts: the Newton-no-reuse
+variant and the tile-major output_stationary family)."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.numerics.lut import ActivationLUT
 
 CFG = DRAMConfig(num_channels=1, banks_per_channel=16, rows_per_bank=256)
 NO_REUSE = FULL.evolve(interleaved_reuse=False)
+OUTPUT_STATIONARY = CFG.with_overrides(command_family="output_stationary")
 
 
 class TestLutThroughDevice:
@@ -54,3 +56,23 @@ class TestLutThroughDevice:
         plain = NewtonDevice(CFG, opt=FULL, functional=True)
         raw = plain.gemv(plain.load_matrix(matrix), vector).output
         assert np.array_equal(out, raw)  # untouched by any LUT
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_lut_applied_on_output_stationary(self, rng, activation):
+        """The tile-major family reads out whole row sums, so its READRES
+        goes through the LUT even on the interleaved layout. Ragged
+        70x700: partial tiles and a partial second chunk."""
+        m, n = 70, 700
+        matrix = (rng.standard_normal((m, n)) / 16).astype(np.float32)
+        vector = rng.standard_normal(n).astype(np.float32)
+
+        plain = NewtonDevice(OUTPUT_STATIONARY, opt=FULL, functional=True)
+        raw = plain.gemv(plain.load_matrix(matrix), vector).output
+        lut_device = NewtonDevice(
+            OUTPUT_STATIONARY, opt=FULL, functional=True, lut_activation=activation
+        )
+        activated = lut_device.gemv(lut_device.load_matrix(matrix), vector).output
+
+        expected = ActivationLUT(activation).apply(raw)
+        assert np.array_equal(activated.view(np.uint32), expected.view(np.uint32))
+        assert not np.array_equal(activated, raw)

@@ -19,7 +19,7 @@ from repro.core.optimizations import FULL
 from repro.core.schedule_cache import ScheduleCache, segment_stream
 from repro.core.command_gen import BlockStep, Fragment, Step
 from repro.dram import commands as cmds
-from repro.dram.burst import BURST_KINDS, BurstRecord, issue_burst
+from repro.dram.burst import BurstRecord, issue_burst
 from repro.dram.commands import (
     CommandKind,
     CommandRun,
@@ -211,7 +211,19 @@ class TestCommandRunContainer:
         assert comp_run(8).timing_key == comp_run(8).timing_key
 
     def test_burst_kinds_cover_run_kinds(self):
-        assert BURST_KINDS == set(cmds.RUN_KINDS)
+        """Every kind a run may encode takes the closed form once the
+        run has a tail: none falls back to per-command issue."""
+        builders = {
+            CommandKind.COMP: comp_run,
+            CommandKind.COMP_BANK: lambda count: comp_bank_run(0, count),
+            CommandKind.GWRITE: gwrite_run,
+        }
+        assert set(builders) == set(cmds.RUN_KINDS)
+        for kind in cmds.RUN_KINDS:
+            for count in (2, 5):
+                record = issue_burst(fresh_controller(), builders[kind](count))
+                assert record._cycles is None, (kind, count)
+                assert record.count == count
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dram import commands as cmds
 from repro.dram.commands import Command, CommandKind, NEWTON_KINDS
+from repro.dram.config import DRAMConfig
 
 
 class TestTableI:
@@ -63,3 +64,38 @@ class TestConstructors:
         text = cmds.comp(3, 3, auto_precharge=True).describe()
         assert "COMP" in text and "col=3" in text and "AP" in text
         assert "grp=1" in cmds.g_act(1, 9).describe()
+
+
+class TestKindTable:
+    CFG = DRAMConfig(num_channels=1, banks_per_channel=16)
+
+    def test_target_banks(self):
+        every = list(range(16))
+        assert list(cmds.target_banks(cmds.g_act(2, 0), self.CFG)) == [8, 9, 10, 11]
+        for ganged in (
+            cmds.comp(0, 0),
+            cmds.col_read_all(0),
+            cmds.mac_all(),
+            cmds.readres(),
+        ):
+            assert list(cmds.target_banks(ganged, self.CFG)) == every
+        for single in (
+            cmds.act(5, 0),
+            cmds.comp_bank(5, 0, 0),
+            cmds.mac(5),
+            cmds.readres_bank(5),
+        ):
+            assert list(cmds.target_banks(single, self.CFG)) == [5]
+        for bankless in (cmds.gwrite(0), cmds.buf_read(0), cmds.pre_all(), cmds.ref()):
+            assert list(cmds.target_banks(bankless, self.CFG)) == []
+
+    def test_bank_group(self):
+        assert cmds.bank_group(cmds.act(5, 0), self.CFG) == 1
+        assert cmds.bank_group(cmds.g_act(3, 0), self.CFG) == 3
+
+    def test_ganged_compute_never_crosses_the_channel_io(self):
+        """Table I: COMP multiplies in the banks; only transfers to or
+        from the host take a data-bus slot."""
+        assert CommandKind.COMP not in cmds.DATA_KINDS
+        assert CommandKind.COMP in cmds.TREE_FEED_KINDS & cmds.BUFFER_READ_KINDS
+        assert {CommandKind.GWRITE, CommandKind.READRES} <= cmds.DATA_KINDS

@@ -1,10 +1,10 @@
 """Differential validation: tick simulator vs the constraint-based controller.
 
 The two engines share rules but not mechanism (per-cycle polling vs
-closed-form max). Cycle-identical schedules across the full Newton
-command streams — every optimization combination, both layouts, partial
-chunks — is the strongest internal evidence that the production timing
-engine is correct.
+closed-form max). Cycle-identical schedules across the full command
+streams of every command family — every optimization combination the
+family can walk, both layouts, partial chunks — is the strongest
+internal evidence that the production timing engine is correct.
 """
 
 import itertools
@@ -14,7 +14,12 @@ import pytest
 from repro.core.command_gen import CommandStreamGenerator
 from repro.core.layout import make_layout
 from repro.core.optimizations import FULL, NON_OPT, OptimizationConfig
-from repro.dram.config import DRAMConfig
+from repro.dram.config import (
+    COMMAND_FAMILIES,
+    COMMAND_FAMILY_NEWTON,
+    DRAMConfig,
+    family_rules,
+)
 from repro.dram.controller import ChannelController
 from repro.dram.ticksim import TickSimulator
 from repro.dram.timing import TimingParams
@@ -31,37 +36,50 @@ FLAGS = (
 )
 
 
-def gemv_commands(opt: OptimizationConfig, m: int, n: int):
+def gemv_commands(opt: OptimizationConfig, m: int, n: int, config=CFG):
     layout = make_layout(
-        CFG, m, n, interleaved=opt.interleaved_reuse,
+        config, m, n, interleaved=opt.interleaved_reuse,
         latches_per_bank=opt.result_latches,
     )
-    generator = CommandStreamGenerator(CFG, TIMING, opt, layout)
+    generator = CommandStreamGenerator(config, TIMING, opt, layout)
     return [s.command for s in generator.gemv_steps() if s.command is not None]
 
 
-def controller_issues(opt: OptimizationConfig, commands):
+def controller_issues(opt: OptimizationConfig, commands, config=CFG):
     controller = ChannelController(
-        CFG, TIMING, aggressive_tfaw=opt.aggressive_tfaw, refresh_enabled=False
+        config, TIMING, aggressive_tfaw=opt.aggressive_tfaw, refresh_enabled=False
     )
     return [controller.issue(c).issue for c in commands]
 
 
-def tick_issues(opt: OptimizationConfig, commands):
-    sim = TickSimulator(CFG, TIMING, aggressive_tfaw=opt.aggressive_tfaw)
+def tick_issues(opt: OptimizationConfig, commands, config=CFG):
+    sim = TickSimulator(config, TIMING, aggressive_tfaw=opt.aggressive_tfaw)
     return sim.run(commands)
 
 
+def _family_combinations():
+    """Every (optimization bits, family) pair the family can walk. Newton
+    keeps its bare bit-pattern ids; the rival families add a prefix."""
+    for family in COMMAND_FAMILIES:
+        for bits in itertools.product((False, True), repeat=5):
+            interleaved = bits[FLAGS.index("interleaved_reuse")]
+            if not family_rules(family).can_walk(interleaved):
+                continue
+            label = "".join("X" if x else "." for x in bits)
+            if family != COMMAND_FAMILY_NEWTON:
+                label = f"{family}-{label}"
+            yield pytest.param(bits, family, id=label)
+
+
 class TestDifferential:
-    @pytest.mark.parametrize(
-        "bits",
-        list(itertools.product((False, True), repeat=5)),
-        ids=lambda b: "".join("X" if x else "." for x in b),
-    )
-    def test_cycle_identical_all_combinations(self, bits):
+    @pytest.mark.parametrize("bits,family", list(_family_combinations()))
+    def test_cycle_identical_all_combinations(self, bits, family):
+        config = CFG.with_overrides(command_family=family)
         opt = OptimizationConfig(**dict(zip(FLAGS, bits)))
-        commands = gemv_commands(opt, m=40, n=700)
-        assert tick_issues(opt, commands) == controller_issues(opt, commands)
+        commands = gemv_commands(opt, m=40, n=700, config=config)
+        assert tick_issues(opt, commands, config) == controller_issues(
+            opt, commands, config
+        )
 
     def test_cycle_identical_partial_chunk(self):
         commands = gemv_commands(FULL, m=16, n=100)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.optimizations import FULL
+from repro.dram.config import COMMAND_FAMILIES, DRAMConfig
 from repro.dram.trace import CommandTrace
 from repro.errors import VerificationError
 from repro.telemetry.collect import engine_metrics
@@ -86,3 +88,29 @@ class TestHookVerification:
         with pytest.raises(VerificationError, match="invariant violation"):
             run_workload(engine, runs=1)
         assert engine.verifier.invariant_violations > 0
+
+
+class TestHookAcrossFamilies:
+    @pytest.mark.parametrize("family", COMMAND_FAMILIES)
+    def test_every_family_runs_clean(self, family, engine_factory, monkeypatch):
+        """Each command family's own traversal passes the verifier. Two
+        chunks per tile, so a tile-major family accumulates one latch
+        across chunks before its single READRES, which the latch rule
+        must allow."""
+        monkeypatch.setenv(ENV_FLAG, "1")
+        config = DRAMConfig(
+            num_channels=1,
+            banks_per_channel=8,
+            rows_per_bank=256,
+            command_family=family,
+        )
+        engine = engine_factory(config, opt=FULL)
+        rng = np.random.default_rng(3)
+        m, n = 16, 2 * config.elems_per_row
+        layout = engine.add_matrix(
+            m, n, rng.standard_normal((m, n)).astype(np.float32)
+        )
+        for _ in range(2):
+            engine.run_gemv(layout, rng.standard_normal(n).astype(np.float32))
+        assert engine.verifier.commands_verified > 0
+        assert engine.verifier.invariant_violations == 0

@@ -44,12 +44,7 @@ def sweep_gemv(preset, opt: OptimizationConfig):
         config,
         timing,
         aggressive_tfaw=opt.aggressive_tfaw,
-        # output_stationary accumulates a whole tile in latch 0 across
-        # chunks by design; the one-emit-per-fill discipline is Newton's.
-        check_latch=(
-            opt.interleaved_reuse
-            and config.command_family != "output_stationary"
-        ),
+        check_latch=not config.rules.whole_row_readout(opt.interleaved_reuse),
         check_refresh_interval=True,
     )
     violations = inv.check_trace(
@@ -96,11 +91,10 @@ def test_nightly_full_cross_product(name, variant):
     """Nightly: every preset x every optimization-ladder variant."""
     preset = family_by_name(name)
     opt = LADDER_VARIANTS[variant]
-    if (
-        preset.config.command_family == "output_stationary"
-        and not opt.interleaved_reuse
-    ):
-        pytest.skip("output_stationary requires the interleaved traversal")
+    if not preset.config.rules.can_walk(opt.interleaved_reuse):
+        pytest.skip(
+            f"{preset.config.command_family} requires the interleaved traversal"
+        )
     violations, divergences = sweep_gemv(preset, opt)
     assert violations == [], [v.render() for v in violations[:5]]
     assert divergences == [], [d.render() for d in divergences[:5]]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dram import commands as cmd
-from repro.dram.config import DRAMConfig
+from repro.dram.config import COMMAND_FAMILIES, COMMAND_FAMILY_NEWTON, DRAMConfig
 from repro.dram.controller import IssueRecord
 from repro.dram.ticksim import TickSimulator
 from repro.dram.timing import TimingParams
@@ -49,24 +49,38 @@ def mixed_stream():
     ]
 
 
+CROSS_CHECK_TIMINGS = {
+    "default": TimingParams(),
+    "fast-cmd": TimingParams(t_cmd=2),
+    "wide-ccd": TimingParams(t_ccd=6),
+    "slow-cmd": TimingParams(t_cmd=7, t_ccd=2),
+}
+
+
+def _cross_check_cases():
+    """(timing, aggressive, family) for every command family. Newton
+    keeps its ``aggressive-timing`` ids; the rival families add a
+    suffix."""
+    for family in COMMAND_FAMILIES:
+        suffix = "" if family == COMMAND_FAMILY_NEWTON else f"-{family}"
+        for aggressive in (False, True):
+            for name, timing in CROSS_CHECK_TIMINGS.items():
+                yield pytest.param(
+                    timing, aggressive, family, id=f"{aggressive}-{name}{suffix}"
+                )
+
+
 class TestTicksimCrossCheck:
     @pytest.mark.parametrize(
-        "timing",
-        [
-            TimingParams(),
-            TimingParams(t_cmd=2),
-            TimingParams(t_ccd=6),
-            TimingParams(t_cmd=7, t_ccd=2),
-        ],
-        ids=["default", "fast-cmd", "wide-ccd", "slow-cmd"],
+        "timing,aggressive,family", list(_cross_check_cases())
     )
-    @pytest.mark.parametrize("aggressive", [False, True])
-    def test_predict_matches_ticksim(self, timing, aggressive):
+    def test_predict_matches_ticksim(self, timing, aggressive, family):
+        config = CFG.with_overrides(command_family=family)
         commands = mixed_stream()
         expected = TickSimulator(
-            CFG, timing, aggressive_tfaw=aggressive
+            config, timing, aggressive_tfaw=aggressive
         ).run(commands)
-        oracle = CycleOracle(CFG, timing, aggressive_tfaw=aggressive)
+        oracle = CycleOracle(config, timing, aggressive_tfaw=aggressive)
         assert oracle.predict(commands) == expected
 
     def test_activation_burst_tfaw(self):
