@@ -29,14 +29,17 @@ Execution is tiered, fastest applicable tier first, without giving up a
 cycle of exactness (see :mod:`repro.core.schedule_cache`,
 :mod:`repro.dram.burst`, and ``docs/cold-path.md``):
 
-* the **schedule cache** replays recorded per-tile timing deltas when a
-  tile starts from a controller state already seen (same relative
+* the **schedule cache** replays a whole GEMV from one record when the
+  run starts from a controller state and refresh phase already seen:
+  one signature, one lookup and one write-back, refreshes included;
+* otherwise it replays recorded per-tile timing deltas when a tile
+  starts from a controller state already seen (same relative
   bus/bank/FAW phase) — the steady-state tier. Replay walks the
   segments on a local clock: a hit is one lookup and one addition, the
   delta's end-signature id keys the next lookup, a refresh barrier that
   cannot fire is one comparison, and the controller is written back
   only before a refresh that fires, before a miss and at the end of the
-  run;
+  run. A walk that hits on every segment records the run whole;
 * on a replay miss (the *cold* path: first encounter of a layer shape
   or controller phase), homogeneous command runs go through the **burst
   kernel** — first command solved by the constraint solver, the rest in
@@ -50,9 +53,11 @@ once per tile shape, segments key by interned fragment ids, and a
 timing-only engine lowers no functional payloads. Each resident
 layout's segmented stream is kept for the engine's lifetime, so
 ``gemm``/``gemv_batch``/serving/model re-runs skip lowering entirely.
-Every refresh that fires is executed exactly in every tier, and tracing
-or mixed background traffic forces the per-command reference for the
-run.
+Every refresh that fires is executed exactly in every tier but the
+whole-run record, which replays only at the exact refresh phase it was
+recorded at. Tracing or mixed background traffic forces the per-command
+reference for the run. Whichever tier serves it, the controller is fully
+written back when :meth:`NewtonChannelEngine.run_gemv` returns.
 
 Set ``fast=False`` (or the ``NEWTON_NO_FASTPATH=1`` environment
 variable) to force per-command issue everywhere.
@@ -60,7 +65,7 @@ variable) to force per-command issue everywhere.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,8 +74,14 @@ from repro.core.datapath import BatchedDatapath
 from repro.core.global_buffer import GlobalBuffer
 from repro.core.layout import Layout, make_layout
 from repro.core.optimizations import OptimizationConfig
-from repro.core.result import ChannelRunResult, stats_delta, stats_snapshot
+from repro.core.result import (
+    ChannelRunResult,
+    copy_stats,
+    stats_delta,
+    stats_snapshot,
+)
 from repro.core.schedule_cache import (
+    RunRecord,
     ScheduleCache,
     SegmentedStream,
     segment_stream,
@@ -310,12 +321,13 @@ class NewtonChannelEngine:
             if vector is None:
                 raise ProtocolError("functional mode requires an input vector")
             padded = layout.pad_vector(vector)
-        before = stats_snapshot(controller.stats)
         start = controller.now
         if self.fast and background is None and controller.trace is None:
-            end = self._replay_walk(stream, start)
+            end, stats = self._replay_walk(stream, start)
         else:
+            before = stats_snapshot(controller.stats)
             end = self._issue_each(stream, background, start)
+            stats = stats_delta(before, stats_snapshot(controller.stats))
         output = None
         if self.functional:
             # The datapath and the controller are independent state
@@ -327,7 +339,6 @@ class NewtonChannelEngine:
             # Apply the datapath's deferred work (it evaluates whole
             # buffer groups at flush points).
             self.datapath.finish(output)
-        after = stats_snapshot(controller.stats)
         if self.verifier is not None:
             # Raises VerificationError if this run broke the protocol.
             self.verifier.after_run(end)
@@ -336,7 +347,7 @@ class NewtonChannelEngine:
             row_slice=(0, layout.m),
             start_cycle=start,
             end_cycle=end,
-            stats=stats_delta(before, after),
+            stats=stats,
             output=output,
         )
 
@@ -374,18 +385,25 @@ class NewtonChannelEngine:
             return None
         return self.schedule_cache.intern_signature(signature)
 
-    def _replay_walk(self, stream: SegmentedStream, end: int) -> int:
-        """The fast tier: walk the segments on a local clock.
+    def _replay_walk(
+        self, stream: SegmentedStream, start: int
+    ) -> Tuple[int, Dict[str, object]]:
+        """The fast tier. Returns the run's end cycle (the latest
+        completion, at least ``start``) and its stats.
 
-        A hit costs one lookup and one addition: the delta's recorded
-        end signature keys the next lookup, and the replayed deltas
-        accumulate in ``replays`` until one :func:`fastpath.apply_delta`
-        writes them back — before a refresh that fires, before a miss,
-        and at the end of the run. A barrier that cannot fire is one
-        comparison against the cycle :meth:`RefreshScheduler.last_safe_start`
-        gives; one that fires runs :meth:`ChannelController.refresh_barrier`
-        exactly. A miss runs the cold path and records its delta.
-        Returns the latest completion (at least ``end``).
+        A run whose start signature and refresh phase match a
+        :class:`~repro.core.schedule_cache.RunRecord` replays whole
+        (:meth:`_replay_record`). Otherwise the walk goes segment by
+        segment on a local clock. A hit costs one lookup and one
+        addition: the delta's recorded end signature keys the next
+        lookup, and the replayed deltas accumulate in ``replays`` until
+        one :func:`fastpath.apply_delta` writes them back — before a
+        refresh that fires, before a miss, and at the end of the run. A
+        barrier that cannot fire is one comparison against the cycle
+        :meth:`RefreshScheduler.last_safe_start` gives; one that fires
+        runs :meth:`ChannelController.refresh_barrier` exactly. A miss
+        runs the cold path and records its delta. A walk that hit on
+        every segment is then recorded whole.
         """
         controller = self.channel.controller
         cache = self.schedule_cache
@@ -393,10 +411,23 @@ class NewtonChannelEngine:
         refresh = controller.refresh
         window = stream.barrier_cycles
         limit = refresh.last_safe_start(window)
-        now = controller.now
-        signature = self._signature_id()
+        now = end = start
+        signature = start_signature = self._signature_id()
+        if signature is not None:
+            phase = refresh.phase(start)
+            recorded = cache.lookup_run(
+                stream.key_id, signature, start, limit, phase
+            )
+            if recorded is not None:
+                return self._replay_record(recorded, start)
+            counters_start = fastpath.counters(controller)
+            refreshes_start = refresh.refreshes_issued
+            stall_start = refresh.stall_cycles
+        before = stats_snapshot(controller.stats)
         replays: List[ControllerDelta] = []
         replayed = 0
+        whole = signature is not None
+        last_barrier = None
 
         def write_back() -> None:
             if replays:
@@ -404,11 +435,13 @@ class NewtonChannelEngine:
                 replays.clear()
 
         for segment in stream.segments:
-            if segment.barrier_cycles and now > limit:
-                write_back()
-                now = controller.refresh_barrier(window)
-                limit = refresh.last_safe_start(window)
-                signature = self._signature_id()
+            if segment.barrier_cycles:
+                last_barrier = now
+                if now > limit:
+                    write_back()
+                    now = controller.refresh_barrier(window)
+                    limit = refresh.last_safe_start(window)
+                    signature = self._signature_id()
             if signature is not None:
                 delta = lookup(segment.key_id, signature)
                 if delta is not None:
@@ -421,6 +454,7 @@ class NewtonChannelEngine:
                     signature = delta.end_signature
                     replayed += segment.n_commands
                     continue
+            whole = False
             write_back()
             if signature is None:
                 # A bank holds an open row: issue per command.
@@ -456,7 +490,49 @@ class NewtonChannelEngine:
             now = controller.now
         write_back()
         cache.replayed_commands += replayed
-        return end
+        stats = stats_delta(before, stats_snapshot(controller.stats))
+        if whole:
+            fired = refresh.refreshes_issued > refreshes_start
+            cache.store_run(
+                stream.key_id,
+                start_signature,
+                phase if fired else None,
+                RunRecord(
+                    delta=fastpath.capture_delta(
+                        controller, start, counters_start, end, signature
+                    ),
+                    refresh=(
+                        refresh.advance_since(start, refreshes_start, stall_start)
+                        if fired
+                        else None
+                    ),
+                    last_barrier=(
+                        None if fired or last_barrier is None
+                        else last_barrier - start
+                    ),
+                    stats=copy_stats(stats),
+                    lookups=len(stream.segments),
+                    commands=replayed,
+                ),
+            )
+        return end, stats
+
+    def _replay_record(
+        self, record: RunRecord, start: int
+    ) -> Tuple[int, Dict[str, object]]:
+        """Replay a whole recorded run from ``start``: one write-back,
+        the refresh scheduler's advance, and the counters the segment
+        walk would have reported."""
+        controller = self.channel.controller
+        delta = record.delta
+        fastpath.apply_delta(controller, (delta,), start)
+        if record.refresh is not None:
+            controller.refresh.replay(record.refresh, start)
+        cache = self.schedule_cache
+        cache.hits += record.lookups
+        cache.replayed_commands += record.commands
+        cache.whole_runs += 1
+        return start + delta.max_complete, copy_stats(record.stats)
 
     def power_report(self) -> PowerReport:
         """Normalized power breakdown over everything run so far."""

@@ -55,6 +55,15 @@ def stats_delta(before: Dict[str, object], after: Dict[str, object]) -> Dict[str
     return delta
 
 
+def copy_stats(stats: Dict[str, object]) -> Dict[str, object]:
+    """A copy of a :func:`stats_delta` result that shares no dict."""
+    return dict(
+        stats,
+        command_counts=dict(stats["command_counts"]),  # type: ignore[call-overload]
+        cycle_attribution=dict(stats["cycle_attribution"]),  # type: ignore[call-overload]
+    )
+
+
 @dataclass
 class ChannelRunResult:
     """One channel's share of a GEMV run."""

@@ -29,6 +29,21 @@ chains lookup to lookup without recomputing a signature. Refresh breaks
 phase — the engine executes every barrier that fires exactly, and a
 post-refresh state simply forms its own signature (which itself recurs
 periodically and becomes cacheable).
+
+A whole GEMV is the next replay unit up. When every segment of a run
+hits, the engine records the run as one :class:`RunRecord`: the
+composite delta from the run's start, the refresh scheduler's advance,
+the run's stats and the lookups and commands it replayed. Records key
+by ``(stream key id, start signature id, refresh phase)``. The stream
+key interns the stream's ``(barrier, segment key id)`` sequence, so it
+is content-derived like every other id. The phase is ``None`` when no
+refresh fired: such a record replays at any start whose last barrier
+cannot fire (:meth:`ScheduleCache.lookup_run`). When a refresh fired,
+the phase is the scheduler's ``next_due - now``
+(:meth:`~repro.dram.refresh.RefreshScheduler.phase`), its only absolute
+time, so equal phases refresh identically. A steady serving GEMV,
+refreshes included, then costs one signature, one or two lookups and
+one write-back.
 """
 
 from __future__ import annotations
@@ -39,11 +54,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.command_gen import BlockStep, CommandStreamGenerator, Fragment, Step
 from repro.dram.commands import CommandKind, CommandRun
 from repro.dram.fastpath import ControllerDelta, Signature
+from repro.dram.refresh import RefreshAdvance
 from repro.errors import ProtocolError
 
 MAX_DELTA_ENTRIES = 8192
-"""Replay-cache size backstop (deltas, and interned signatures); real
-workloads use a handful of entries."""
+"""Replay-cache size backstop (deltas, interned signatures and run
+records, each); real workloads use a handful of entries."""
 
 
 @dataclass
@@ -93,11 +109,34 @@ class StreamSegment:
         return self._commands
 
 
+@dataclass(frozen=True, eq=False)
+class RunRecord:
+    """A whole GEMV's replayable effect, relative to its start cycle."""
+
+    delta: ControllerDelta
+    """The run's composite effect on the controller, refreshes included;
+    its ``max_complete`` is the run's end offset."""
+    refresh: Optional[RefreshAdvance]
+    """The refresh scheduler's advance (``None``: no refresh fired)."""
+    last_barrier: Optional[int]
+    """Offset of the run's last refresh barrier, for a record with no
+    refresh (``None``: no barrier, or a refresh fired)."""
+    stats: Dict[str, object]
+    """The run's stats delta (callers get a copy)."""
+    lookups: int
+    """Segment lookups the walk made, every one a hit."""
+    commands: int
+    """Commands those hits replayed."""
+
+
 @dataclass
 class SegmentedStream:
     """One layout's full command stream, lowered and segmented once."""
 
     segments: List[StreamSegment] = field(default_factory=list)
+    key_id: int = -1
+    """Cache-interned id of the stream's ``(barrier, segment key id)``
+    sequence: the first part of a :class:`RunRecord` key."""
     barrier_cycles: int = 0
     """The row-operation window every barrier in the stream guards (the
     generator sizes them all by one tile-duration bound; 0: no barrier),
@@ -115,8 +154,8 @@ class SegmentedStream:
 
 
 class ScheduleCache:
-    """Interns fragment, segment and signature keys; stores recorded
-    segment deltas.
+    """Interns fragment, segment, stream and signature keys; stores
+    recorded segment deltas and whole-run records.
 
     Every id space is content-derived (never object ids), so one cache
     can be shared across engines with identical architecture — the
@@ -129,10 +168,14 @@ class ScheduleCache:
         self._signature_ids: Dict[Signature, int] = {}
         self._next_signature_id = 0
         self._deltas: Dict[Tuple[int, int], ControllerDelta] = {}
+        self._runs: Dict[Tuple[int, int, Optional[int]], RunRecord] = {}
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
         self.replayed_commands = 0
+        """Commands served by replay, whole runs included."""
+        self.whole_runs = 0
+        """Runs replayed whole from a :class:`RunRecord`."""
 
     def intern_fragment(self, key: tuple) -> int:
         """Map a fragment's content key to a small stable id."""
@@ -176,11 +219,58 @@ class ScheduleCache:
             self._clear()
         self._deltas[(key_id, signature_id)] = delta
 
+    def lookup_run(
+        self,
+        stream_id: int,
+        signature_id: int,
+        now: int,
+        limit: int,
+        phase: Optional[int],
+    ) -> Optional[RunRecord]:
+        """The record that replays a run starting at ``now``, if any.
+
+        ``limit`` is the refresh scheduler's
+        :meth:`~repro.dram.refresh.RefreshScheduler.last_safe_start` for
+        the stream's window and ``phase`` its
+        :meth:`~repro.dram.refresh.RefreshScheduler.phase` at ``now``. A
+        record with no refresh replays when its last barrier cannot
+        fire; otherwise the run must match a record's phase exactly.
+        Counts nothing: the caller adds the record's lookups to
+        :attr:`hits` when it replays.
+        """
+        record = self._runs.get((stream_id, signature_id, None))
+        if record is not None and (
+            record.last_barrier is None or now + record.last_barrier <= limit
+        ):
+            return record
+        if phase is None:
+            return None
+        return self._runs.get((stream_id, signature_id, phase))
+
+    def store_run(
+        self,
+        stream_id: int,
+        signature_id: int,
+        phase: Optional[int],
+        record: RunRecord,
+    ) -> None:
+        if len(self._runs) >= self.max_entries:
+            self._clear()
+        self._runs[(stream_id, signature_id, phase)] = record
+
+    @property
+    def run_records(self) -> int:
+        """Whole-run records held."""
+        return len(self._runs)
+
     def _clear(self) -> None:
         # Pathological (non-periodic) streams only; a full reset is
-        # cheaper and simpler than eviction bookkeeping.
+        # cheaper and simpler than eviction bookkeeping. Records go with
+        # the deltas: a record replays only while the walk it stands
+        # for would hit on every segment.
         self._deltas.clear()
         self._signature_ids.clear()
+        self._runs.clear()
 
     def __len__(self) -> int:
         return len(self._deltas)
@@ -207,7 +297,9 @@ def segment_stream(
     refresh-barrier :class:`~repro.core.command_gen.Step`, which always
     flushes the open segment, so no run ever straddles a refresh
     decision point; every barrier in a stream must guard the same
-    window (:attr:`SegmentedStream.barrier_cycles`).
+    window (:attr:`SegmentedStream.barrier_cycles`). The stream's own
+    key (:attr:`SegmentedStream.key_id`) interns its sequence of
+    ``(barrier, segment key id)`` pairs.
 
     With ``fused=True`` the lowering models a fused-layer dataflow: the
     input activation is already channel-resident (produced by the
@@ -276,4 +368,7 @@ def segment_stream(
         if functional:
             payload.extend(item.payload_steps())
     flush()
+    stream.key_id = cache.intern_key(
+        tuple((s.barrier_cycles, s.key_id) for s in stream.segments)
+    )
     return stream

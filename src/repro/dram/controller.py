@@ -162,9 +162,12 @@ class ChannelController:
         self._last_tree_feed: int = -(10**18)
         self._bank_opened_at: List[int] = [0] * config.banks_per_channel
         self._attr_cursor: int = 0
-        """Last cycle already charged to an attribution bucket. Equals
-        ``now`` after every issue/refresh (the fast path relies on this
-        invariant to restore it after a replay)."""
+        """Last cycle already charged to an attribution bucket: the later
+        of ``now`` and the last cycle :meth:`finalize` closed out. So it
+        equals ``now`` until a telemetry read finalizes past ``now``; the
+        next issue then charges its wait from the cursor, which is why
+        the fast path carries the cursor's offset from ``now`` in every
+        signature and delta."""
 
     # ------------------------------------------------------------------
     # internals

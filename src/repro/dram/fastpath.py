@@ -21,9 +21,10 @@ This module provides the three primitives that make that sound:
   statistics deltas, and the interned id of the signature the segment
   leaves behind;
 * :func:`apply_delta` — write a chain of replayed deltas back to the
-  controller: ``now``, bank state, bus timers, the activation window
-  and the adder-tree drain anchor from the last delta, every statistic
-  folded once per distinct delta.
+  controller: ``now``, bank state, bus timers, the activation window,
+  the adder-tree drain anchor and the attribution cursor from the last
+  delta, every statistic folded once per distinct delta (a lone delta's
+  counters are added as they stand).
 
 The engine (:mod:`repro.core.engine`) replays on a local clock. Because a
 delta records the signature it ends in, a hit chains straight to the
@@ -35,10 +36,15 @@ is its last delta's, and the counters it advanced are additive; one
 replay. The walk writes back before a refresh that fires, before a
 miss, and at the end of the run.
 
-Refresh is deliberately **excluded**: the refresh scheduler works on
-absolute deadlines, so the engine checks every barrier against the
-local clock and runs every refresh that fires exactly — refresh
-interference stays exact.
+A whole GEMV is one delta too: :func:`capture_delta` taken from the
+run's start records its composite effect, refreshes included, and the
+engine replays it with one :func:`apply_delta`. Refresh is otherwise
+**not replayed**: the refresh scheduler works on absolute deadlines, so
+a segment delta never contains one. The engine checks every barrier
+against the local clock and runs every refresh that fires exactly; a
+whole-run delta contains the refreshes only because its record is keyed
+by the exact refresh phase it was recorded at (see
+:mod:`repro.core.schedule_cache`).
 
 Sentinel time fields (``NEG_INF`` markers for "never happened") are
 preserved as ``None`` offsets so a replayed controller is bit-identical
@@ -112,6 +118,10 @@ class ControllerDelta:
     per bank group under the ``bankgroup_ext`` family)."""
     window_last_act: Optional[int]
     last_tree_feed: Optional[int]
+    attr_cursor: int
+    """Offset of the attribution cursor, restored with telemetry on
+    (equal to ``dt_now`` unless a telemetry read left the cursor past
+    ``now``)."""
     counters: Tuple[int, ...]
     """The :func:`counters` vector's advance over the segment: command
     counts, cycle-attribution buckets, stats fields, bus and window
@@ -135,7 +145,10 @@ def relative_signature(controller: ChannelController) -> Optional[Signature]:
     command sequence identically (up to a rigid time shift). Returns
     ``None`` when the state cannot be summarized shift-invariantly: a
     bank holding an open row (the row identity is data, not timing, and
-    differs tile to tile).
+    differs tile to tile). With telemetry on, the attribution cursor's
+    offset is part of the state: it is 0 after every issue and refresh,
+    but a telemetry read (:meth:`ChannelController.finalize`) moves the
+    cursor past ``now``, and the next issue charges its wait from there.
     """
     now = controller.now
     banks = []
@@ -158,6 +171,7 @@ def relative_signature(controller: ChannelController) -> Optional[Signature]:
         tuple(tuple(t - now for t in recent) for recent in scopes),
         _rel(last_act, now),
         _rel(controller._last_tree_feed, now),
+        controller._attr_cursor - now if controller.telemetry else 0,
     )
 
 
@@ -227,6 +241,7 @@ def capture_delta(
         ),
         window_last_act=_rel(last_act, base),
         last_tree_feed=_rel(controller._last_tree_feed, base),
+        attr_cursor=controller._attr_cursor - base,
         counters=tuple(
             after - prior for after, prior in zip(counters(controller), before)
         ),
@@ -247,17 +262,23 @@ def apply_delta(
     (the cache keys guarantee it), and each later delta's recorded start
     is its predecessor's end. The timing state comes from the last delta
     alone — every delta overwrites all of it — while each distinct
-    delta's counters are folded once, times its replay count.
+    delta's counters are folded once, times its replay count; a lone
+    delta (a whole replayed GEMV) adds its counters as they stand.
     """
     delta = replays[-1]
-    total = None
-    for replayed, times in Counter(replays).items():
-        advance = replayed.counters
-        if times > 1:
-            advance = map(mul, advance, repeat(times))
-        total = (
-            tuple(advance) if total is None else tuple(map(add, total, advance))
-        )
+    if len(replays) == 1:
+        total = delta.counters
+    else:
+        total = None
+        for replayed, times in Counter(replays).items():
+            advance = replayed.counters
+            if times > 1:
+                advance = map(mul, advance, repeat(times))
+            total = (
+                tuple(advance)
+                if total is None
+                else tuple(map(add, total, advance))
+            )
     stats = controller.stats
     counts = stats.command_counts
     for kind, count in zip(_KINDS, total):
@@ -298,8 +319,6 @@ def apply_delta(
     controller._last_tree_feed = _abs(delta.last_tree_feed, base)
     controller.now = base + delta.dt_now
     if controller.telemetry:
-        # The attribution cursor tracks the last issued command, which
-        # is also where ``now`` lands after any segment — restore the
-        # invariant so the next segment (or refresh barrier) charges
-        # from here. Without telemetry nothing moves the cursor.
-        controller._attr_cursor = controller.now
+        # The next segment (or refresh barrier) charges its wait from
+        # the cursor. Without telemetry nothing moves the cursor.
+        controller._attr_cursor = base + delta.attr_cursor

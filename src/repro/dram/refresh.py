@@ -8,16 +8,36 @@ to mature, sends the refresh command, and then sends the Newton command."
 row-operation granularity; :meth:`RefreshScheduler.stall_for_refresh`
 applies it, and the engine's replay walk compares its local clock
 against it so that a barrier that cannot fire costs one comparison.
+
+The scheduler reads one absolute time, ``next_due``, so what a run does
+to it depends on the run's start state and on :meth:`RefreshScheduler.phase`
+alone. :meth:`RefreshScheduler.advance_since` records that effect
+relative to the run's start, and :meth:`RefreshScheduler.replay` applies
+it at any later start of the same phase: the engine's whole-run replay
+(see :mod:`repro.core.schedule_cache`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 NEVER = 1 << 62
 """A cycle no simulation reaches: :meth:`RefreshScheduler.last_safe_start`
 with refresh disabled."""
+
+
+@dataclass(frozen=True)
+class RefreshAdvance:
+    """A run's effect on the scheduler, relative to the run's start."""
+
+    issued: int
+    """Refreshes issued."""
+    stall_cycles: int
+    next_due: int
+    """``next_due`` offset at the run's end."""
+    log: Tuple[Tuple[int, int], ...]
+    """(issue, completion) offsets of the refreshes issued."""
 
 
 @dataclass
@@ -71,6 +91,38 @@ class RefreshScheduler:
             self.next_due += self.t_refi
             start = done_at
         return start
+
+    def phase(self, now: int) -> Optional[int]:
+        """``next_due - now``, the only absolute time the scheduler reads
+        (``None`` with refresh disabled: nothing ever fires)."""
+        return self.next_due - now if self.enabled else None
+
+    def advance_since(
+        self, start: int, issued: int, stall_cycles: int
+    ) -> RefreshAdvance:
+        """The advance since a run started at ``start``, when
+        ``refreshes_issued`` and ``stall_cycles`` read ``issued`` and
+        ``stall_cycles``."""
+        count = self.refreshes_issued - issued
+        return RefreshAdvance(
+            issued=count,
+            stall_cycles=self.stall_cycles - stall_cycles,
+            next_due=self.next_due - start,
+            log=tuple(
+                (issue_at - start, done_at - start)
+                for issue_at, done_at in self.log[len(self.log) - count :]
+            ),
+        )
+
+    def replay(self, advance: RefreshAdvance, start: int) -> None:
+        """Apply a recorded advance to a run starting at ``start``, whose
+        phase equals the recorded run's."""
+        self.refreshes_issued += advance.issued
+        self.stall_cycles += advance.stall_cycles
+        self.next_due = start + advance.next_due
+        self.log.extend(
+            (start + issue_at, start + done_at) for issue_at, done_at in advance.log
+        )
 
     def snapshot(self) -> "dict[str, object]":
         """Refresh counters for the telemetry export."""

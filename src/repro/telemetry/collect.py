@@ -87,6 +87,9 @@ def engine_metrics(engine, *, end: Optional[int] = None) -> dict:
         "misses": cache.misses,
         "replayed_commands": cache.replayed_commands,
         "entries": len(cache),
+        # Runs served whole from one record, and the records held.
+        "whole_runs": cache.whole_runs,
+        "run_records": cache.run_records,
     }
     record["fast_path"] = engine.fast
     record["burst"] = {

@@ -282,6 +282,231 @@ class TestRefreshPhases:
         assert_metrics_parity(slow, fast, a.end_cycle)
 
 
+class TestTelemetryReadBetweenRuns:
+    """Reading telemetry finalizes the controller, which moves the
+    attribution cursor past ``now``; the next issue charges its wait
+    from the cursor. Replay must key on that offset rather than apply
+    deltas recorded with the cursor at ``now``."""
+
+    def test_runs_after_a_read_stay_exact(self):
+        slow = make_engine(False, FULL)
+        fast = make_engine(True, FULL)
+        layout_slow = slow.add_matrix(64, 1024)
+        layout_fast = fast.add_matrix(64, 1024)
+        a = slow.run_gemv(layout_slow)
+        fast.run_gemv(layout_fast)
+        for engine in (slow, fast):
+            validate_metrics(engine.collect_metrics(end=a.end_cycle))
+        controller = fast.channel.controller
+        assert controller._attr_cursor > controller.now
+        for _ in range(7):
+            a = slow.run_gemv(layout_slow)
+            b = fast.run_gemv(layout_fast)
+            assert_same_run(slow, fast, a, b)
+        assert fast.schedule_cache.hits > 0
+        assert_metrics_parity(slow, fast, a.end_cycle)
+
+    def test_replayed_segments_keep_the_cursor_ahead(self):
+        """Two reads far past the end, at the same offset from the same
+        steady state: the cursor stays ahead of ``now`` across whole
+        segments after each read, and the second time those segments
+        replay, so their deltas must carry the cursor's end offset."""
+        slow = make_engine(False, FULL)
+        fast = make_engine(True, FULL)
+        layout_slow = slow.add_matrix(64, 1024)
+        layout_fast = fast.add_matrix(64, 1024)
+        for _ in range(2):
+            for _ in range(4):
+                a = slow.run_gemv(layout_slow)
+                b = fast.run_gemv(layout_fast)
+                assert_same_run(slow, fast, a, b)
+            hits = fast.schedule_cache.hits
+            for engine in (slow, fast):
+                validate_metrics(engine.collect_metrics(end=a.end_cycle + 2000))
+            a = slow.run_gemv(layout_slow)
+            b = fast.run_gemv(layout_fast)
+            assert_same_run(slow, fast, a, b)
+        assert fast.schedule_cache.hits > hits
+        assert_metrics_parity(slow, fast, a.end_cycle)
+
+
+Replay = collections.namedtuple(
+    "Replay", "key recorded_phase phase stored_by served"
+)
+"""One run served whole: the record's key, the refresh phase of the run
+that stored it and of the run it served, and the engine tags (see
+:class:`RecordLog`) of both runs."""
+
+
+class RecordLog:
+    """Which whole-run records a cache stores and which it replays.
+
+    ``replays`` holds one :data:`Replay` per run served whole; set
+    ``engine`` before a run to tag it. ``rekeyed`` counts phase-keyed
+    records stored beside a no-refresh record of the same stream and
+    start signature: runs whose barrier test failed and that walked.
+    """
+
+    def __init__(self, cache, monkeypatch):
+        self.stored = {}
+        self.replays = []
+        self.rekeyed = 0
+        self.engine = None
+        phase = None
+        lookup_run, store_run = cache.lookup_run, cache.store_run
+
+        def lookup(stream_id, signature_id, now, limit, run_phase):
+            nonlocal phase
+            phase = run_phase
+            record = lookup_run(stream_id, signature_id, now, limit, run_phase)
+            if record is not None:
+                key, recorded_phase, stored_by = self.stored[record]
+                self.replays.append(
+                    Replay(key, recorded_phase, run_phase, stored_by, self.engine)
+                )
+            return record
+
+        def store(stream_id, signature_id, run_phase, record):
+            if run_phase is not None and (
+                stream_id, signature_id, None
+            ) in cache._runs:
+                self.rekeyed += 1
+            key = (stream_id, signature_id, run_phase)
+            self.stored[record] = (key, phase, self.engine)
+            store_run(stream_id, signature_id, run_phase, record)
+
+        monkeypatch.setattr(cache, "lookup_run", lookup)
+        monkeypatch.setattr(cache, "store_run", store)
+
+    @property
+    def unphased(self):
+        """Replays of no-refresh records at a phase other than the one
+        they were recorded at."""
+        return [
+            r for r in self.replays
+            if r.key[2] is None and r.recorded_phase != r.phase
+        ]
+
+    @property
+    def phased(self):
+        """Replays of records keyed by a refresh phase."""
+        return [r for r in self.replays if r.key[2] is not None]
+
+
+class TestWholeRunRecords:
+    """A run that hits on every segment is recorded whole and replayed
+    with one write-back. Fast must equal per-command after every run,
+    and every case must really replay records."""
+
+    @staticmethod
+    def run_both(slow, fast, runs):
+        """``runs`` back-to-back 64x1024 GEMVs on both engines."""
+        layout_slow = slow.add_matrix(64, 1024)
+        layout_fast = fast.add_matrix(64, 1024)
+        for _ in range(runs):
+            a = slow.run_gemv(layout_slow)
+            b = fast.run_gemv(layout_fast)
+            assert_same_run(slow, fast, a, b)
+        return a
+
+    @pytest.mark.parametrize("telemetry", ["1", "0"], ids=["attr", "noattr"])
+    def test_back_to_back_runs_cover_every_record_kind(
+        self, telemetry, monkeypatch
+    ):
+        """64x1024 on a refresh-on channel, 30 times: no-refresh records
+        replay at phases other than their own, phase-keyed records
+        replay, and a no-refresh record whose last barrier would fire
+        sends the run down the walk, which records its phase."""
+        monkeypatch.setenv("NEWTON_TELEMETRY", telemetry)
+        slow = make_engine(False, FULL)
+        fast = make_engine(True, FULL)
+        log = RecordLog(fast.schedule_cache, monkeypatch)
+        a = self.run_both(slow, fast, runs=30)
+        assert log.unphased
+        assert log.phased
+        assert log.rekeyed > 0
+        assert fast.schedule_cache.whole_runs == len(log.replays)
+        assert_metrics_parity(slow, fast, a.end_cycle)
+
+    def test_refresh_off(self, monkeypatch):
+        slow = make_engine(False, FULL, refresh=False)
+        fast = make_engine(True, FULL, refresh=False)
+        log = RecordLog(fast.schedule_cache, monkeypatch)
+        a = self.run_both(slow, fast, runs=6)
+        assert len(log.replays) == 3
+        assert all(r.key[2] is None for r in log.replays)
+        assert fast.channel.controller.refresh.refreshes_issued == 0
+        assert_metrics_parity(slow, fast, a.end_cycle)
+
+    def test_fused_and_unfused_runs_alternate(self, monkeypatch):
+        """One layout's fused and round-trip streams are two streams:
+        each keeps its own records, and alternating them stays exact."""
+        slow = make_engine(False, FULL)
+        fast = make_engine(True, FULL)
+        log = RecordLog(fast.schedule_cache, monkeypatch)
+        layouts = (slow.add_matrix(64, 1024), fast.add_matrix(64, 1024))
+        for _ in range(12):
+            for fused in (True, False):
+                a = slow.run_gemv(layouts[0], fused_input=fused)
+                b = fast.run_gemv(layouts[1], fused_input=fused)
+                assert_same_run(slow, fast, a, b)
+        assert fast.fused_runs == slow.fused_runs == 12
+        streams = {r.key[0] for r in log.replays}
+        assert streams == {
+            fast._segments_for(layouts[1], fused=fused).key_id
+            for fused in (True, False)
+        }
+        assert_metrics_parity(slow, fast, a.end_cycle)
+
+    def test_engines_sharing_a_cache(self, monkeypatch):
+        """The explorer's sharing: two engines, one cache, at different
+        refresh phases. Records stored by one engine serve the other."""
+        cache = ScheduleCache()
+        log = RecordLog(cache, monkeypatch)
+        pairs = []
+        for shift in (0, 1):
+            slow = make_engine(False, FULL)
+            fast = make_engine(True, FULL, schedule_cache=cache)
+            if shift:
+                # A one-tile GEMV first moves this pair's refresh phase.
+                for engine in (slow, fast):
+                    engine.run_gemv(engine.add_matrix(16, 64))
+            layouts = (slow.add_matrix(64, 1024), fast.add_matrix(64, 1024))
+            pairs.append((slow, fast, layouts))
+        phases = {
+            fast.channel.controller.refresh.phase(fast.channel.controller.now)
+            for _, fast, _ in pairs
+        }
+        assert len(phases) == 2
+        for _ in range(20):
+            for index, (slow, fast, (layout_slow, layout_fast)) in enumerate(
+                pairs
+            ):
+                log.engine = index
+                a = slow.run_gemv(layout_slow)
+                b = fast.run_gemv(layout_fast)
+                assert_same_run(slow, fast, a, b)
+        assert any(r.stored_by != r.served for r in log.replays)
+        for slow, fast, _ in pairs:
+            assert_metrics_parity(slow, fast, slow.channel.controller.now)
+
+    def test_functional_outputs_stay_bit_identical(self):
+        rng = np.random.default_rng(3)
+        m, n = 64, 1024
+        matrix = rng.standard_normal((m, n)).astype(np.float32)
+        slow = make_engine(False, FULL, functional=True)
+        fast = make_engine(True, FULL, functional=True)
+        layout_slow = slow.add_matrix(m, n, matrix)
+        layout_fast = fast.add_matrix(m, n, matrix)
+        for _ in range(10):
+            vector = rng.standard_normal(n).astype(np.float32)
+            a = slow.run_gemv(layout_slow, vector)
+            b = fast.run_gemv(layout_fast, vector)
+            assert_same_run(slow, fast, a, b)
+            assert np.array_equal(a.output, b.output)
+        assert fast.schedule_cache.whole_runs > 0
+
+
 class TestCacheBackstop:
     def test_clearing_mid_walk_stays_exact(self, monkeypatch):
         """A four-entry cache clears deltas and signatures mid-walk again
@@ -298,8 +523,38 @@ class TestCacheBackstop:
         slow, fast = run_pair(FULL, m=64, n=1024, runs=6, schedule_cache=cache)
         assert len(clears) >= 3
         assert len(cache) <= 4
+        assert cache.run_records <= 4
         assert fast.channel.controller.refresh.refreshes_issued >= 3
         assert cache.hits > 0
+
+    def test_record_table_is_bounded_too(self, monkeypatch):
+        """Eight layouts sharing one tile shape, refresh off, hold at
+        most seven deltas and four signatures but eight records: with
+        ``max_entries=7`` only the record table overflows. Each overflow
+        clears the whole cache, and replay stays exact."""
+        cache = ScheduleCache(max_entries=7)
+        clear = cache._clear
+        by_records = []
+
+        def counted():
+            by_records.append(len(cache._runs) >= cache.max_entries)
+            clear()
+
+        monkeypatch.setattr(cache, "_clear", counted)
+        slow = make_engine(False, FULL, refresh=False)
+        fast = make_engine(True, FULL, refresh=False, schedule_cache=cache)
+        layouts = [
+            (slow.add_matrix(16 * j, 1024), fast.add_matrix(16 * j, 1024))
+            for j in range(1, 9)
+        ]
+        for _ in range(6):
+            for layout_slow, layout_fast in layouts:
+                a = slow.run_gemv(layout_slow)
+                b = fast.run_gemv(layout_fast)
+                assert_same_run(slow, fast, a, b)
+                assert cache.run_records <= 7
+        assert by_records and all(by_records)
+        assert cache.whole_runs > 0
 
 
 class TestColdBurstAllCombinations:
@@ -432,15 +687,21 @@ class TestTierEngagement:
             (513, 0, 32),
             (513, 0, 32),
         ]
-        # Steady runs: the walk writes the controller back once per firing
-        # refresh plus once at the end (not once per tile), computing a
-        # signature only at run start and after each refresh.
-        for (_, _, refreshes), counted in runs[2:]:
-            assert counted == {
-                "apply_delta": 1 + refreshes,
-                "relative_signature": 1 + refreshes,
-                "refresh_barrier": refreshes,
-            }
+        # The first steady run walks: it writes the controller back once
+        # per firing refresh plus once at the end (not once per tile),
+        # computing a signature only at run start and after each
+        # refresh. It hit on every segment, so it is recorded whole, and
+        # the next run starts at the same refresh phase: one signature,
+        # one write-back, no barrier.
+        (_, _, refreshes), counted = runs[2]
+        assert counted == {
+            "apply_delta": 1 + refreshes,
+            "relative_signature": 1 + refreshes,
+            "refresh_barrier": refreshes,
+        }
+        assert runs[3][1] == {"apply_delta": 1, "relative_signature": 1}
+        assert cache.whole_runs == 1
+        assert cache.run_records == 1
 
 
 class TestPropertyDifferential:

@@ -10,7 +10,7 @@ from repro.core.device import NewtonDevice
 from repro.core.engine import NewtonChannelEngine
 from repro.core.layout import make_layout
 from repro.core.optimizations import FULL, NON_OPT, figure9_ladder
-from repro.core.schedule_cache import ScheduleCache, segment_stream
+from repro.core.schedule_cache import RunRecord, ScheduleCache, segment_stream
 from repro.dram.commands import CommandKind
 from repro.dram.config import DRAMConfig
 from repro.dram.timing import TimingParams
@@ -262,6 +262,45 @@ class TestSignatureIds:
         assert len(cache) == 1
         assert cache.lookup(0, old) is None
         assert cache.intern_signature(("a",)) != old
+
+
+class TestRunRecords:
+    def test_stream_key_is_content_derived(self):
+        """Equal streams share a key whichever generator lowered them,
+        with or without payloads; the fused lowering and another shape
+        do not."""
+        cache = ScheduleCache()
+
+        def lower(m, **kwargs):
+            return segment_stream(make_stream(FULL, m, 700)[0], cache, **kwargs)
+
+        first = lower(40)
+        assert lower(40).key_id == first.key_id
+        assert lower(40, functional=False).key_id == first.key_id
+        others = {lower(40, fused=True).key_id, lower(80).key_id}
+        assert len(others | {first.key_id}) == 3
+
+    def test_lookup_run_tests_the_barrier_or_matches_the_phase(self):
+        """A no-refresh record replays while its last barrier (offset
+        100) cannot fire; past that, only a record of the run's exact
+        phase does. Lookups count neither hits nor misses."""
+        cache = ScheduleCache()
+
+        def record(last_barrier):
+            return RunRecord(
+                delta=None, refresh=None, last_barrier=last_barrier,
+                stats={}, lookups=1, commands=1,
+            )
+
+        quiet, phased = record(100), record(None)
+        cache.store_run(0, 7, None, quiet)
+        cache.store_run(0, 7, 50, phased)
+        assert cache.lookup_run(0, 7, 1000, 1100, 3) is quiet
+        assert cache.lookup_run(0, 7, 1001, 1100, 3) is None
+        assert cache.lookup_run(0, 7, 1001, 1100, 50) is phased
+        assert cache.lookup_run(0, 8, 0, 1100, 50) is None
+        assert cache.lookup_run(1, 7, 0, 1100, None) is None
+        assert (cache.hits, cache.misses, cache.run_records) == (0, 0, 2)
 
 
 class TestStreamCache:

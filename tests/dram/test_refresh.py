@@ -69,3 +69,31 @@ class TestRefreshScheduler:
     def test_disabled_scheduler_never_fires(self):
         r = RefreshScheduler(t_refi=1000, t_rfc=100, enabled=False)
         assert r.last_safe_start(10) > 10**15
+
+    def test_advance_replays_at_an_equal_phase(self):
+        """A recorded advance applied at a later start of the same phase
+        leaves the scheduler exactly where running it would."""
+        recorded = RefreshScheduler(t_refi=1000, t_rfc=100)
+        recorded.stall_for_refresh(now=900, op_duration=200)
+        start = 1950  # phase 50, as the next run below
+        assert recorded.phase(start) == 50
+        issued, stall = recorded.refreshes_issued, recorded.stall_cycles
+        now = recorded.stall_for_refresh(start, op_duration=200)
+        recorded.stall_for_refresh(now + 400, op_duration=5000)
+        advance = recorded.advance_since(start, issued, stall)
+        assert advance.issued == 2
+
+        ran = RefreshScheduler(t_refi=1000, t_rfc=100)
+        replayed = RefreshScheduler(t_refi=1000, t_rfc=100)
+        for scheduler in (ran, replayed):
+            scheduler.next_due = 7050
+        start = 7000
+        assert ran.phase(start) == replayed.phase(start) == 50
+        now = ran.stall_for_refresh(start, op_duration=200)
+        ran.stall_for_refresh(now + 400, op_duration=5000)
+        replayed.replay(advance, start)
+        assert replayed == ran
+
+    def test_disabled_scheduler_has_no_phase(self):
+        r = RefreshScheduler(t_refi=1000, t_rfc=100, enabled=False)
+        assert r.phase(0) is None

@@ -86,6 +86,24 @@ class TestEngineAndDeviceMetrics:
         assert record["schedule_cache"]["hits"] >= 1
         assert record["schedule_cache"]["entries"] >= 1
 
+    def test_engine_record_counts_whole_runs(self):
+        """Back-to-back runs of one layout, refresh off: the third run
+        is the first to hit on every segment, so it is recorded, and
+        each later run is served whole from that record."""
+        engine = NewtonChannelEngine(
+            CFG, TimingParams(), FULL, functional=False, refresh_enabled=False
+        )
+        layout = engine.add_matrix(32, 512)
+        runs = [engine.run_gemv(layout) for _ in range(5)]
+        section = engine.collect_metrics(end=runs[-1].end_cycle)[
+            "schedule_cache"
+        ]
+        assert section["whole_runs"] == 2
+        assert section["run_records"] == 1
+        slow, _ = run_engine(fast=False)
+        section = slow.collect_metrics()["schedule_cache"]
+        assert (section["whole_runs"], section["run_records"]) == (0, 0)
+
     def test_engine_collect_metrics_matches_engine_metrics(self):
         engine, result = run_engine()
         assert engine.collect_metrics(end=result.end_cycle) == engine_metrics(
