@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
@@ -200,3 +200,15 @@ class Backend(ABC):
 
     def close(self) -> None:
         """Release backend resources (idempotent; default: nothing)."""
+
+    # ------------------------------------------------------------------
+    # two-phase calls
+
+    def start(self, method: str, *args, **kwargs) -> Callable[[], Any]:
+        """Begin ``method(*args, **kwargs)``; the returned callable waits
+        for its result. The default runs the call at once; a
+        :class:`~repro.cluster.process_pool.ProcessWorker` returns once
+        the request is sent, so starting every member's request before
+        waiting on any runs them in parallel."""
+        result = getattr(self, method)(*args, **kwargs)
+        return lambda: result

@@ -9,17 +9,16 @@ logical device::
     handle = cluster.load_matrix(matrix)          # row-sharded 4 ways
     run = cluster.gemv(handle, vector)            # fp32 host reduction
 
-Two executions of the same semantics:
-
-* :class:`ShardedCluster` — in-process (the bit-exact reference, and
-  the right choice for timing-only sweeps where device simulation is
-  cheap);
-* :class:`ProcessShardedCluster` — one spawned worker process per
-  device with shared-memory weight transfer, for real N× wall-clock on
-  functional workloads (``workers="process"``).
+One cluster, two kinds of member: :class:`ShardedCluster` composes any
+backends and owns every cluster rule (placement, fp32 reduction,
+replica round-robin, service time, telemetry); in-process members run
+one after another. :class:`ProcessShardedCluster` is a
+``ShardedCluster`` whose members each forward to one spawned worker
+process (``workers="process"``), for real N× wall clock on functional
+workloads. Outputs and cycles are bit-identical.
 
 See :mod:`repro.cluster.sharded` for the placement-mode semantics and
-:mod:`repro.cluster.process_pool` for the fleet protocol.
+:mod:`repro.cluster.process_pool` for the worker protocol.
 """
 
 from typing import Optional
@@ -51,9 +50,10 @@ def make_cluster(
     """Build a homogeneous N-device cluster.
 
     ``workers="inline"`` (the default) composes backends in-process
-    (:meth:`ShardedCluster.from_spec`); ``workers="process"`` spawns the
-    multiprocessing fleet (:class:`ProcessShardedCluster`). Both accept
-    the same backend keyword arguments and are bit-identical in output.
+    (:meth:`ShardedCluster.from_spec`); ``workers="process"`` gives every
+    member its own worker process (:class:`ProcessShardedCluster`). Both
+    accept the same backend keyword arguments and are bit-identical in
+    output.
     """
     resolved = (workers or "inline").strip().lower()
     if resolved not in WORKER_MODES:

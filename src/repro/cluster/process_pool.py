@@ -1,45 +1,31 @@
-"""The multiprocessing shard fleet: N devices, N interpreters, no GIL.
+"""Process workers: cluster members that each run in their own interpreter.
 
-:class:`~repro.cluster.sharded.ShardedCluster` composes backends inside
-one process — the right reference semantics, but the functional
-datapath is CPU-bound Python/NumPy, so N in-process devices time-slice
-one core. :class:`ProcessShardedCluster` keeps the exact same placement
-modes, reduction order, and telemetry shape while running every device
-in its own **spawned** worker process, so ``--devices N`` buys ~N× real
-wall-clock.
+In-process cluster members time-slice one core, since the functional
+datapath is CPU-bound Python/NumPy. A :class:`ProcessWorker` forwards
+each call to one **spawned** interpreter, and
+:class:`ProcessShardedCluster` is a
+:class:`~repro.cluster.sharded.ShardedCluster` over N of them, adding
+only their construction and an ``execution`` telemetry block. The
+cluster starts every member's request before waiting on any reply, so
+the workers compute in parallel, bit-identical to the in-process
+cluster (``tests/cluster/test_process_pool.py``).
 
-Design points, each load-bearing:
-
-* **spawn, not fork.** Workers are started with the ``spawn`` context:
-  no inherited locks, no copy-on-write aliasing of the parent's NumPy
-  state, identical behaviour on platforms where fork is unavailable or
-  unsafe. Everything a worker needs travels explicitly through its
-  :class:`multiprocessing.Pipe` (the worker entry point is a
-  module-level function precisely so it pickles under spawn).
-* **shared-memory weight transfer.** ``load_matrix`` places the full
-  matrix in one POSIX shared-memory segment
-  (:class:`~repro.cluster.shm.SharedNDArray`); each worker attaches,
-  copies *its row slice* out, and acknowledges; the parent unlinks
-  immediately. The segment lives for one load, cannot leak (finalizers
-  + atexit sweep), and the matrix crosses the kernel once instead of
-  being pickled N times.
-* **bit-identical reduction.** A shard-mode GEMV broadcasts the input
-  vector, collects per-shard partials, and folds them through the same
-  fp32 :class:`~repro.host.accumulator.HostAccumulator` in the same
-  shard order as the in-process cluster — so outputs are bit-identical
-  to the 1-process cluster and to driving a device directly (pinned by
-  ``tests/cluster/test_process_pool.py``).
-* **deterministic workers.** Worker *i* seeds ``random`` and NumPy's
-  legacy generator from ``SeedSequence([seed, i])`` before building its
-  backend. The simulator itself is deterministic; the seeding pins down
-  any backend that isn't.
-* **telemetry merge.** ``collect_metrics`` gathers each worker's own
-  ``newton-telemetry/v1`` export and namespaces it exactly like the
-  in-process cluster (``devices["device<i>"]``), adding an
-  ``execution`` block recording the fleet shape.
-
-Requests are issued send-all-then-receive-all, so shards genuinely
-overlap; replies are consumed in shard order for determinism.
+* **spawn, not fork**: no inherited locks or copy-on-write NumPy state.
+  Everything a worker needs travels through its pipe, and every worker
+  process starts before any start-up handshake is awaited.
+* **shared-memory matrices**: a matrix to load or store travels in a
+  :class:`~repro.cluster.shm.SharedNDArray` that the worker copies out
+  and the parent releases when the reply arrives, or fails to.
+* **worker-side handles**: a worker member's handle is the integer id
+  of its backend's handle inside the worker; every other reply is what
+  the backend returned.
+* **deterministic workers**: worker *i* seeds ``random`` and NumPy's
+  legacy generator from ``SeedSequence([seed, i])``.
+* **bounded failure**: a remote exception is raised as
+  :class:`~repro.errors.WorkerError` with the worker's traceback, and
+  the worker keeps serving. A reply missing after
+  :data:`REPLY_DEADLINE_S` (a hung or stopped worker), or a closed pipe
+  (a dead one), raises ``WorkerError`` and SIGKILLs the worker.
 """
 
 from __future__ import annotations
@@ -48,25 +34,28 @@ import multiprocessing
 import random
 import traceback
 import weakref
-from typing import Dict, List, Optional, Tuple
+from contextlib import ExitStack, suppress
+from typing import Any, Callable, Dict
 
 import numpy as np
 
 from repro.backends.base import Backend
-from repro.cluster.sharded import REPLICATE, SHARD, ClusterHandle, ClusterRun
+from repro.cluster.sharded import SHARD, ShardedCluster, check_mode
 from repro.cluster.shm import SharedNDArray, ShmSpec
-from repro.core.device import validate_batch_vectors
-from repro.core.layout import partition_rows
-from repro.dram.config import DRAMConfig
-from repro.dram.timing import TimingParams
-from repro.errors import ConfigurationError, ProtocolError, WorkerError
-from repro.host.accumulator import HostAccumulator
-from repro.telemetry import SCHEMA
+from repro.errors import ProtocolError, WorkerError
 
-_MODES = (SHARD, REPLICATE)
+REPLY_DEADLINE_S = 300.0
+"""Longest wait for any one worker reply before the worker is killed."""
 
 JOIN_TIMEOUT_S = 10.0
-"""Grace period for worker shutdown before the parent terminates it."""
+"""Grace period for worker shutdown before the parent kills it."""
+
+_HANDLE_METHODS = frozenset({"store_matrix", "gemv", "gemv_batch", "service_cycles"})
+"""Backend methods whose first argument is a handle."""
+
+_SHARED_METHODS = frozenset({"load_matrix", "store_matrix"})
+"""Backend methods whose array argument, a matrix, travels in shared
+memory; a vector is small enough to pickle."""
 
 
 def derive_worker_seed(seed: int, worker_index: int) -> int:
@@ -76,6 +65,15 @@ def derive_worker_seed(seed: int, worker_index: int) -> int:
     )
 
 
+def _copy_out(value):
+    """Worker side: a shared array's contents (released at once), or
+    ``value`` itself."""
+    if not isinstance(value, ShmSpec):
+        return value
+    with SharedNDArray.attach(value) as shared:
+        return np.array(shared.array)
+
+
 def _worker_main(
     conn,
     worker_index: int,
@@ -83,8 +81,8 @@ def _worker_main(
     backend_name: str,
     backend_kwargs: dict,
 ) -> None:
-    """One fleet worker: build a backend, serve pipe requests until told
-    to stop. Runs in a spawned child process."""
+    """One worker: build a backend, serve pipe requests until told to
+    close. Runs in a spawned child process."""
     worker_seed = derive_worker_seed(seed, worker_index)
     random.seed(worker_seed)
     np.random.seed(worker_seed % (2**32))
@@ -100,95 +98,21 @@ def _worker_main(
             conn.send(("error", traceback.format_exc()))
             return
         conn.send(
-            (
-                "ok",
-                {
-                    "name": backend.name,
-                    "config": backend.config,
-                    "timing": backend.timing,
-                    "functional": backend.functional,
-                },
-            )
+            ("ok", (backend.name, backend.config, backend.timing, backend.functional))
         )
         while True:
-            message = conn.recv()
-            op = message[0]
-            if op == "shutdown":
-                conn.send(("ok", None))
+            method, args, kwargs = conn.recv()
+            if method == "close":
                 break
             try:
-                if op == "load":
-                    _, handle_id, spec, lo, hi, n = message
-                    if spec is not None:
-                        shared = SharedNDArray.attach(spec)
-                        try:
-                            shard = np.array(
-                                shared.array[lo:hi], dtype=np.float32
-                            )
-                        finally:
-                            shared.release()
-                        handles[handle_id] = backend.load_matrix(shard)
-                    else:
-                        handles[handle_id] = backend.load_matrix(
-                            m=hi - lo, n=n
-                        )
-                    conn.send(("ok", None))
-                elif op == "store":
-                    _, handle_id, spec, lo, hi = message
-                    shared = SharedNDArray.attach(spec)
-                    try:
-                        shard = np.array(
-                            shared.array[lo:hi], dtype=np.float32
-                        )
-                    finally:
-                        shared.release()
-                    backend.store_matrix(handles[handle_id], shard)
-                    conn.send(("ok", None))
-                elif op == "gemv_batch":
-                    _, handle_id, vectors, count, fused = message
-                    if fused:
-                        # gemv_batch has no fused surface (batches share
-                        # no residency); fused requests run per-vector.
-                        if vectors is not None:
-                            batch = validate_batch_vectors(
-                                vectors, backend.handle_shape(handles[handle_id])[1]
-                            )
-                            runs = [
-                                backend.gemv(
-                                    handles[handle_id],
-                                    batch[i],
-                                    fused_input=True,
-                                )
-                                for i in range(batch.shape[0])
-                            ]
-                        else:
-                            runs = [
-                                backend.gemv(
-                                    handles[handle_id], fused_input=True
-                                )
-                                for _ in range(count)
-                            ]
-                    else:
-                        runs = backend.gemv_batch(
-                            handles[handle_id], vectors, batch=count
-                        )
-                    conn.send(
-                        (
-                            "ok",
-                            [(float(r.cycles), r.output) for r in runs],
-                        )
-                    )
-                elif op == "service":
-                    _, handle_id = message
-                    conn.send(
-                        ("ok", float(backend.service_cycles(handles[handle_id])))
-                    )
-                elif op == "metrics":
-                    conn.send(("ok", backend.collect_metrics()))
-                else:
-                    conn.send(
-                        ("error", f"unknown fleet request {op!r}")
-                    )
+                args = [_copy_out(arg) for arg in args]
+                if method in _HANDLE_METHODS:
+                    args[0] = handles[args[0]]
+                result = getattr(backend, method)(*args, **kwargs)
+                if method == "load_matrix":
+                    handles[len(handles)] = result
+                    result = len(handles) - 1
+                conn.send(("ok", result))
             except Exception:
                 conn.send(("error", traceback.format_exc()))
     except (EOFError, KeyboardInterrupt, BrokenPipeError):
@@ -199,23 +123,145 @@ def _worker_main(
         conn.close()
 
 
-def _terminate_fleet(processes: list, connections: list) -> None:
-    """Finalizer body: make sure no worker outlives the cluster object."""
-    for conn in connections:
+def _stop_worker(process, conn) -> None:
+    """Finalizer body: close the pipe and SIGKILL the worker if it still
+    runs (SIGKILL also ends a stopped process)."""
+    conn.close()
+    if process.is_alive():
+        process.kill()
+    process.join(timeout=JOIN_TIMEOUT_S)
+
+
+def _forward(method: str):
+    """A :class:`ProcessWorker` method that sends one request and waits
+    for its reply."""
+
+    def call(self, *args, **kwargs):
+        return self.start(method, *args, **kwargs)()
+
+    call.__name__ = method
+    return call
+
+
+class ProcessWorker(Backend):
+    """One backend in a spawned worker process, behind the Backend
+    protocol.
+
+    Construction spawns the process and returns at once; :meth:`connect`
+    awaits the start-up handshake, which carries the backend's ``name``,
+    ``config``, ``timing`` and ``functional``. Every call goes through
+    :meth:`start`, which returns once the request is sent.
+    """
+
+    def __init__(
+        self, index: int, seed: int, backend: str, backend_kwargs: dict
+    ):
+        self.index = index
+        context = multiprocessing.get_context("spawn")
+        self._conn, child_conn = context.Pipe()
+        self.process = context.Process(
+            target=_worker_main,
+            args=(child_conn, index, seed, backend, backend_kwargs),
+            name=f"newton-shard-{index}",
+            daemon=True,
+        )
+        self.process.start()
+        child_conn.close()
+        self._closed = False
+        # Even an abandoned (never-closed) worker must not outlive its
+        # owner: the finalizer kills it on GC or at exit.
+        self._stop = weakref.finalize(
+            self, _stop_worker, self.process, self._conn
+        )
+
+    def connect(self) -> "ProcessWorker":
+        """Wait for the start-up handshake (raises :class:`WorkerError`
+        if the backend could not be built)."""
+        self.name, self.config, self.timing, self.functional = self._receive()
+        return self
+
+    # ------------------------------------------------------------------
+    # pipe plumbing
+
+    def _receive(self):
         try:
-            conn.close()
-        except OSError:
-            pass
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-        process.join(timeout=1.0)
+            if not self._conn.poll(REPLY_DEADLINE_S):
+                self._stop()
+                raise WorkerError(
+                    f"worker {self.index} sent no reply within "
+                    f"{REPLY_DEADLINE_S:g} s; killed it"
+                )
+            status, payload = self._conn.recv()
+        except (EOFError, OSError):
+            self._stop()
+            raise WorkerError(
+                f"worker {self.index} died mid-request (pipe closed)"
+            ) from None
+        if status != "ok":
+            raise WorkerError(f"worker {self.index} failed:\n{payload}")
+        return payload
+
+    def _send(self, message: tuple) -> None:
+        try:
+            self._conn.send(message)
+        except OSError as exc:
+            self._stop()
+            raise WorkerError(f"worker {self.index} is gone ({exc})") from None
+
+    @staticmethod
+    def _share(value, segments: ExitStack):
+        """A matrix argument as the spec of a shared-memory copy (the
+        segment joins ``segments``); anything else as itself."""
+        if not isinstance(value, np.ndarray):
+            return value
+        shared = segments.enter_context(
+            SharedNDArray.create(value.shape, value.dtype)
+        )
+        shared.array[...] = value
+        return shared.spec
+
+    def start(self, method: str, *args, **kwargs) -> Callable[[], Any]:
+        """Send one request; the returned callable waits for its reply
+        and then releases the request's shared-memory segments."""
+        if method == "close":
+            if not self._closed:
+                self._closed = True
+                with suppress(WorkerError):
+                    self._send(("close", (), {}))
+            return self._join
+        if self._closed:
+            raise ProtocolError("the cluster has been closed")
+        segments = ExitStack()
+        try:
+            if method in _SHARED_METHODS:
+                args = tuple(self._share(arg, segments) for arg in args)
+            self._send((method, args, kwargs))
+        except BaseException:
+            segments.close()
+            raise
+
+        def wait():
+            with segments:
+                return self._receive()
+
+        return wait
+
+    def _join(self) -> None:
+        self.process.join(timeout=JOIN_TIMEOUT_S)
+        self._stop()
+
+    # the Backend protocol: each method is one request and its reply
+    load_matrix = _forward("load_matrix")
+    store_matrix = _forward("store_matrix")
+    gemv = _forward("gemv")
+    gemv_batch = _forward("gemv_batch")
+    service_cycles = _forward("service_cycles")
+    collect_metrics = _forward("collect_metrics")
+    close = _forward("close")
 
 
-class ProcessShardedCluster(Backend):
-    """N backend instances, one spawned worker process each."""
-
-    name = "cluster"
+class ProcessShardedCluster(ShardedCluster):
+    """A :class:`ShardedCluster` whose N members are process workers."""
 
     def __init__(
         self,
@@ -224,383 +270,32 @@ class ProcessShardedCluster(Backend):
         mode: str = SHARD,
         backend: str = "newton",
         seed: int = 0,
-        config: Optional[DRAMConfig] = None,
-        timing: Optional[TimingParams] = None,
         **backend_kwargs,
     ):
-        if devices <= 0:
-            raise ConfigurationError("a cluster needs at least one device")
-        if mode not in _MODES:
-            raise ConfigurationError(
-                f"unknown cluster mode {mode!r}; choose from {_MODES}"
-            )
-        self.mode = mode
+        check_mode(mode)
+        workers = [
+            ProcessWorker(index, seed, backend, backend_kwargs)
+            for index in range(devices)
+        ]
+        try:
+            super().__init__([worker.connect() for worker in workers], mode=mode)
+        except BaseException:
+            for worker in workers:
+                worker.close()
+            raise
         self.seed = seed
-        self._backend_name = backend
-        self._next_replica = 0
-        self._next_handle = 0
-        self._closed = False
-
-        kwargs = dict(backend_kwargs)
-        if config is not None:
-            kwargs["config"] = config
-        if timing is not None:
-            kwargs["timing"] = timing
-
-        context = multiprocessing.get_context("spawn")
-        self._connections: List = []
-        self._processes: List = []
-        for index in range(devices):
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_worker_main,
-                args=(child_conn, index, seed, backend, kwargs),
-                name=f"newton-shard-{index}",
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self._connections.append(parent_conn)
-            self._processes.append(process)
-        # Even an abandoned (never-closed) cluster must not strand its
-        # workers: the finalizer tears the fleet down on GC or at exit.
-        self._fleet_finalizer = weakref.finalize(
-            self, _terminate_fleet, self._processes, self._connections
-        )
-        # The construction handshake doubles as the context query.
-        descriptions = self._receive_all(range(devices))
-        self._worker_name = descriptions[0]["name"]
-        self._config = descriptions[0]["config"]
-        self._timing = descriptions[0]["timing"]
-        self._functional = all(d["functional"] for d in descriptions)
-
-    # ------------------------------------------------------------------
-    # pipe plumbing
-
-    def _receive(self, index: int):
-        try:
-            status, payload = self._connections[index].recv()
-        except EOFError:
-            raise WorkerError(
-                f"fleet worker {index} died mid-request (pipe closed)"
-            ) from None
-        if status != "ok":
-            raise WorkerError(f"fleet worker {index} failed:\n{payload}")
-        return payload
-
-    def _send(self, index: int, message: tuple) -> None:
-        if self._closed:
-            raise ProtocolError("the cluster has been closed")
-        try:
-            self._connections[index].send(message)
-        except (BrokenPipeError, OSError) as exc:
-            raise WorkerError(
-                f"fleet worker {index} is gone ({exc})"
-            ) from None
-
-    def _receive_all(self, indices) -> list:
-        return [self._receive(index) for index in indices]
-
-    def _broadcast(self, indices, message: tuple) -> list:
-        """Send to every index, then gather replies in index order."""
-        for index in indices:
-            self._send(index, message)
-        return self._receive_all(indices)
-
-    # ------------------------------------------------------------------
-    # Backend context attributes
-
-    @property
-    def devices(self) -> int:
-        """Number of worker processes in the fleet."""
-        return len(self._processes)
-
-    @property
-    def config(self) -> DRAMConfig:  # type: ignore[override]
-        return self._config
-
-    @property
-    def timing(self) -> TimingParams:  # type: ignore[override]
-        return self._timing
-
-    @property
-    def functional(self) -> bool:  # type: ignore[override]
-        return self._functional
-
-    # ------------------------------------------------------------------
-    # residency
-
-    def load_matrix(
-        self,
-        matrix: Optional[np.ndarray] = None,
-        *,
-        m: Optional[int] = None,
-        n: Optional[int] = None,
-    ) -> ClusterHandle:
-        """Place a matrix across the fleet (same modes as the in-process
-        cluster); functional data travels via one shared-memory segment.
-        """
-        if matrix is not None:
-            matrix = np.asarray(matrix, dtype=np.float32)
-            if matrix.ndim != 2:
-                raise ConfigurationError(
-                    f"matrix must be 2-D, got shape {matrix.shape}"
-                )
-            m, n = matrix.shape
-        elif m is None or n is None:
-            raise ConfigurationError("provide a matrix, or both m and n")
-        assert m is not None and n is not None
-        handle = ClusterHandle(m=m, n=n, mode=self.mode)
-        handle_id = self._next_handle
-        self._next_handle += 1
-
-        if self.mode == REPLICATE:
-            slices = [(0, m)] * self.devices
-        else:
-            slices = list(partition_rows(m, self.devices))
-
-        shared: Optional[SharedNDArray] = None
-        spec: Optional[ShmSpec] = None
-        if matrix is not None:
-            shared = SharedNDArray.create(matrix.shape, np.float32)
-            shared.array[:] = matrix
-            spec = shared.spec
-        try:
-            participants = []
-            for index, (lo, hi) in enumerate(slices):
-                if hi == lo:
-                    continue
-                self._send(index, ("load", handle_id, spec, lo, hi, n))
-                participants.append(index)
-                handle.shards.append((index, (lo, hi), handle_id))
-            # Every worker has copied its slice out once it acknowledges;
-            # the segment is then dead weight and is unlinked right away.
-            self._receive_all(participants)
-        finally:
-            if shared is not None:
-                shared.release()
-        return handle
-
-    def store_matrix(self, handle: ClusterHandle, matrix: np.ndarray) -> None:
-        """Rewrite a resident matrix in place across the fleet.
-
-        Same slice semantics as :meth:`ShardedCluster.store_matrix`; the
-        data travels through one shared-memory segment like
-        :meth:`load_matrix`, and every worker re-stores its slice
-        against its existing handle (placement untouched).
-        """
-        if not handle.shards:
-            raise ProtocolError("the cluster handle has no placements")
-        matrix = np.asarray(matrix, dtype=np.float32)
-        if matrix.shape != (handle.m, handle.n):
-            raise ConfigurationError(
-                f"store shape {matrix.shape} does not match the resident "
-                f"matrix ({handle.m}, {handle.n})"
-            )
-        shared = SharedNDArray.create(matrix.shape, np.float32)
-        shared.array[:] = matrix
-        try:
-            participants = []
-            for index, (lo, hi), handle_id in handle.shards:
-                self._send(index, ("store", handle_id, shared.spec, lo, hi))
-                participants.append(index)
-            self._receive_all(participants)
-        finally:
-            shared.release()
-
-    # ------------------------------------------------------------------
-    # execution
-
-    def gemv(
-        self,
-        handle: ClusterHandle,
-        vector: Optional[np.ndarray] = None,
-        *,
-        fused_input: bool = False,
-    ) -> ClusterRun:
-        """One product across the fleet (see :class:`ShardedCluster`
-        for the mode semantics — identical here, just parallel)."""
-        if vector is not None:
-            runs = self.gemv_batch(
-                handle, np.asarray(vector)[None, :], fused_input=fused_input
-            )
-        else:
-            runs = self.gemv_batch(handle, batch=1, fused_input=fused_input)
-        return runs[0]
-
-    def gemv_batch(
-        self,
-        handle: ClusterHandle,
-        vectors: Optional[np.ndarray] = None,
-        *,
-        batch: Optional[int] = None,
-        fused_input: bool = False,
-    ) -> List[ClusterRun]:
-        """A batch of products with one fleet round-trip.
-
-        The whole batch is shipped to every participating worker in one
-        request — shards overlap both across devices *and* across the
-        batch — and reduced per input in shard order, so outputs are
-        bit-identical to running the batch on the in-process cluster.
-        """
-        if not handle.shards:
-            raise ProtocolError("the cluster handle has no placements")
-        if vectors is not None:
-            vectors = validate_batch_vectors(vectors, handle.n)
-            count = vectors.shape[0]
-        elif batch is not None:
-            if batch <= 0:
-                raise ProtocolError("batch must be positive")
-            count = batch
-        else:
-            raise ProtocolError("provide vectors or a batch size")
-
-        if self.mode == REPLICATE:
-            return self._replicated_batch(handle, vectors, count, fused_input)
-
-        indices = [index for index, _, _ in handle.shards]
-        handle_id = handle.shards[0][2]
-        replies = self._broadcast(
-            indices, ("gemv_batch", handle_id, vectors, count, fused_input)
-        )
-        runs: List[ClusterRun] = []
-        for item in range(count):
-            accumulator = (
-                HostAccumulator(handle.m) if self.functional else None
-            )
-            device_runs: List[Tuple[int, object]] = []
-            for (index, (lo, hi), _), reply in zip(handle.shards, replies):
-                cycles, output = reply[item]
-                device_runs.append((index, (cycles, output)))
-                if accumulator is not None and output is not None:
-                    accumulator.add_partials(np.arange(lo, hi), output)
-            runs.append(
-                ClusterRun(
-                    cycles=float(
-                        max(cycles for _, (cycles, _) in device_runs)
-                    ),
-                    output=(
-                        accumulator.output
-                        if accumulator is not None
-                        else None
-                    ),
-                    device_runs=device_runs,
-                )
-            )
-        return runs
-
-    def _replicated_batch(
-        self,
-        handle: ClusterHandle,
-        vectors: Optional[np.ndarray],
-        count: int,
-        fused_input: bool = False,
-    ) -> List[ClusterRun]:
-        """Round-robin the batch across replicas, all in flight at once."""
-        assignments: List[Tuple[int, int, List[int]]] = []
-        per_worker: Dict[int, List[int]] = {}
-        for item in range(count):
-            shard = handle.shards[self._next_replica % len(handle.shards)]
-            self._next_replica += 1
-            per_worker.setdefault(shard[0], []).append(item)
-        for index, items in per_worker.items():
-            handle_id = next(
-                hid for widx, _, hid in handle.shards if widx == index
-            )
-            request_vectors = (
-                vectors[items] if vectors is not None else None
-            )
-            self._send(
-                index,
-                (
-                    "gemv_batch",
-                    handle_id,
-                    request_vectors,
-                    len(items),
-                    fused_input,
-                ),
-            )
-            assignments.append((index, handle_id, items))
-        runs: List[Optional[ClusterRun]] = [None] * count
-        for index, _, items in assignments:
-            reply = self._receive(index)
-            for item, (cycles, output) in zip(items, reply):
-                runs[item] = ClusterRun(
-                    cycles=float(cycles),
-                    output=output,
-                    device_runs=[(index, (cycles, output))],
-                )
-        return [run for run in runs if run is not None]
-
-    def service_cycles(self, handle: ClusterHandle) -> float:
-        """Deterministic per-request service time (same semantics as the
-        in-process cluster: slowest shard, or one replica)."""
-        if not handle.shards:
-            raise ProtocolError("the cluster handle has no placements")
-        if self.mode == REPLICATE:
-            index, _, handle_id = handle.shards[0]
-            self._send(index, ("service", handle_id))
-            return float(self._receive(index))
-        indices = [index for index, _, _ in handle.shards]
-        handle_id = handle.shards[0][2]
-        replies = self._broadcast(indices, ("service", handle_id))
-        return float(max(replies))
-
-    # ------------------------------------------------------------------
-    # telemetry
 
     def collect_metrics(self) -> dict:
-        """The in-process cluster's record shape, gathered from workers.
-
-        ``devices["device<i>"]`` is worker *i*'s own
-        ``newton-telemetry/v1`` export; ``execution`` records the fleet
-        shape (process workers, spawn start method, per-worker seeds).
-        """
-        replies = self._broadcast(range(self.devices), ("metrics",))
-        return {
-            "schema": SCHEMA,
-            "kind": "cluster",
-            "mode": self.mode,
-            "backend": self._worker_name,
-            "devices": {
-                f"device{index}": reply
-                for index, reply in enumerate(replies)
-            },
-            "execution": {
-                "workers": "process",
-                "start_method": "spawn",
-                "seeds": [
-                    derive_worker_seed(self.seed, index)
-                    for index in range(self.devices)
-                ],
-            },
+        """The cluster record plus an ``execution`` block recording the
+        fleet shape (process workers, spawn start method, per-worker
+        seeds)."""
+        record = super().collect_metrics()
+        record["execution"] = {
+            "workers": "process",
+            "start_method": "spawn",
+            "seeds": [
+                derive_worker_seed(self.seed, index)
+                for index in range(self.devices)
+            ],
         }
-
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut the fleet down (idempotent): polite shutdown requests,
-        then the finalizer's terminate for anything unresponsive."""
-        if self._closed:
-            return
-        self._closed = True
-        for index, conn in enumerate(self._connections):
-            try:
-                conn.send(("shutdown",))
-            except (BrokenPipeError, OSError):
-                continue
-        for conn in self._connections:
-            try:
-                if conn.poll(JOIN_TIMEOUT_S):
-                    conn.recv()
-            except (EOFError, OSError):
-                pass
-        for process in self._processes:
-            process.join(timeout=JOIN_TIMEOUT_S)
-        self._fleet_finalizer()
-
-    def __enter__(self) -> "ProcessShardedCluster":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        return record

@@ -15,12 +15,20 @@ everything that runs on one backend — the runtime, the serving
 simulator, the experiments — runs unchanged on N devices. A 1-device
 shard cluster over a ``NewtonBackend`` is bit-identical (outputs and
 cycles) to driving the device directly; the differential suite pins it.
+
+Members are any backends: in-process ones, or
+:class:`~repro.cluster.process_pool.ProcessWorker` members that each
+forward their calls to one spawned interpreter. The cluster starts
+every member's request (:meth:`~repro.backends.base.Backend.start`)
+before it waits on any reply, so worker members compute in parallel,
+while in-process members run one after another exactly as a plain loop
+would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +49,14 @@ REPLICATE = "replicate"
 """Data-parallel placement: full copy per device, round-robin requests."""
 
 _MODES = (SHARD, REPLICATE)
+
+
+def check_mode(mode: str) -> None:
+    """Raise :class:`ConfigurationError` for an unknown placement mode."""
+    if mode not in _MODES:
+        raise ConfigurationError(
+            f"unknown cluster mode {mode!r}; choose from {_MODES}"
+        )
 
 
 @dataclass
@@ -75,12 +91,9 @@ class ShardedCluster(Backend):
     name = "cluster"
 
     def __init__(self, backends: Sequence[Backend], *, mode: str = SHARD):
+        check_mode(mode)
         if not backends:
             raise ConfigurationError("a cluster needs at least one backend")
-        if mode not in _MODES:
-            raise ConfigurationError(
-                f"unknown cluster mode {mode!r}; choose from {_MODES}"
-            )
         self.backends: List[Backend] = list(backends)
         self.mode = mode
         self._next_replica = 0
@@ -97,8 +110,6 @@ class ShardedCluster(Backend):
         **kwargs,
     ) -> "ShardedCluster":
         """Build a homogeneous N-device cluster through the registry."""
-        if devices <= 0:
-            raise ConfigurationError("a cluster needs at least one device")
         return cls(
             [
                 make_backend(backend, config=config, timing=timing, **kwargs)
@@ -128,6 +139,61 @@ class ShardedCluster(Backend):
         return all(backend.functional for backend in self.backends)
 
     # ------------------------------------------------------------------
+    # fan-out
+
+    def _each(self, requests: Iterable[tuple]) -> list:
+        """Start every ``(member index, method, args, kwargs)`` request,
+        then wait for each reply in order.
+
+        Every request that started is waited on even after one fails,
+        so no reply is left behind in a worker's pipe; the first error
+        is raised once all have settled.
+        """
+        waits = []
+        error: Optional[Exception] = None
+        try:
+            for index, method, args, kwargs in requests:
+                waits.append(self.backends[index].start(method, *args, **kwargs))
+        except Exception as exc:
+            error = exc
+        results = []
+        for wait in waits:
+            try:
+                results.append(wait())
+            except Exception as exc:
+                error = error or exc
+        if error is not None:
+            raise error
+        return results
+
+    def _next_replica_placement(self, handle: ClusterHandle):
+        """The replica that serves the next request (round-robin)."""
+        placement = handle.shards[self._next_replica % len(handle.shards)]
+        self._next_replica += 1
+        return placement
+
+    @staticmethod
+    def _served(index: int, run) -> ClusterRun:
+        """One replica's run as the cluster's run."""
+        return ClusterRun(float(run.cycles), run.output, [(index, run)])
+
+    def _reduce(self, handle: ClusterHandle, runs: Sequence) -> ClusterRun:
+        """Fold one run per shard: the fp32 host reduction of the
+        disjoint partial outputs, in shard order, and the slowest shard's
+        wall clock (devices run concurrently)."""
+        accumulator = HostAccumulator(handle.m) if self.functional else None
+        device_runs: List[Tuple[int, object]] = []
+        for (index, (lo, hi), _), run in zip(handle.shards, runs):
+            device_runs.append((index, run))
+            if accumulator is not None and run.output is not None:
+                accumulator.add_partials(np.arange(lo, hi), run.output)
+        return ClusterRun(
+            cycles=float(max(run.cycles for run in runs)),
+            output=accumulator.output if accumulator is not None else None,
+            device_runs=device_runs,
+        )
+
+    # ------------------------------------------------------------------
     # residency
 
     def load_matrix(
@@ -154,27 +220,27 @@ class ShardedCluster(Backend):
         elif m is None or n is None:
             raise ConfigurationError("provide a matrix, or both m and n")
         assert m is not None and n is not None
-        handle = ClusterHandle(m=m, n=n, mode=self.mode)
         if self.mode == REPLICATE:
-            for index, backend in enumerate(self.backends):
-                sub = (
-                    backend.load_matrix(matrix)
-                    if matrix is not None
-                    else backend.load_matrix(m=m, n=n)
-                )
-                handle.shards.append((index, (0, m), sub))
-            return handle
-        for index, (lo, hi) in enumerate(partition_rows(m, len(self.backends))):
-            if hi == lo:
-                continue
-            backend = self.backends[index]
-            sub = (
-                backend.load_matrix(matrix[lo:hi])
-                if matrix is not None
-                else backend.load_matrix(m=hi - lo, n=n)
-            )
-            handle.shards.append((index, (lo, hi), sub))
-        return handle
+            spans = [(0, m)] * self.devices
+        else:
+            spans = partition_rows(m, self.devices)
+        placements = [
+            (index, (lo, hi)) for index, (lo, hi) in enumerate(spans) if hi > lo
+        ]
+        subs = self._each(
+            (index, "load_matrix", (matrix[lo:hi],), {})
+            if matrix is not None
+            else (index, "load_matrix", (), {"m": hi - lo, "n": n})
+            for index, (lo, hi) in placements
+        )
+        return ClusterHandle(
+            m=m,
+            n=n,
+            mode=self.mode,
+            shards=[
+                (index, span, sub) for (index, span), sub in zip(placements, subs)
+            ],
+        )
 
     def store_matrix(self, handle: ClusterHandle, matrix: np.ndarray) -> None:
         """Rewrite a resident matrix in place across the cluster.
@@ -192,8 +258,10 @@ class ShardedCluster(Backend):
                 f"store shape {matrix.shape} does not match the resident "
                 f"matrix ({handle.m}, {handle.n})"
             )
-        for index, (lo, hi), sub in handle.shards:
-            self.backends[index].store_matrix(sub, matrix[lo:hi])
+        self._each(
+            (index, "store_matrix", (sub, matrix[lo:hi]), {})
+            for index, (lo, hi), sub in handle.shards
+        )
 
     # ------------------------------------------------------------------
     # execution
@@ -208,39 +276,24 @@ class ShardedCluster(Backend):
         """One matrix-vector product across the cluster.
 
         Shard mode: every device runs its row slice against the full
-        input vector concurrently (wall clock = slowest shard) and the
-        host folds the disjoint partial outputs through the fp32
-        :class:`~repro.host.accumulator.HostAccumulator` reduction.
-        Replicate mode: the next replica (round-robin) serves the whole
-        request. ``fused_input`` passes straight through to every
-        participating device — shard mode broadcasts the same vector, so
-        an input resident on one device is resident on all.
+        input vector and the host reduces the partial outputs
+        (:meth:`_reduce`). Replicate mode: the next replica
+        (round-robin) serves the whole request. ``fused_input`` passes
+        straight through to every participating device — shard mode
+        broadcasts the same vector, so an input resident on one device
+        is resident on all.
         """
         if not handle.shards:
             raise ProtocolError("the cluster handle has no placements")
         if self.mode == REPLICATE:
-            index, (_, _), sub = handle.shards[
-                self._next_replica % len(handle.shards)
-            ]
-            self._next_replica += 1
+            index, _, sub = self._next_replica_placement(handle)
             run = self.backends[index].gemv(sub, vector, fused_input=fused_input)
-            return ClusterRun(
-                cycles=float(run.cycles),
-                output=run.output,
-                device_runs=[(index, run)],
-            )
-        device_runs: List[Tuple[int, object]] = []
-        accumulator = HostAccumulator(handle.m) if self.functional else None
-        for index, (lo, hi), sub in handle.shards:
-            run = self.backends[index].gemv(sub, vector, fused_input=fused_input)
-            device_runs.append((index, run))
-            if accumulator is not None and run.output is not None:
-                accumulator.add_partials(np.arange(lo, hi), run.output)
-        return ClusterRun(
-            cycles=float(max(run.cycles for _, run in device_runs)),
-            output=accumulator.output if accumulator is not None else None,
-            device_runs=device_runs,
+            return self._served(index, run)
+        runs = self._each(
+            (index, "gemv", (sub, vector), {"fused_input": fused_input})
+            for index, _, sub in handle.shards
         )
+        return self._reduce(handle, runs)
 
     def gemv_batch(
         self,
@@ -249,15 +302,49 @@ class ShardedCluster(Backend):
         *,
         batch: Optional[int] = None,
     ) -> List[ClusterRun]:
-        """A batch of products; replicate mode fans them out round-robin."""
+        """A batch of products, one request per participating device.
+
+        Shard mode sends the whole batch to every shard and reduces each
+        input in shard order; replicate mode deals the inputs
+        round-robin and sends each replica its share. Each device runs
+        its inputs in batch order, so the runs equal one :meth:`gemv`
+        per input.
+        """
         if vectors is not None:
             vectors = validate_batch_vectors(vectors, handle.n)
-            return [self.gemv(handle, vectors[i]) for i in range(vectors.shape[0])]
-        if batch is not None:
+            count = vectors.shape[0]
+        elif batch is not None:
             if batch <= 0:
                 raise ProtocolError("batch must be positive")
-            return [self.gemv(handle) for _ in range(batch)]
-        raise ProtocolError("provide vectors or a batch size")
+            count = batch
+        else:
+            raise ProtocolError("provide vectors or a batch size")
+        if not handle.shards:
+            raise ProtocolError("the cluster handle has no placements")
+        if self.mode == SHARD:
+            replies = self._each(
+                (index, "gemv_batch", (sub, vectors), {"batch": batch})
+                for index, _, sub in handle.shards
+            )
+            return [
+                self._reduce(handle, [reply[item] for reply in replies])
+                for item in range(count)
+            ]
+        shares: Dict[int, Tuple[object, List[int]]] = {}
+        for item in range(count):
+            index, _, sub = self._next_replica_placement(handle)
+            shares.setdefault(index, (sub, []))[1].append(item)
+        replies = self._each(
+            (index, "gemv_batch", (sub, vectors[items]), {})
+            if vectors is not None
+            else (index, "gemv_batch", (sub,), {"batch": len(items)})
+            for index, (sub, items) in shares.items()
+        )
+        runs: List[ClusterRun] = [None] * count  # type: ignore[list-item]
+        for (index, (_, items)), reply in zip(shares.items(), replies):
+            for item, run in zip(items, reply):
+                runs[item] = self._served(index, run)
+        return runs
 
     def service_cycles(self, handle: ClusterHandle) -> float:
         """Deterministic per-request service time.
@@ -273,12 +360,10 @@ class ShardedCluster(Backend):
         if self.mode == REPLICATE:
             index, _, sub = handle.shards[0]
             return float(self.backends[index].service_cycles(sub))
-        return float(
-            max(
-                self.backends[index].service_cycles(sub)
-                for index, _, sub in handle.shards
-            )
+        cycles = self._each(
+            (index, "service_cycles", (sub,), {}) for index, _, sub in handle.shards
         )
+        return float(max(cycles))
 
     # ------------------------------------------------------------------
     # telemetry
@@ -290,17 +375,25 @@ class ShardedCluster(Backend):
         Newton backends: the per-channel breakdowns whose attribution
         buckets sum exactly to each channel's end cycle).
         """
+        records = self._each(
+            (index, "collect_metrics", (), {}) for index in range(self.devices)
+        )
         return {
             "schema": SCHEMA,
             "kind": "cluster",
             "mode": self.mode,
             "backend": self.backends[0].name,
             "devices": {
-                f"device{index}": backend.collect_metrics()
-                for index, backend in enumerate(self.backends)
+                f"device{index}": record for index, record in enumerate(records)
             },
         }
 
     def close(self) -> None:
-        for backend in self.backends:
-            backend.close()
+        """Close every member (worker members shut down in parallel)."""
+        self._each((index, "close", (), {}) for index in range(self.devices))
+
+    def __enter__(self) -> "ShardedCluster":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -1,11 +1,11 @@
 """Shared-memory NumPy arrays with a crash-robust lifecycle.
 
-The process fleet (:mod:`repro.cluster.process_pool`) moves weight
-matrices to workers through POSIX shared memory instead of pickling
-them over pipes — a 64 MB fp32 matrix is mapped, not copied N times
-through the kernel. The hazard with ``multiprocessing.shared_memory``
-is leakage: a segment outlives the process that forgot to ``unlink`` it
-and squats in ``/dev/shm`` until reboot. :class:`SharedNDArray` makes
+Process workers (:mod:`repro.cluster.process_pool`) receive weight
+matrices through POSIX shared memory instead of pickling them over
+pipes — a 64 MB fp32 matrix is mapped, not pushed through a pipe. The
+hazard with ``multiprocessing.shared_memory`` is leakage: a segment
+outlives the process that forgot to ``unlink`` it and squats in
+``/dev/shm`` until reboot. :class:`SharedNDArray` makes
 that impossible short of SIGKILL:
 
 * every instance registers a :class:`weakref.finalize` that closes the
@@ -17,8 +17,8 @@ that impossible short of SIGKILL:
   double-unlink races cannot occur by construction.
 
 The intended protocol is transient: the parent creates the array, the
-workers attach and *copy out* their shard, acknowledge, and the parent
-unlinks immediately — shared memory is a transfer mechanism here, not a
+worker attaches, *copies it out* and replies, and the parent unlinks on
+the reply — shared memory is a transfer mechanism here, not a
 long-lived mapping, which keeps lifetime reasoning trivial.
 """
 

@@ -59,7 +59,9 @@ class FunctionalDatapath:
 
     Subclasses interpret the compute/emit payloads; loads and chunk
     invalidations are common. ``step`` is called once per payload step
-    in issue order, ``finish`` once at the end of each run.
+    in issue order, ``finish`` once at the end of each run. Engine
+    payload streams load only through ``load_run`` steps; per-command
+    ``load`` steps are the :class:`~repro.core.reference.ReferenceExecutor`'s.
     """
 
     name = "base"
@@ -99,13 +101,6 @@ class FunctionalDatapath:
             engine.buffer.load_chunk(
                 padded_vector[lo : lo + count * k], count
             )
-        if step.load is not None:
-            # Per-command form (uncompiled streams): one GWRITE each.
-            chunk, sub = step.load
-            self.on_buffer_change()
-            k = engine.config.elems_per_col
-            lo = chunk * engine.config.elems_per_row + sub * k
-            engine.buffer.load_subchunk(sub, padded_vector[lo : lo + k])
         if step.compute is not None:
             self.on_compute(step.compute, layout)
         if step.emit is not None:

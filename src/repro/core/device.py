@@ -258,7 +258,10 @@ class NewtonDevice:
             result.row_slice = (lo, hi)
             if output is not None and result.output is not None:
                 output[lo:hi] = result.output
-        start = min(r.start_cycle for r in channel_results)
+        # Measured from the device clock at issue: the latest
+        # participating start. A channel left idle by an earlier
+        # narrower matrix lags behind, and must not count its lag.
+        start = max(r.start_cycle for r in channel_results)
         end = max(r.end_cycle for r in channel_results)
         return GemvRunResult(
             cycles=end - start, channel_results=channel_results, output=output

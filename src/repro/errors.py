@@ -70,9 +70,10 @@ class ServingError(ReproError):
 
 
 class WorkerError(ReproError):
-    """A process-fleet worker failed or died mid-request.
+    """A process worker failed, died, or sent no reply in time.
 
     Raised in the parent by
-    :class:`repro.cluster.process_pool.ProcessShardedCluster` with the
-    worker's own traceback text attached, so the remote failure reads
-    like a local one."""
+    :class:`repro.cluster.process_pool.ProcessWorker`: a remote failure
+    carries the worker's own traceback text, so it reads like a local
+    one; a dead worker or one silent past the reply deadline is
+    killed."""

@@ -8,6 +8,10 @@ an interpreter per worker costs real seconds, so the differential cases
 share module-scoped fleets and the wide sweeps are marked slow.
 """
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -18,11 +22,16 @@ from repro.cluster import (
     ShardedCluster,
     make_cluster,
 )
-from repro.cluster.process_pool import derive_worker_seed
+from repro.cluster.process_pool import ProcessWorker, derive_worker_seed
 from repro.cluster.shm import SharedNDArray
 from repro.dram.config import hbm2e_like_config
 from repro.dram.timing import hbm2e_like_timing
-from repro.errors import ConfigurationError, ProtocolError, WorkerError
+from repro.errors import (
+    ConfigurationError,
+    LayoutError,
+    ProtocolError,
+    WorkerError,
+)
 from repro.telemetry import SCHEMA
 from repro.workloads.generator import generate_layer_data
 
@@ -233,7 +242,7 @@ class TestStoreAndFusedAcrossWorkers:
 
     def test_store_matrix_shape_validated(self, fleet2, data):
         handle = fleet2.load_matrix(data.matrix)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(LayoutError):
             fleet2.store_matrix(
                 handle, np.zeros((M // 2, N), dtype=np.float32)
             )
@@ -249,3 +258,59 @@ class TestStoreAndFusedAcrossWorkers:
         assert np.array_equal(
             fused.output.view(np.uint32), roundtrip.output.view(np.uint32)
         )
+
+
+class TestParallelStartUp:
+    def test_every_worker_starts_before_any_handshake(self, monkeypatch):
+        events = []
+        spawn, connect = ProcessWorker.__init__, ProcessWorker.connect
+
+        def logged_spawn(self, index, *args):
+            spawn(self, index, *args)
+            events.append(("spawned", index))
+
+        def logged_connect(self):
+            events.append(("awaited", self.index))
+            return connect(self)
+
+        monkeypatch.setattr(ProcessWorker, "__init__", logged_spawn)
+        monkeypatch.setattr(ProcessWorker, "connect", logged_connect)
+        with ProcessShardedCluster(2, mode=SHARD, **_kwargs()) as fleet:
+            assert fleet.devices == 2
+        assert events == [
+            ("spawned", 0),
+            ("spawned", 1),
+            ("awaited", 0),
+            ("awaited", 1),
+        ]
+
+
+class TestBoundedReplies:
+    """A killed or stopped worker fails within the reply deadline, and
+    the cluster still closes cleanly."""
+
+    DEADLINE_S = 3.0
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGKILL, signal.SIGSTOP], ids=["killed", "stopped"]
+    )
+    def test_lost_worker_raises_within_deadline(self, monkeypatch, data, signum):
+        fleet = ProcessShardedCluster(2, mode=SHARD, **_kwargs())
+        try:
+            handle = fleet.load_matrix(data.matrix)
+            monkeypatch.setattr(
+                "repro.cluster.process_pool.REPLY_DEADLINE_S", self.DEADLINE_S
+            )
+            victim = fleet.backends[0].process
+            os.kill(victim.pid, signum)
+            if signum == signal.SIGKILL:
+                victim.join()  # dead before the request is sent
+            began = time.monotonic()
+            # A store carries a shared-memory segment to every worker.
+            with pytest.raises(WorkerError):
+                fleet.store_matrix(handle, data.matrix)
+            assert time.monotonic() - began < self.DEADLINE_S + 5.0
+        finally:
+            fleet.close()
+        assert not any(worker.process.is_alive() for worker in fleet.backends)
+        assert SharedNDArray.live_segments() == []

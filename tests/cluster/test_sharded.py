@@ -11,7 +11,7 @@ output must be bit-identical to the single-device functional result
 import numpy as np
 import pytest
 
-from repro.backends import NewtonBackend, make_backend
+from repro.backends import Backend, NewtonBackend, make_backend
 from repro.cluster import REPLICATE, SHARD, ClusterHandle, ShardedCluster
 from repro.core.device import NewtonDevice
 from repro.core.optimizations import FULL
@@ -245,6 +245,16 @@ class TestModelBackendClusters:
         assert run.cycles > 0
         assert run.output.shape == (256,)
 
+    def test_batch_reaches_each_member_whole(self):
+        """A member with its own batch model (the GPU roofline reads the
+        matrix once per batch) sees the cluster's batch as one call, as a
+        process worker does."""
+        cluster = ShardedCluster.from_spec("gpu", 2, functional=False)
+        runs = cluster.gemv_batch(cluster.load_matrix(m=256, n=128), batch=4)
+        single = make_backend("gpu", functional=False)
+        expected = single.gemv_batch(single.load_matrix(m=128, n=128), batch=4)
+        assert [run.cycles for run in runs] == [float(r.cycles) for r in expected]
+
     def test_mixed_construction_through_registry(self):
         cluster = ShardedCluster(
             [make_backend("analytical"), make_backend("analytical")]
@@ -328,3 +338,116 @@ class TestStoreAndFused:
                 session.close()
         for one, two in zip(outputs[1], outputs[2]):
             assert np.array_equal(one.view(np.uint32), two.view(np.uint32))
+
+
+class _Recorder(Backend):
+    """A member double that logs when each request starts and when its
+    reply is awaited, and runs the call only when awaited, as a member
+    in another process would."""
+
+    def __init__(self, inner: Backend, index: int, log: list):
+        self.inner, self.index, self.log = inner, index, log
+        self.name = inner.name
+        self.config, self.timing = inner.config, inner.timing
+        self.functional = inner.functional
+
+    def start(self, method, *args, **kwargs):
+        self.log.append(("send", method, self.index))
+
+        def wait():
+            self.log.append(("wait", method, self.index))
+            return getattr(self.inner, method)(*args, **kwargs)
+
+        return wait
+
+    def load_matrix(self, *args, **kwargs):
+        return self.start("load_matrix", *args, **kwargs)()
+
+    def gemv(self, *args, **kwargs):
+        return self.start("gemv", *args, **kwargs)()
+
+    def service_cycles(self, handle):
+        return self.start("service_cycles", handle)()
+
+    def collect_metrics(self):
+        return self.start("collect_metrics")()
+
+
+def _overlapped(method, members=2):
+    """Every member's request sent before any reply is awaited."""
+    return [("send", method, i) for i in range(members)] + [
+        ("wait", method, i) for i in range(members)
+    ]
+
+
+class TestRequestsOverlap:
+    """The cluster starts every member's request before waiting on any
+    reply, which is what lets worker members run in parallel."""
+
+    def _cluster(self, log, mode=SHARD, functional=True):
+        return ShardedCluster(
+            [
+                _Recorder(_newton_backend(functional=functional), i, log)
+                for i in range(2)
+            ],
+            mode=mode,
+        )
+
+    def test_shard_mode_requests_overlap(self):
+        log = []
+        cluster = self._cluster(log)
+        data = generate_layer_data(64, 32, seed=1)
+        vector = generate_vector(32, seed=2)
+        handle = cluster.load_matrix(data.matrix)
+        assert log == _overlapped("load_matrix")
+        log.clear()
+        cluster.store_matrix(handle, data.matrix)
+        assert log == _overlapped("store_matrix")
+        log.clear()
+        run = cluster.gemv(handle, vector)
+        assert log == _overlapped("gemv")
+        log.clear()
+        batch = cluster.gemv_batch(handle, np.stack([vector, vector]))
+        assert log == _overlapped("gemv_batch")
+        log.clear()
+        record = cluster.collect_metrics()
+        assert log == _overlapped("collect_metrics")
+        assert set(record["devices"]) == {"device0", "device1"}
+        # Deferred execution changes nothing: the plain cluster agrees.
+        plain = ShardedCluster([_newton_backend(functional=True) for _ in range(2)])
+        phandle = plain.load_matrix(data.matrix)
+        expected = plain.gemv(phandle, vector)
+        assert run.cycles == expected.cycles
+        assert np.array_equal(run.output, expected.output)
+        for got in batch:
+            assert np.array_equal(got.output, expected.output)
+
+    def test_service_time_requests_overlap(self):
+        log = []
+        cluster = self._cluster(log, functional=False)
+        handle = cluster.load_matrix(m=64, n=32)
+        log.clear()
+        cluster.service_cycles(handle)
+        assert log == _overlapped("service_cycles")
+
+    def test_replicas_share_a_batch_in_one_round(self):
+        log = []
+        cluster = self._cluster(log, mode=REPLICATE, functional=False)
+        handle = cluster.load_matrix(m=64, n=32)
+        log.clear()
+        runs = cluster.gemv_batch(handle, batch=3)
+        assert log == _overlapped("gemv_batch")
+        assert [run.device_runs[0][0] for run in runs] == [0, 1, 0]
+        # The round-robin continues across calls.
+        assert cluster.gemv(handle).device_runs[0][0] == 1
+
+    def test_every_started_request_is_awaited_after_a_failure(self):
+        log = []
+        cluster = self._cluster(log)
+        handle = cluster.load_matrix(np.ones((64, 32), dtype=np.float32))
+        bogus = ClusterHandle(m=64, n=32, mode=SHARD)
+        bogus.shards = [(0, (0, 32), None), handle.shards[1]]
+        log.clear()
+        with pytest.raises(AttributeError):
+            cluster.gemv(bogus, np.ones(32, dtype=np.float32))
+        assert log == _overlapped("gemv")

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.device import NewtonDevice
 from repro.core.optimizations import FULL
-from repro.dram.config import DRAMConfig
+from repro.dram.config import DRAMConfig, hbm2e_like_config
+from repro.dram.timing import hbm2e_like_timing
 from repro.errors import ConfigurationError, LayoutError, ProtocolError
 
 CFG2 = DRAMConfig(num_channels=2, banks_per_channel=16, rows_per_bank=512)
@@ -77,6 +78,35 @@ class TestGemv:
         two = NewtonDevice(CFG2, functional=False)
         t2 = two.gemv(two.load_matrix(m=64, n=512)).cycles
         assert t2 < t1 * 0.75
+
+    @pytest.mark.parametrize("functional", [True, False])
+    def test_idle_channel_lag_is_not_counted(self, functional, rng):
+        """A 1-row matrix runs on channel 0 only, so channel 1's clock
+        falls behind; the next 64-row GEMV is timed from the device clock
+        at issue, not from the lagging channel, in both modes."""
+        device = NewtonDevice(
+            hbm2e_like_config(num_channels=2, banks_per_channel=16),
+            hbm2e_like_timing(),
+            FULL,
+            functional=functional,
+        )
+        if functional:
+            narrow = device.load_matrix(
+                rng.standard_normal((1, 512)).astype(np.float32)
+            )
+            wide = device.load_matrix(
+                rng.standard_normal((64, 512)).astype(np.float32)
+            )
+            vector = rng.standard_normal(512).astype(np.float32)
+        else:
+            narrow = device.load_matrix(m=1, n=512)
+            wide = device.load_matrix(m=64, n=512)
+            vector = None
+        cycles = []
+        for _ in range(3):
+            cycles.append(device.gemv(narrow, vector).cycles)
+            cycles.append(device.gemv(wide, vector).cycles)
+        assert cycles == [352, 560, 356, 560, 356, 560]
 
     def test_empty_handle_rejected(self):
         device = NewtonDevice(CFG1)
