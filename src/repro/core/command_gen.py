@@ -23,10 +23,11 @@ Each disabled optimization swaps in its de-optimized encoding:
 Every tile piece — activations, compute phase, result read, a chunk's
 GWRITE prologue — is lowered as one :class:`BlockStep`. Only the
 activations name a DRAM row, so every other piece is a *template*:
-built once per tile shape (chunk width) and reused by every tile, with
-the per-tile functional payload attached to a copy only when the stream
-carries payloads. A Non-opt tile is ~1,550 commands but costs a handful
-of objects to lower.
+built once per tile shape (chunk width) and reused by every tile. The
+per-tile functional payloads, which the per-command reference executes
+(:meth:`CommandStreamGenerator.gemv_steps`), ride on copies only when
+asked for; the engine's streams carry none. A Non-opt tile is ~1,550
+commands but costs a handful of objects to lower.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ ACTIVATION_WINDOW_SIZE = 4
 
 @dataclass(frozen=True)
 class TileComputeOp:
-    """Fire the vectorized tile evaluation after this command issues."""
+    """A tile evaluation, complete once this command issues: the chunk,
+    the DRAM row it reads and the latch it accumulates into."""
 
     chunk: int
     dram_row: int
@@ -84,11 +86,6 @@ class Step:
     """If set: the global buffer is being repurposed for this chunk."""
     load: Optional[Tuple[int, int]] = None
     """(chunk, subchunk) loaded by an accompanying GWRITE."""
-    load_run: Optional[Tuple[int, int]] = None
-    """(chunk, count): sub-chunks ``0..count-1`` of ``chunk`` loaded by a
-    whole compiled GWRITE run — the batched form of ``load``, emitted by
-    :meth:`BlockStep.payload_steps` so the datapath can quantize the
-    block in one vector op."""
     compute: Optional[TileComputeOp] = None
     emit: Optional[EmitOp] = None
     latch: int = 0
@@ -191,25 +188,6 @@ class BlockStep:
                 emit=self.emit if i == last else None,
                 latch=latch,
             )
-
-    def payload_steps(self) -> Iterator[Step]:
-        """Just the functional payloads, in issue order.
-
-        The datapath only cares about payload order, not which command
-        carried it (see :class:`~repro.core.schedule_cache.StreamSegment`),
-        so the compiled path hands the engine these skeleton steps and
-        never materializes the per-command form. A GWRITE block's loads
-        collapse to a single ``load_run`` step so the buffer fill is one
-        vector op, not ``n`` scalar stores.
-        """
-        chunk = self.gwrite_chunk
-        if chunk is not None:
-            yield Step(new_chunk=chunk)
-            yield Step(load_run=(chunk, self.fragment.n_commands))
-        if self.compute is not None:
-            yield Step(compute=self.compute, latch=self.compute.latch)
-        if self.emit is not None:
-            yield Step(emit=self.emit)
 
 
 StreamItem = Union[Step, BlockStep]
@@ -385,9 +363,11 @@ class CommandStreamGenerator:
     def gemv_steps(self) -> Iterator[Step]:
         """The full command stream, one :class:`Step` per command.
 
-        The materialized view of :meth:`gemv_items` — what the trace
-        example, the tick-level cross-check, and the per-command tests
-        consume. The engine itself executes the compiled item form."""
+        The materialized view of :meth:`gemv_items`, payloads included —
+        what the per-command
+        :class:`~repro.core.reference.ReferenceExecutor` (the datapath's
+        bit contract), the trace example and the tick-level cross-check
+        consume. The engine itself executes the payload-free item form."""
         for item in self.gemv_items():
             if isinstance(item, BlockStep):
                 yield from item.expand()
@@ -401,9 +381,9 @@ class CommandStreamGenerator:
         plain :class:`Step`. ``gemv_steps()`` is always exactly this
         stream with every block expanded in place. ``payloads=False``
         lowers the same commands without functional payloads (no tile
-        evaluations, result emits or buffer loads) — the timing-only
-        stream, whose row-independent pieces are the shared templates
-        themselves."""
+        evaluations, result emits or buffer loads) — the stream every
+        engine runs, whose row-independent pieces are the shared
+        templates themselves."""
         if self.config.rules.tile_major:
             yield from self._tile_major_items(payloads)
         elif self.opt.interleaved_reuse:

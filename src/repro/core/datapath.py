@@ -1,252 +1,135 @@
-"""The engine's functional datapath: batched bf16 tile evaluation.
+"""The engine's functional datapath: each GEMV computed from its layout.
 
-The engine's timing machinery and its functional datapath are
-independent state machines: a segment's functional effects depend only
-on the order of its payload-carrying steps (loads, tile computes,
-result emits), never on how the controller scheduled the commands that
-carried them (see :class:`~repro.core.schedule_cache.StreamSegment`).
-That independence is what this module exploits: whole *buffer groups*
-of tiles — every tile that reads the same global-buffer chunk — are
-evaluated as one
-:func:`~repro.numerics.vectorized.batched_tile_compute` call over a
-``(tiles, banks, chunk_elems)`` block, with GWRITE runs loading the
-buffer as one vectorized quantize instead of 32 sub-chunk stores.
+Newton loads each input chunk into the global buffer once, and every
+tile computes against it (Section III-B); the no-reuse traversal does
+the same for every slot of whole matrix rows (Section III-C). So a
+GEMV's arithmetic is fixed by the layout and one family rule,
+:meth:`~repro.dram.config.FamilyRules.whole_row_readout`, not by the
+command stream that carries it. :meth:`BatchedDatapath.gemv` walks the
+chunks in order and makes one
+:func:`~repro.numerics.vectorized.batched_tile_compute` call per chunk
+(:meth:`BatchedDatapath.step`) over every tile or slot at once:
 
-A buffer group's rows are evenly spaced in the layout's slab
-(:attr:`~repro.core.engine.NewtonChannelEngine.slabs`): consecutive
-rows for an interleaved chunk, a stride of one matrix row's chunks for
-a no-reuse pass. So a flush reads the group as one strided slice of
-the slab — cut to the sub-chunks the chunk's COMPs cover — and expands
-it to float32 with one shift.
+* the matrix operand is the layout's slab viewed by matrix row
+  (``slab_by_matrix_row``), cut to the chunk and to the sub-chunks its
+  COMPs cover, and expanded to float32 by one shift;
+* the input operand is the padded vector rounded to bf16 once, which
+  is what the GWRITEs load into the buffer;
+* with **per-chunk readout** (the interleaved walk), every chunk starts
+  from zeroed latches and is read out at once, and the partials add
+  into the fp32 output in chunk order;
+* with **whole-row readout** (the no-reuse walk, a tile-major family),
+  the latches carry from chunk to chunk, and the finished row sums go
+  through the in-DRAM LUT and into the output in one read.
+
+:meth:`BatchedDatapath.finish` is the read in both. This is the order
+the command stream issues: each tile's or slot's COMPs accumulate in
+ascending chunk and sub-chunk order, and each output row receives its
+reads in chunk order. No two tiles or slots share a latch value, so
+computing them side by side changes no rounding, and the kernel is
+bit-identical per tile (see :mod:`repro.numerics.vectorized`).
 
 The bit-level contract is the per-command
-:class:`~repro.core.reference.ReferenceExecutor`, which walks the same
-stream COMP by COMP through one
-:class:`~repro.core.mac_unit.BankMacUnit` per bank.
-
-The datapath defers work symbolically: a tile compute *opens a
-slot* (recording the DRAM row and the latch's concrete carry value)
-and parks a slot reference in the latch; a result emit *pops* the
-reference (deferring the host-side accumulation) and resets the latch
-to zero — so the interleaved traversal's compute/emit/compute/emit
-chain on latch 0 batches a whole chunk's tiles into one kernel call.
-Any buffer mutation (a new chunk, a GWRITE) flushes: pending slots are
-evaluated in one vector op, surviving references become concrete latch
-values, and deferred emits apply to the output in their original issue
-order. Because the kernel is bit-identical per tile (see
-:mod:`repro.numerics.vectorized`) and host accumulation replays in
-issue order, the flush is invisible — pinned by the differential suite
-in ``tests/core/test_datapath.py`` across every optimization combo.
+:class:`~repro.core.reference.ReferenceExecutor`, which walks the
+payloads of
+:meth:`~repro.core.command_gen.CommandStreamGenerator.gemv_steps` COMP
+by COMP through one :class:`~repro.core.mac_unit.BankMacUnit` per bank.
+``tests/core/test_datapath.py`` pins the two bit-identical across every
+flag subset and command family.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.core.command_gen import EmitOp, Step, TileComputeOp
+from repro.core.layout import Layout
+from repro.dram.config import DRAMConfig
+from repro.numerics.bfloat16 import quantize_bf16
+from repro.numerics.lut import ActivationLUT
 from repro.numerics.vectorized import batched_tile_compute
 
 
 def default_datapath() -> str:
-    """Name of the datapath every engine runs (``batched``)."""
+    """Name of the datapath every functional engine runs (``batched``)."""
     return BatchedDatapath.name
 
 
 class FunctionalDatapath:
-    """Base class: the payload-step interpreter and buffer bookkeeping.
+    """Base class of the engine's datapath, named by :attr:`name`.
 
-    Subclasses interpret the compute/emit payloads; loads and chunk
-    invalidations are common. ``step`` is called once per payload step
-    in issue order, ``finish`` once at the end of each run. Engine
-    payload streams load only through ``load_run`` steps; per-command
-    ``load`` steps are the :class:`~repro.core.reference.ReferenceExecutor`'s.
+    Its one subclass is :class:`BatchedDatapath`, whose ``step`` and
+    ``finish`` are the engine's only way into the kernel.
     """
 
     name = "base"
 
-    def __init__(self, engine):
-        self.engine = engine
-
-    # -- hooks ---------------------------------------------------------
-
-    def on_buffer_change(self) -> None:
-        """Called before any global-buffer mutation."""
-
-    def on_compute(self, op: TileComputeOp, layout) -> None:
-        raise NotImplementedError
-
-    def on_emit(self, emit: EmitOp, output: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def finish(self, output: np.ndarray) -> None:
-        """End of run: apply any deferred work."""
-
-    # -- the shared interpreter ----------------------------------------
-
-    def step(
-        self, step: Step, padded_vector: np.ndarray, layout, output: np.ndarray
-    ) -> None:
-        engine = self.engine
-        if step.new_chunk is not None:
-            self.on_buffer_change()
-            engine.buffer.invalidate()
-        if step.load_run is not None:
-            chunk, count = step.load_run
-            self.on_buffer_change()
-            per_row = engine.config.elems_per_row
-            k = engine.config.elems_per_col
-            lo = chunk * per_row
-            engine.buffer.load_chunk(
-                padded_vector[lo : lo + count * k], count
-            )
-        if step.compute is not None:
-            self.on_compute(step.compute, layout)
-        if step.emit is not None:
-            self.on_emit(step.emit, output)
-
-    # -- emit plumbing -------------------------------------------------
-
-    def _apply_emit(
-        self, emit: EmitOp, values: np.ndarray, output: np.ndarray
-    ) -> None:
-        """LUT + fp32 host-side accumulation for one result read."""
-        engine = self.engine
-        if emit.chunk is None and engine.lut is not None:
-            values = engine.lut.apply(values)
-        rows = emit.matrix_rows
-        mask = rows >= 0
-        np.add.at(output, rows[mask], values[mask])
-
 
 class BatchedDatapath(FunctionalDatapath):
-    """Whole buffer groups of tiles evaluated as one vector op.
+    """Computes one channel's GEMVs, one input chunk at a time.
 
-    See the module docstring for the slot algebra. The invariants that
-    make the deferral exact:
-
-    * the global buffer's contents are constant between flushes (every
-      mutation flushes first), so one captured chunk serves every slot;
-    * DRAM storage is immutable during a run, so each slot's matrix
-      rows can be gathered at flush time;
-    * a latch holds either a concrete value (in ``engine._latches``) or
-      one slot reference — a second compute into a referenced latch, a
-      compute against a different chunk, or one whose row breaks the
-      group's even spacing flushes first (none occurs in generated
-      streams; all stay correct);
-    * deferred emits replay in issue order, so the fp32 host
-      accumulation performs the identical operation sequence.
+    Args:
+        config: the channel's geometry (lanes per bank, sub-chunk width).
+        whole_row_readout: the latches accumulate whole row sums across
+            chunks (:meth:`~repro.dram.config.FamilyRules.whole_row_readout`).
+        lut: the in-DRAM activation table, applied at whole-row reads.
     """
 
     name = "batched"
 
-    def __init__(self, engine):
-        super().__init__(engine)
-        self._rows: List[int] = []  # each slot's row within the slab
-        self._carries: List[np.ndarray] = []
-        self._latch_ref: Dict[int, int] = {}
-        self._slab: Optional[np.ndarray] = None
-        self._chunk_data: Optional[np.ndarray] = None
-        self._chunk_index: Optional[int] = None
-        self._output: Optional[np.ndarray] = None
-        # (emit, slot or None, concrete values or None) in issue order.
-        self._emits: List[
-            Tuple[EmitOp, Optional[int], Optional[np.ndarray]]
-        ] = []
+    def __init__(
+        self,
+        config: DRAMConfig,
+        whole_row_readout: bool,
+        lut: Optional[ActivationLUT] = None,
+    ):
+        self.config = config
+        self.whole_row_readout = whole_row_readout
+        self.lut = lut if whole_row_readout else None
 
-    def _group_tiles(self) -> np.ndarray:
-        """The open slots' rows as ``(tiles, banks, chunk_elems)``
-        float32: one slab slice, expanded by one shift."""
-        rows = self._rows
-        stride = rows[1] - rows[0] if len(rows) > 1 else 1
-        bits = self._slab[
-            rows[0] : rows[0] + stride * len(rows) : stride,
-            :,
-            : self._chunk_data.shape[0],
-        ]
-        return np.left_shift(bits, 16, dtype=np.uint32).view(np.float32)
-
-    def _flush(self, output: np.ndarray) -> None:
-        engine = self.engine
-        if self._rows:
-            results = batched_tile_compute(
-                self._group_tiles(),
-                self._chunk_data,
-                np.stack(self._carries),
-                engine.config.mults_per_bank,
+    def gemv(
+        self, layout: Layout, slab: np.ndarray, padded_vector: np.ndarray
+    ) -> np.ndarray:
+        """The fp32 product of ``layout``'s matrix (stored in ``slab``)
+        and the zero-padded input vector."""
+        rows = layout.slab_by_matrix_row(slab)
+        vector = quantize_bf16(padded_vector)
+        output = np.zeros(layout.m, dtype=np.float32)
+        zeros = np.zeros(rows.shape[:2], dtype=np.float32)
+        latches = zeros
+        for chunk in range(layout.num_chunks):
+            lo = chunk * layout.chunk_elems
+            width = layout.cols_in_chunk(chunk) * self.config.elems_per_col
+            latches = self.step(
+                rows[:, :, chunk, :width], vector[lo : lo + width], latches
             )
-            # Latches still holding a slot reference become concrete.
-            for latch, slot in self._latch_ref.items():
-                engine._latches[:, latch] = results[slot]
-        else:
-            results = None
-        for emit, slot, values in self._emits:
-            if slot is not None:
-                values = results[slot]
-            self._apply_emit(emit, values, output)
-        self._rows.clear()
-        self._carries.clear()
-        self._latch_ref.clear()
-        self._emits.clear()
-        self._slab = None
-        self._chunk_data = None
-        self._chunk_index = None
+            if not self.whole_row_readout:
+                self.finish(latches, output)
+                latches = zeros
+        if self.whole_row_readout:
+            self.finish(latches, output)
+        return output
 
-    def on_buffer_change(self) -> None:
-        if self._rows or self._emits:
-            self._flush(self._output)
+    def step(
+        self, bits: np.ndarray, chunk: np.ndarray, latches: np.ndarray
+    ) -> np.ndarray:
+        """One chunk's COMPs on every tile or slot.
 
-    def _spaces_evenly(self, row: int) -> bool:
-        """Whether ``row`` continues the open slots' even spacing."""
-        rows = self._rows
-        if not rows:
-            return True
-        stride = row - rows[-1]
-        return stride > 0 and (len(rows) == 1 or stride == rows[1] - rows[0])
+        ``bits`` holds their rows' bf16 bits, ``(tiles, banks, width)``;
+        ``chunk`` is the buffered input, ``(width,)``; ``latches`` are
+        the ``(tiles, banks)`` values on entry. Returns the latches after.
+        """
+        tiles = np.left_shift(bits, 16, dtype=np.uint32).view(np.float32)
+        return batched_tile_compute(
+            tiles, chunk, latches, self.config.mults_per_bank
+        )
 
-    def on_compute(self, op: TileComputeOp, layout) -> None:
-        engine = self.engine
-        row = op.dram_row - layout.base_row
-        if (
-            op.latch in self._latch_ref
-            or (self._chunk_index is not None and self._chunk_index != op.chunk)
-            or not self._spaces_evenly(row)
-        ):
-            self._flush(self._output)
-        if self._chunk_data is None:
-            # Only the sub-chunks the chunk's COMPs cover: the rest of
-            # the buffer and of the rows is padding the hardware never
-            # reads.
-            subchunks = layout.cols_in_chunk(op.chunk)
-            self._chunk_data = engine.buffer.chunk(subchunks)[
-                : subchunks * engine.config.elems_per_col
-            ]
-            self._chunk_index = op.chunk
-            self._slab = engine.slabs[layout.base_row]
-        slot = len(self._rows)
-        self._rows.append(row)
-        self._carries.append(engine._latches[:, op.latch].copy())
-        self._latch_ref[op.latch] = slot
-
-    def on_emit(self, emit: EmitOp, output: np.ndarray) -> None:
-        engine = self.engine
-        slot = self._latch_ref.pop(emit.latch, None)
-        if slot is not None:
-            engine._latches[:, emit.latch] = 0.0
-            self._emits.append((emit, slot, None))
-        else:
-            values = engine._latches[:, emit.latch].copy()
-            engine._latches[:, emit.latch] = 0.0
-            self._emits.append((emit, None, values))
-
-    def step(self, step, padded_vector, layout, output) -> None:
-        # The flush points triggered from on_buffer_change/on_compute
-        # need the output array; stash it for the duration of the step.
-        self._output = output
-        super().step(step, padded_vector, layout, output)
-
-    def finish(self, output: np.ndarray) -> None:
-        self._output = output
-        self._flush(output)
-        self._output = None
+    def finish(self, latches: np.ndarray, output: np.ndarray) -> None:
+        """READRES: every latch, through the LUT if there is one, added
+        to ``output`` in fp32. Latch ``(tile, bank)`` holds matrix row
+        ``tile * banks + bank``; the padding banks' reads are dropped."""
+        values = latches.reshape(-1)
+        if self.lut is not None:
+            values = self.lut.apply(values)
+        output += values[: output.size]

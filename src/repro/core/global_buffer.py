@@ -5,11 +5,13 @@ channel — the "non-intuitive" feature that amortizes the input buffer's
 area over the whole channel. It is loaded one column-access width (a
 16-element *sub-chunk*) at a time by GWRITE commands, and COMP broadcasts
 a sub-chunk to all banks' multiplier inputs with no per-bank latching.
+
+The per-command :class:`~repro.core.reference.ReferenceExecutor` drives
+this model GWRITE by GWRITE; the engine's datapath reads the rounded
+input a chunk at a time instead (:mod:`repro.core.datapath`).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -49,29 +51,6 @@ class GlobalBuffer:
         self._valid[subchunk] = True
         self.loads += 1
 
-    def load_chunk(self, values: np.ndarray, subchunks: int) -> None:
-        """A whole GWRITE run: store sub-chunks ``0..subchunks-1`` at once.
-
-        The batched form of :meth:`load_subchunk` — one vectorized
-        bfloat16 rounding for the block instead of one per sub-chunk
-        (rounding is elementwise, so the result is bit-identical).
-        """
-        if not 0 < subchunks <= self.subchunks:
-            raise ProtocolError(
-                f"GWRITE run of {subchunks} sub-chunks outside "
-                f"[1, {self.subchunks}]"
-            )
-        values = np.asarray(values, dtype=np.float32).reshape(-1)
-        k = self.config.elems_per_col
-        if values.shape != (subchunks * k,):
-            raise ProtocolError(
-                f"GWRITE run of {values.shape[0]} elements; {subchunks} "
-                f"sub-chunks hold {subchunks * k}"
-            )
-        self._data[: subchunks * k] = quantize_bf16(values)
-        self._valid[:subchunks] = True
-        self.loads += subchunks
-
     def read_subchunk(self, subchunk: int) -> np.ndarray:
         """Broadcast one sub-chunk to the banks (COMP's first step)."""
         self._check_index(subchunk)
@@ -83,28 +62,6 @@ class GlobalBuffer:
         k = self.config.elems_per_col
         lo = subchunk * k
         return self._data[lo : lo + k].copy()
-
-    def chunk(self, required_subchunks: Optional[int] = None) -> np.ndarray:
-        """The buffered chunk (for the vectorized tile evaluator).
-
-        Args:
-            required_subchunks: how many leading sub-chunks the tile will
-                actually consume (all of them when ``None``). Unloaded
-                trailing sub-chunks read as zero, matching a buffer that
-                was cleared on ``invalidate``.
-        """
-        needed = self.subchunks if required_subchunks is None else required_subchunks
-        if not 0 <= needed <= self.subchunks:
-            raise ProtocolError(
-                f"required_subchunks {needed} outside [0, {self.subchunks}]"
-            )
-        if needed and not self._valid[:needed].all():
-            missing = int(np.flatnonzero(~self._valid[:needed])[0])
-            raise ProtocolError(
-                f"tile compute before the buffer was loaded "
-                f"(sub-chunk {missing} missing)"
-            )
-        return self._data.copy()
 
     def invalidate(self) -> None:
         """Clear the buffer (a new chunk is about to be loaded)."""

@@ -146,7 +146,7 @@ class _BaseLayout:
         bits = float_to_bf16_bits(self.pad_matrix(matrix)).reshape(
             self.m, self.num_chunks, self.chunk_elems
         )
-        by_row = self._slab_by_matrix_row(slab)
+        by_row = self.slab_by_matrix_row(slab)
         full, rest = divmod(self.m, self.banks)
         by_row[:full] = bits[: full * self.banks].reshape(
             full, self.banks, self.num_chunks, self.chunk_elems
@@ -185,7 +185,7 @@ class InterleavedLayout(_BaseLayout):
         rows = tile * self.banks + np.arange(self.banks)
         return np.where(rows < self.m, rows, -1)
 
-    def _slab_by_matrix_row(self, slab: np.ndarray) -> np.ndarray:
+    def slab_by_matrix_row(self, slab: np.ndarray) -> np.ndarray:
         """``slab`` viewed as ``(tiles, banks, chunks, elems)``: matrix
         row ``tile * banks + bank``, chunk by chunk."""
         return slab.reshape(
@@ -254,7 +254,7 @@ class NoReuseLayout(_BaseLayout):
         rows = slot * self.banks + np.arange(self.banks)
         return np.where(rows < self.m, rows, -1)
 
-    def _slab_by_matrix_row(self, slab: np.ndarray) -> np.ndarray:
+    def slab_by_matrix_row(self, slab: np.ndarray) -> np.ndarray:
         """``slab`` viewed as ``(slots, banks, chunks, elems)``: matrix
         row ``slot * banks + bank``, chunk by chunk."""
         return slab.reshape(

@@ -1,8 +1,8 @@
 """A per-command reference executor for cross-checking the engine.
 
-The engine evaluates whole buffer groups of tiles vectorized
-(:mod:`repro.core.datapath`). This executor walks
-the *same* Step stream but interprets it the way the hardware would —
+The engine computes each GEMV from its layout, one vectorized kernel
+call per input chunk (:mod:`repro.core.datapath`). This executor walks
+the lowered Step stream, payloads included, the way the hardware would —
 GWRITE by GWRITE into the global buffer, COMP by COMP through each
 bank's :class:`~repro.core.mac_unit.BankMacUnit` (including the
 non-complex BUF_READ/COL_READ/MAC micro-sequences), READRES by latch

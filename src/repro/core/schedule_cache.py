@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.command_gen import BlockStep, CommandStreamGenerator, Fragment, Step
+from repro.core.command_gen import BlockStep, CommandStreamGenerator, Fragment
 from repro.dram.commands import CommandKind, CommandRun
 from repro.dram.fastpath import ControllerDelta, Signature
 from repro.dram.refresh import RefreshAdvance
@@ -66,22 +66,17 @@ records, each); real workloads use a handful of entries."""
 class StreamSegment:
     """A barrier-delimited run of stream items with a row-blind key.
 
-    The timing side (``items``) and the functional side
-    (``functional_steps``) are stored separately: the controller and the
-    datapath are independent state machines, so a segment's functional
-    effects depend only on the order of its payload-carrying steps, not
-    on how they interleave with pure command issue. Dropping the ~3x
-    ``Step`` wrapper overhead matters for the no-reuse streams, whose
-    materialized form runs to hundreds of thousands of steps.
-
-    ``items`` is the compiled form the cold path executes: individual
-    :class:`~repro.dram.commands.Command` objects interleaved with
-    :class:`~repro.dram.commands.CommandRun` homogeneous runs (a tile's
-    COMP burst arrives as *one* item). Barriers never fall inside a run:
-    the segmenter flushes at every barrier step, so a refresh splits
-    runs exactly where it splits replay segments. The per-command view
-    (:attr:`commands`) is materialized lazily for the consumers that
-    need it — the slow reference path, tracing, background traffic.
+    A segment is timing only: the datapath computes a GEMV from its
+    layout (:mod:`repro.core.datapath`), so no functional payload rides
+    on the stream. ``items`` is the compiled form the cold path
+    executes: individual :class:`~repro.dram.commands.Command` objects
+    interleaved with :class:`~repro.dram.commands.CommandRun`
+    homogeneous runs (a tile's COMP burst arrives as *one* item).
+    Barriers never fall inside a run: the segmenter flushes at every
+    barrier step, so a refresh splits runs exactly where it splits
+    replay segments. The per-command view (:attr:`commands`) is
+    materialized lazily for the consumers that need it — the slow
+    reference path, tracing, background traffic.
     """
 
     barrier_cycles: int
@@ -91,8 +86,6 @@ class StreamSegment:
     """Commands the segment expands to (``len(self.commands)``)."""
     key_id: int
     """Cache-interned id of the segment's fragment-id sequence."""
-    functional_steps: Tuple[Step, ...]
-    """The subset of steps carrying a functional payload, in order."""
     _commands: Optional[Tuple] = None
 
     @property
@@ -143,10 +136,10 @@ class SegmentedStream:
     so a walk tests each barrier against one precomputed cycle."""
     skipped_gwrites: int = 0
     """GWRITE commands elided from a fused lowering (0 for the ordinary
-    round-trip stream). The functional buffer loads are kept — a fused
-    design fills the global buffer from the result latches / activation
-    buffer instead of the host, so the data still arrives, just not over
-    the command bus (see :func:`segment_stream`)."""
+    round-trip stream). A fused design fills the global buffer from the
+    result latches / activation buffer instead of the host, so the data
+    still arrives, just not over the command bus (see
+    :func:`segment_stream`)."""
 
     @property
     def total_commands(self) -> int:
@@ -281,36 +274,32 @@ def segment_stream(
     cache: ScheduleCache,
     *,
     fused: bool = False,
-    functional: bool = True,
 ) -> SegmentedStream:
     """Lower a generator's compiled stream into barrier-delimited segments.
 
-    Consumes :meth:`~repro.core.command_gen.CommandStreamGenerator.gemv_items`:
-    each :class:`~repro.core.command_gen.BlockStep` contributes its timed
-    items (homogeneous runs stay single
-    :class:`~repro.dram.commands.CommandRun` items), one fragment id to
-    the segment key, and — for a ``functional`` stream — its payloads as
-    skeleton steps in issue order. A timing-only stream
-    (``functional=False``) is lowered without payloads at all, so its
-    row-independent pieces are shared templates; its segments hold the
-    same items under the same key ids. Every other stream item is a
-    refresh-barrier :class:`~repro.core.command_gen.Step`, which always
-    flushes the open segment, so no run ever straddles a refresh
-    decision point; every barrier in a stream must guard the same
-    window (:attr:`SegmentedStream.barrier_cycles`). The stream's own
-    key (:attr:`SegmentedStream.key_id`) interns its sequence of
+    Consumes :meth:`~repro.core.command_gen.CommandStreamGenerator.gemv_items`
+    without payloads, so every row-independent piece is a shared
+    template: each :class:`~repro.core.command_gen.BlockStep` contributes
+    its timed items (homogeneous runs stay single
+    :class:`~repro.dram.commands.CommandRun` items) and one fragment id
+    to the segment key. Every other stream item is a refresh-barrier
+    :class:`~repro.core.command_gen.Step`, which always flushes the open
+    segment, so no run ever straddles a refresh decision point; every
+    barrier in a stream must guard the same window
+    (:attr:`SegmentedStream.barrier_cycles`). The stream's own key
+    (:attr:`SegmentedStream.key_id`) interns its sequence of
     ``(barrier, segment key id)`` pairs.
 
     With ``fused=True`` the lowering models a fused-layer dataflow: the
     input activation is already channel-resident (produced by the
     previous layer, or still held from a sibling layer's load), so the
-    host's GWRITE runs are dropped from the *timing* side while their
-    buffer-fill payloads stay on the *functional* side — outputs are
-    bit-identical to the round-trip stream by construction, only the
-    command-bus occupancy changes. The elided command count is recorded
-    on the stream (:attr:`SegmentedStream.skipped_gwrites`). Fused
-    segments intern under their own (GWRITE-less) keys, so the replay
-    cache never conflates the two schedules.
+    host's GWRITE runs are dropped from the stream. The datapath reads
+    the input all the same, so outputs are bit-identical to the
+    round-trip stream; only the command-bus occupancy changes. The
+    elided command count is recorded on the stream
+    (:attr:`SegmentedStream.skipped_gwrites`). Fused segments intern
+    under their own (GWRITE-less) keys, so the replay cache never
+    conflates the two schedules.
     """
     stream = SegmentedStream()
     fragment_ids: Dict[Fragment, int] = {}
@@ -319,7 +308,6 @@ def segment_stream(
     items: List = []
     key: List[int] = []
     n_commands = 0
-    payload: List[Step] = []
 
     def flush() -> None:
         nonlocal barrier, lowered, n_commands
@@ -330,7 +318,6 @@ def segment_stream(
                     items=tuple(items),
                     n_commands=n_commands,
                     key_id=cache.intern_key(tuple(key)),
-                    functional_steps=tuple(payload),
                 )
             )
         barrier = 0
@@ -338,9 +325,8 @@ def segment_stream(
         n_commands = 0
         items.clear()
         key.clear()
-        payload.clear()
 
-    for item in generator.gemv_items(payloads=functional):
+    for item in generator.gemv_items(payloads=False):
         if not isinstance(item, BlockStep):
             flush()
             barrier = item.barrier_cycles
@@ -365,8 +351,6 @@ def segment_stream(
             items.extend(item.items)
             key.append(fragment_id)
             n_commands += fragment.n_commands
-        if functional:
-            payload.extend(item.payload_steps())
     flush()
     stream.key_id = cache.intern_key(
         tuple((s.barrier_cycles, s.key_id) for s in stream.segments)

@@ -43,12 +43,11 @@ stream compiler (:func:`repro.core.schedule_cache.segment_stream`)
 guarantees it structurally by splitting runs at every barrier, exactly
 as it splits replay segments for the fast path.
 
-The functional side mirrors this shape: a compiled block's payloads
-(:meth:`repro.core.command_gen.BlockStep.payload_steps`) compact a GWRITE
-run to a single ``load_run`` buffer load, and the batched functional datapath
-(:mod:`repro.core.datapath`) evaluates a whole buffer-group of COMP
-runs as one :func:`repro.numerics.vectorized.batched_tile_compute`
-call — so in both domains a homogeneous command run costs one kernel
+The functional side goes further: the datapath (:mod:`repro.core.datapath`)
+reads no command at all. It computes a GEMV from its layout with one
+:func:`repro.numerics.vectorized.batched_tile_compute` call per input
+chunk, covering every tile's COMP runs for that chunk — so in both
+domains a homogeneous command run costs a share of one kernel
 application, not ``count`` interpreter iterations.
 """
 

@@ -14,6 +14,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.numerics.activation import apply_activation
 from repro.numerics.bfloat16 import quantize_bf16
+from repro.numerics.vectorized import CANONICAL_NAN_F32
 
 
 class ActivationLUT:
@@ -43,15 +44,19 @@ class ActivationLUT:
         self.lookups = 0
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Look up activations for ``x``, with nearest-entry indexing."""
+        """Look up activations for ``x``, with nearest-entry indexing.
+
+        A NaN indexes no entry: it reads the canonical NaN
+        ``0x7FC00000``, which every rounding step makes of a NaN."""
         x = np.asarray(x, dtype=np.float32)
         self.lookups += int(x.size)
         if self.name == "relu":
             # ReLU is exact in hardware (a mux on the sign bit), no table.
             return quantize_bf16(np.maximum(x, np.float32(0.0)))
-        clamped = np.clip(x, self.lo, self.hi)
+        nan = np.isnan(x)
+        clamped = np.clip(np.where(nan, np.float32(self.lo), x), self.lo, self.hi)
         idx = np.rint((clamped - self.lo) / self._step).astype(np.int64)
-        return self._table[idx]
+        return np.where(nan, CANONICAL_NAN_F32, self._table[idx])
 
     def max_error(self, probe_points: int = 4096) -> float:
         """Worst absolute error against the exact activation on the range."""

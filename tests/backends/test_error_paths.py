@@ -1,8 +1,8 @@
 """Error-path contracts: ProtocolError and LayoutError surfaces.
 
 Every batch entry point must reject malformed shapes with LayoutError
-(not a numpy broadcast error three layers down), and the functional
-datapath must refuse protocol-order violations — reading the global
+(not a numpy broadcast error three layers down), and the per-command
+datapath model must refuse protocol-order violations — reading the global
 buffer before a GWRITE loaded it, touching latches that do not exist —
 with ProtocolError.
 """
@@ -32,12 +32,6 @@ class TestCompBeforeGwrite:
         buffer = GlobalBuffer(SMALL)
         with pytest.raises(ProtocolError, match="GWRITE"):
             buffer.read_subchunk(0)
-
-    def test_tile_compute_with_missing_subchunk(self):
-        buffer = GlobalBuffer(SMALL)
-        buffer.load_subchunk(1, np.ones(SMALL.elems_per_col))
-        with pytest.raises(ProtocolError, match="sub-chunk 0"):
-            buffer.chunk(2)
 
     def test_loaded_subchunk_reads_back(self):
         buffer = GlobalBuffer(SMALL)

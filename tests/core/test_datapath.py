@@ -1,12 +1,13 @@
 """Differential validation of the batched functional datapath.
 
-The engine's datapath evaluates whole buffer groups of tiles as single
-vector kernels, deferring emits to flush points. The contract is that
-its outputs are bit-identical (compared as ``uint32``, so NaN payloads
-and the sign of zero count) to the per-command
-:class:`~repro.core.reference.ReferenceExecutor`, which walks the same
-stream COMP by COMP through one ``BankMacUnit`` per bank — for every
-optimization combination, layout, batch, and the LUT path.
+The engine's datapath computes each GEMV from its layout, one vector
+kernel call per input chunk. The contract is that its outputs are
+bit-identical (compared as ``uint32``, so NaN payloads and the sign of
+zero count) to the per-command
+:class:`~repro.core.reference.ReferenceExecutor`, which walks the
+lowered stream COMP by COMP through one ``BankMacUnit`` per bank — for
+every optimization combination, command family, layout, batch, and the
+LUT path.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.command_gen import EmitOp, Step, TileComputeOp
+from repro.core import datapath as datapath_module
 from repro.core.datapath import (
     BatchedDatapath,
     FunctionalDatapath,
@@ -25,6 +26,7 @@ from repro.core.optimizations import FULL
 from repro.core.reference import ReferenceExecutor
 from repro.dram.config import DRAMConfig
 from repro.numerics.lut import ActivationLUT
+from repro.numerics.vectorized import batched_tile_compute
 from repro.workloads.generator import generate_layer_data
 
 CFG = DRAMConfig(num_channels=2, banks_per_channel=16, rows_per_bank=256)
@@ -35,6 +37,24 @@ FLAGS = (
     "interleaved_reuse",
     "four_bank_activation",
 )
+
+RIVAL_FAMILIES = [
+    pytest.param("output_stationary", None, id="output_stationary"),
+    pytest.param("output_stationary", "sigmoid", id="output_stationary-sigmoid"),
+    pytest.param("bankgroup_ext", None, id="bankgroup_ext"),
+]
+"""The rival command families, the tile-major one with and without the
+in-DRAM LUT its whole-row readout applies."""
+
+FAMILY_SUBSETS = [
+    pytest.param(
+        family, bits, id=family + "-" + "".join(str(int(b)) for b in bits)
+    )
+    for family in ("newton", "output_stationary", "bankgroup_ext")
+    for bits in itertools.product([True, False], repeat=4)
+    # The tile-major family walks only the interleaved layout.
+    if family != "output_stationary" or bits[FLAGS.index("interleaved_reuse")]
+]
 
 
 def reference_output(device, handle, matrix, vector):
@@ -52,7 +72,7 @@ def assert_bits_equal(expected, got):
 
 
 def check_against_reference(
-    opt, m, n, seed=5, batch=1, lut_activation=None, store=False
+    opt, m, n, seed=5, batch=1, lut_activation=None, store=False, config=CFG
 ):
     """Run ``batch`` back-to-back GEMVs on one device; each output must
     match its own reference run (with the LUT applied on top). With
@@ -60,7 +80,7 @@ def check_against_reference(
     zero-loaded residency, as the KV-cache writes it."""
     data = generate_layer_data(m, n, seed=seed)
     device = NewtonDevice(
-        CFG, opt=opt, functional=True, lut_activation=lut_activation
+        config, opt=opt, functional=True, lut_activation=lut_activation
     )
     if store:
         handle = device.load_matrix(np.zeros_like(data.matrix))
@@ -90,19 +110,25 @@ class TestTierDifferential:
         check_against_reference(opt, 96, 768)
 
     def test_multi_latch_no_reuse(self):
-        """The Section III-C four-latch row-major variant exercises the
-        batched datapath's latch-conflict flushes."""
+        """The Section III-C four-latch row-major variant: two slots per
+        channel share one pass."""
         opt = FULL.evolve(interleaved_reuse=False, result_latches=4)
         check_against_reference(opt, 64, 512)
 
+    def test_multi_latch_no_reuse_ragged(self):
+        """Five slots per channel with four latches: a full pass and a
+        one-slot pass, over a partial second chunk."""
+        opt = FULL.evolve(interleaved_reuse=False, result_latches=4)
+        check_against_reference(opt, 140, 700)
+
     def test_lut_path(self):
-        """Deferred emits must apply the LUT exactly like immediate ones."""
+        """The whole-row read applies the LUT to the reference's sums."""
         opt = FULL.evolve(interleaved_reuse=False)
         check_against_reference(opt, 48, 512, lut_activation="sigmoid")
 
     def test_batch_runs(self):
-        """Back-to-back inputs reuse the resident matrix; the deferred
-        state must reset cleanly between runs."""
+        """Back-to-back inputs reuse the resident matrix; each run starts
+        from zeroed latches."""
         check_against_reference(FULL, 64, 512, batch=3)
 
     @pytest.mark.parametrize("interleaved", [True, False])
@@ -116,6 +142,15 @@ class TestTierDifferential:
     def test_ragged_shape(self):
         """A shape that pads both dimensions (partial final chunk/tile)."""
         check_against_reference(FULL, 70, 300)
+
+    @pytest.mark.parametrize("m, n", [(70, 300), (40, 700)])
+    @pytest.mark.parametrize("family, lut", RIVAL_FAMILIES)
+    def test_ragged_shape_per_family(self, family, lut, m, n):
+        """The rival families' walks on shapes that pad both dimensions:
+        the tile-major walk chains each tile's latch across chunks, and
+        ``bankgroup_ext`` reads out per chunk like Newton."""
+        config = CFG.with_overrides(command_family=family)
+        check_against_reference(FULL, m, n, lut_activation=lut, config=config)
 
     def test_special_values_in_matrix(self):
         """NaN/inf/subnormal matrix entries flow through identically.
@@ -147,35 +182,38 @@ class TestTierDifferential:
         )
 
 
-class TestBufferGroups:
-    def test_unevenly_spaced_rows_flush_first(self):
-        """A buffer group is read as one evenly strided slab slice, so a
-        compute whose row breaks the spacing must flush first: the same
-        tiles fed in the order 0, 1, 3, 2 (a wider stride, then a
-        backward one) give the generated stream's exact output."""
+class TestKernelCalls:
+    @pytest.mark.parametrize(
+        "family, opt",
+        [
+            ("newton", FULL),
+            ("newton", FULL.evolve(interleaved_reuse=False)),
+            ("newton", FULL.evolve(interleaved_reuse=False, result_latches=4)),
+            ("output_stationary", FULL),
+        ],
+        ids=["interleaved", "no-reuse", "four-latch", "tile-major"],
+    )
+    def test_one_kernel_call_per_chunk(self, monkeypatch, family, opt):
+        """70x1100 on one channel is 3 chunks of 5 tiles (or slots):
+        every walk makes one kernel call per chunk, over all 5, and a
+        timing-only engine makes none."""
+        calls = []
+
+        def counting(tiles, *args):
+            calls.append(tiles.shape[0])
+            return batched_tile_compute(tiles, *args)
+
+        monkeypatch.setattr(datapath_module, "batched_tile_compute", counting)
         config = DRAMConfig(
             num_channels=1, banks_per_channel=16, rows_per_bank=256
-        )
-        data = generate_layer_data(64, 1024, seed=3)
-        device = NewtonDevice(config, opt=FULL, functional=True)
-        handle = device.load_matrix(data.matrix)
-        engine, layout = device.engines[0], handle.placements[0][2]
-        expected = device.gemv(handle, data.vector).output
-        steps = []
-        for chunk in range(layout.num_chunks):
-            steps.append(Step(new_chunk=chunk))
-            steps.append(Step(load_run=(chunk, layout.cols_in_chunk(chunk))))
-            for tile in (0, 1, 3, 2):
-                row = layout.dram_row(chunk, tile)
-                rows = layout.tile_matrix_rows(tile)
-                steps.append(Step(compute=TileComputeOp(chunk, row)))
-                steps.append(Step(emit=EmitOp(0, chunk, rows)))
-        output = np.zeros(layout.m, dtype=np.float32)
-        padded = layout.pad_vector(data.vector)
-        for step in steps:
-            engine.datapath.step(step, padded, layout, output)
-        engine.datapath.finish(output)
-        assert_bits_equal(expected, output)
+        ).with_overrides(command_family=family)
+        data = generate_layer_data(70, 1100, seed=3)
+        device = NewtonDevice(config, opt=opt, functional=True)
+        device.gemv(device.load_matrix(data.matrix), data.vector)
+        assert calls == [5, 5, 5]
+        timing_only = NewtonDevice(config, opt=opt, functional=False)
+        timing_only.gemv(timing_only.load_matrix(m=70, n=1100))
+        assert calls == [5, 5, 5]
 
 
 class TestTierSelection:
@@ -186,6 +224,7 @@ class TestTierSelection:
         assert default_datapath() == "batched"
         device = NewtonDevice(CFG, functional=True)
         assert type(device.engines[0].datapath) is BatchedDatapath
+        assert NewtonDevice(CFG, functional=False).engines[0].datapath is None
         assert [
             cls.name for cls in FunctionalDatapath.__subclasses__()
         ] == ["batched"]
@@ -193,11 +232,11 @@ class TestTierSelection:
 
 @pytest.mark.slow
 class TestTierDifferentialExhaustive:
-    """Every subset of the four layout/command flags."""
+    """Every subset of the four layout/command flags, in every command
+    family that can walk it (16 + 16 + 8 cases)."""
 
-    @pytest.mark.parametrize(
-        "bits", list(itertools.product([True, False], repeat=4))
-    )
-    def test_flag_subset(self, bits):
+    @pytest.mark.parametrize("family, bits", FAMILY_SUBSETS)
+    def test_flag_subset(self, family, bits):
         opt = FULL.evolve(**dict(zip(FLAGS, bits)))
-        check_against_reference(opt, 64, 512)
+        config = CFG.with_overrides(command_family=family)
+        check_against_reference(opt, 64, 512, config=config)

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.device import NewtonDevice
 from repro.core.engine import NewtonChannelEngine
 from repro.core.optimizations import FULL, NON_OPT
 from repro.dram.commands import CommandKind
 from repro.dram.config import DRAMConfig
 from repro.dram.timing import TimingParams
-from repro.errors import ProtocolError
+from repro.errors import LayoutError, ProtocolError
 
 CFG = DRAMConfig(num_channels=1, banks_per_channel=16, rows_per_bank=512)
 
@@ -128,6 +129,22 @@ class TestFunctionalCorrectness:
         layout = engine.add_matrix(16, 512, np.zeros((16, 512), dtype=np.float32))
         with pytest.raises(ProtocolError):
             engine.run_gemv(layout)
+
+    def test_rejected_fused_input_counts_nothing(self):
+        """A fused GEMV whose vector is refused (wrong length, or none)
+        neither runs nor counts as a fused run."""
+        config = DRAMConfig(num_channels=2, banks_per_channel=16, rows_per_bank=256)
+        device = NewtonDevice(config, opt=FULL, functional=True)
+        handle = device.load_matrix(np.ones((32, 64), dtype=np.float32))
+        with pytest.raises(LayoutError):
+            device.gemv(handle, np.ones(63), fused_input=True)
+        with pytest.raises(ProtocolError):
+            device.gemv(handle, None, fused_input=True)
+        fused = device.collect_metrics()["channels"]["0"]["fused"]
+        assert fused == {
+            "runs": 0, "skipped_gwrites": 0, "estimated_saved_cycles": 0
+        }
+        assert device.now == 0
 
     def test_batch_runs_are_independent(self, rng):
         engine = make_engine()

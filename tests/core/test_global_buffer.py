@@ -34,26 +34,11 @@ class TestGlobalBuffer:
         with pytest.raises(ProtocolError):
             buffer.read_subchunk(-1)
 
-    def test_chunk_requires_loaded_prefix(self, buffer):
-        buffer.load_subchunk(0, np.ones(16, dtype=np.float32))
-        assert buffer.chunk(required_subchunks=1).shape == (512,)
-        with pytest.raises(ProtocolError):
-            buffer.chunk(required_subchunks=2)
-        with pytest.raises(ProtocolError):
-            buffer.chunk()  # all 32 required by default
-
     def test_invalidate_clears_data_and_validity(self, buffer):
         buffer.load_subchunk(0, np.ones(16, dtype=np.float32))
         buffer.invalidate()
-        assert np.all(buffer.chunk(required_subchunks=0) == 0)
         with pytest.raises(ProtocolError):
             buffer.read_subchunk(0)
-
-    def test_unloaded_region_reads_zero(self, buffer):
-        buffer.load_subchunk(0, np.ones(16, dtype=np.float32))
-        chunk = buffer.chunk(required_subchunks=1)
-        assert np.all(chunk[16:] == 0)
-        assert np.all(chunk[:16] == 1)
 
     def test_counters(self, buffer):
         buffer.load_subchunk(0, np.zeros(16, dtype=np.float32))

@@ -76,3 +76,23 @@ class TestLutThroughDevice:
         expected = ActivationLUT(activation).apply(raw)
         assert np.array_equal(activated.view(np.uint32), expected.view(np.uint32))
         assert not np.array_equal(activated, raw)
+
+    @pytest.mark.parametrize(
+        "config, opt",
+        [(CFG, NO_REUSE), (OUTPUT_STATIONARY, FULL)],
+        ids=["no-reuse", "output_stationary"],
+    )
+    def test_nan_row_sum_reads_canonical_nan(self, config, opt):
+        """Row 0 sums +inf and -inf to a NaN; a table LUT must read it as
+        the canonical NaN, as the plain readout does, on both whole-row
+        walks."""
+        matrix = np.ones((16, 64), dtype=np.float32)
+        matrix[0, 0], matrix[0, 1] = np.inf, -np.inf
+        vector = np.ones(64, dtype=np.float32)
+        device = NewtonDevice(
+            config, opt=opt, functional=True, lut_activation="sigmoid"
+        )
+        out = device.gemv(device.load_matrix(matrix), vector).output
+        assert out.view(np.uint32)[0] == 0x7FC00000
+        expected = ActivationLUT("sigmoid").apply(np.full(15, 64, np.float32))
+        assert np.array_equal(out[1:], expected)

@@ -39,6 +39,20 @@ class TestActivationLUT:
         assert out[0] == lut.apply(np.array([-8.0], dtype=np.float32))[0]
         assert out[1] == lut.apply(np.array([8.0], dtype=np.float32))[0]
 
+    @pytest.mark.parametrize("name", ["sigmoid", "tanh", "relu"])
+    def test_nan_and_infinities(self, name):
+        """A NaN row sum reads the canonical NaN; infinities clamp to the
+        table's end entries (ReLU, a mux on the sign bit, passes +inf
+        and zeroes -inf)."""
+        lut = ActivationLUT(name)
+        out = lut.apply(np.array([np.nan, -np.inf, np.inf], dtype=np.float32))
+        assert out.view(np.uint32)[0] == 0x7FC00000
+        if name == "relu":
+            assert list(out[1:]) == [0.0, np.inf]
+        else:
+            ends = lut.apply(np.array([lut.lo, lut.hi], dtype=np.float32))
+            assert np.array_equal(out[1:].view(np.uint32), ends.view(np.uint32))
+
     def test_lookup_counter(self):
         lut = ActivationLUT("sigmoid", entries=256)
         lut.apply(np.zeros(10, dtype=np.float32))
