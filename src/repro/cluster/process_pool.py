@@ -23,18 +23,22 @@ cluster (``tests/cluster/test_process_pool.py``).
   legacy generator from ``SeedSequence([seed, i])``.
 * **bounded failure**: a remote exception is raised as
   :class:`~repro.errors.WorkerError` with the worker's traceback, and
-  the worker keeps serving. A reply missing after
-  :data:`REPLY_DEADLINE_S` (a hung or stopped worker), or a closed pipe
-  (a dead one), raises ``WorkerError`` and SIGKILLs the worker.
+  the worker keeps serving. A request the worker has not taken, or a
+  reply it has not sent, after :data:`REPLY_DEADLINE_S` (a hung or
+  stopped worker), or a closed pipe (a dead one), raises
+  ``WorkerError`` and SIGKILLs the worker; the request's shared-memory
+  segments are released either way.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import random
+import threading
 import traceback
 import weakref
 from contextlib import ExitStack, suppress
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict
 
 import numpy as np
@@ -45,7 +49,8 @@ from repro.cluster.shm import SharedNDArray, ShmSpec
 from repro.errors import ProtocolError, WorkerError
 
 REPLY_DEADLINE_S = 300.0
-"""Longest wait for any one worker reply before the worker is killed."""
+"""Longest wait for a worker to take one request, or to send one reply,
+before it is killed."""
 
 JOIN_TIMEOUT_S = 10.0
 """Grace period for worker shutdown before the parent kills it."""
@@ -202,11 +207,35 @@ class ProcessWorker(Backend):
         return payload
 
     def _send(self, message: tuple) -> None:
-        try:
-            self._conn.send(message)
-        except OSError as exc:
+        # Pickled here, so a pickling error is raised to the caller, and
+        # written by a helper thread the caller waits on for at most
+        # REPLY_DEADLINE_S: a worker that has stopped reading would
+        # otherwise block a write larger than the pipe's buffer forever.
+        payload = ForkingPickler.dumps(message)
+        errors = []
+
+        def write() -> None:
+            try:
+                self._conn.send_bytes(payload)
+            except OSError as exc:
+                errors.append(exc)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        writer.join(REPLY_DEADLINE_S)
+        if writer.is_alive():
+            # Killing the reader fails the blocked write; the pipe
+            # closes only after the writer has let go of it.
+            self.process.kill()
+            writer.join(JOIN_TIMEOUT_S)
             self._stop()
-            raise WorkerError(f"worker {self.index} is gone ({exc})") from None
+            raise WorkerError(
+                f"worker {self.index} took no request within "
+                f"{REPLY_DEADLINE_S:g} s; killed it"
+            )
+        if errors:
+            self._stop()
+            raise WorkerError(f"worker {self.index} is gone ({errors[0]})") from None
 
     @staticmethod
     def _share(value, segments: ExitStack):

@@ -50,16 +50,6 @@ ACTIVATION_WINDOW_SIZE = 4
 
 
 @dataclass(frozen=True)
-class TileComputeOp:
-    """A tile evaluation, complete once this command issues: the chunk,
-    the DRAM row it reads and the latch it accumulates into."""
-
-    chunk: int
-    dram_row: int
-    latch: int = 0
-
-
-@dataclass(frozen=True)
 class EmitOp:
     """Read result latches out to the host after this command issues.
 
@@ -84,9 +74,6 @@ class Step:
     """If positive: a refresh barrier covering a row operation this long."""
     new_chunk: Optional[int] = None
     """If set: the global buffer is being repurposed for this chunk."""
-    load: Optional[Tuple[int, int]] = None
-    """(chunk, subchunk) loaded by an accompanying GWRITE."""
-    compute: Optional[TileComputeOp] = None
     emit: Optional[EmitOp] = None
     latch: int = 0
     """Result latch the tile's compute commands accumulate into (only
@@ -156,9 +143,9 @@ class BlockStep:
     gwrite_chunk: Optional[int] = None
     """If set: the global buffer is repurposed for this chunk, and the
     block's GWRITEs load its sub-chunks ``0..n-1``."""
-    compute: Optional[TileComputeOp] = None
-    """Tile evaluation fired by the block's last command; its latch is
-    the one every command of the block accumulates into."""
+    compute: Optional[int] = None
+    """If set: the block is a tile's compute phase, and this is the
+    result latch every command of the block accumulates into."""
     emit: Optional[EmitOp] = None
     """Result read fired by the block's last command."""
 
@@ -175,16 +162,13 @@ class BlockStep:
 
     def expand(self) -> Iterator[Step]:
         """The exact per-command steps this block stands for."""
-        chunk = self.gwrite_chunk
-        if chunk is not None:
-            yield Step(new_chunk=chunk)
-        latch = 0 if self.compute is None else self.compute.latch
+        if self.gwrite_chunk is not None:
+            yield Step(new_chunk=self.gwrite_chunk)
+        latch = self.compute or 0
         last = self.fragment.n_commands - 1
         for i, command in enumerate(self.commands()):
             yield Step(
                 command=command,
-                load=None if chunk is None else (chunk, i),
-                compute=self.compute if i == last else None,
                 emit=self.emit if i == last else None,
                 latch=latch,
             )
@@ -338,11 +322,11 @@ class CommandStreamGenerator:
             for bank in range(self.config.banks_per_channel):
                 yield cmds.readres_bank(bank)
 
-    def _compute_item(self, cols: int, op: Optional[TileComputeOp]) -> BlockStep:
-        """The compute phase; the tile evaluation fires on its final
-        command so the buffer/rows are guaranteed loaded."""
+    def _compute_item(self, cols: int, latch: Optional[int]) -> BlockStep:
+        """The compute phase, accumulating into ``latch`` (``None``: no
+        payload)."""
         block = self._template(("compute", cols), self._compute_commands, cols)
-        return block if op is None else block.with_payload(compute=op)
+        return block if latch is None else block.with_payload(compute=latch)
 
     def _readres_item(self, emit: Optional[EmitOp]) -> BlockStep:
         block = self._template(("readres",), self._readres_commands)
@@ -402,9 +386,7 @@ class CommandStreamGenerator:
                 dram_row = layout.dram_row(chunk, tile)
                 yield barrier
                 yield self._activation_block(dram_row)
-                yield self._compute_item(
-                    cols, TileComputeOp(chunk, dram_row) if payloads else None
-                )
+                yield self._compute_item(cols, 0 if payloads else None)
                 yield self._readres_item(
                     EmitOp(0, chunk, layout.tile_matrix_rows(tile))
                     if payloads
@@ -432,8 +414,7 @@ class CommandStreamGenerator:
                 yield barrier
                 yield self._activation_block(dram_row)
                 yield self._compute_item(
-                    layout.cols_in_chunk(chunk),
-                    TileComputeOp(chunk, dram_row) if payloads else None,
+                    layout.cols_in_chunk(chunk), 0 if payloads else None
                 )
             yield self._readres_item(
                 EmitOp(0, None, layout.tile_matrix_rows(tile)) if payloads else None
@@ -454,10 +435,7 @@ class CommandStreamGenerator:
                     dram_row = layout.dram_row(slot, chunk)
                     yield barrier
                     yield self._activation_block(dram_row)
-                    yield self._compute_item(
-                        cols,
-                        TileComputeOp(chunk, dram_row, latch) if payloads else None,
-                    )
+                    yield self._compute_item(cols, latch if payloads else None)
             for latch, slot in enumerate(slots):
                 yield self._readres_item(
                     EmitOp(latch, None, layout.slot_matrix_rows(slot))

@@ -2,32 +2,41 @@
 
 With multiple (pseudo) channels, "Newton's per-channel operation and
 timing are simply repeated in parallel across the channels" (Section
-III-D): the matrix's rows are spread across channels, every channel
-receives the full input vector into its own global buffer, and the
-device's wall clock is the slowest channel.
+III-D): the matrix's rows are spread across channels
+(:func:`~repro.core.layout.partition_rows`), every channel receives the
+full input vector into its own global buffer, and the device's wall
+clock is the slowest channel.
 
-Two modes:
+The device simulates each repetition once. Channels whose load
+histories are equal hold equal layouts and issue equal command streams,
+so they form one *class*, timed by one timing-only
+:class:`~repro.core.engine.NewtonChannelEngine`
+(:attr:`NewtonDevice.engines`, members in :attr:`NewtonDevice.classes`).
+A fresh device is one class. :meth:`NewtonDevice.load_matrix` splits a
+class only where its members need different layouts — a different tile
+or slot count, or no rows at all — and each new class starts from a
+copy of the old class's timing state
+(:meth:`~repro.core.engine.NewtonChannelEngine.fork`). A GEMV runs each
+participating class once, and telemetry gives every member its class's
+record.
 
-* **functional** (default): every channel is simulated, data and timing;
-  ``gemv`` returns the bit-faithful bfloat16/fp32 output.
-* **timing-only** (``functional=False``): only channel 0 is simulated.
-  ``partition_rows`` always hands the largest (cumulative) slice to
-  channel 0 and refresh is identical across channels, so channel 0 is
-  the critical path and its cycle count is the device's wall clock.
-  This keeps 24-channel benchmark sweeps fast.
-
-A functional ``gemv`` runs the channels one after another, in channel
-order.
+The arithmetic does not depend on the channel either: a row's result
+depends only on that row, the vector and the family's readout rule. A
+functional device (the default) keeps each resident matrix once, in its
+:class:`~repro.core.datapath.BatchedDatapath`, and ``gemv`` returns the
+bit-faithful bfloat16/fp32 output. A timing-only device
+(``functional=False``) takes shapes instead of data and has no
+datapath; its cycles, telemetry and power equal a functional device's.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.datapath import BatchedDatapath
 from repro.core.engine import NewtonChannelEngine
 from repro.core.layout import Layout, partition_rows
 from repro.core.optimizations import FULL, OptimizationConfig
@@ -37,8 +46,6 @@ from repro.dram.power import PowerParams, PowerReport
 from repro.dram.timing import TimingParams, hbm2e_like_timing
 from repro.errors import LayoutError, ProtocolError
 from repro.numerics.lut import ActivationLUT
-
-logger = logging.getLogger(__name__)
 
 
 def validate_batch_vectors(vectors: np.ndarray, n: int) -> np.ndarray:
@@ -69,26 +76,19 @@ def validate_batch_vectors(vectors: np.ndarray, n: int) -> np.ndarray:
     return vectors
 
 
-@dataclass
+@dataclass(eq=False)
 class MatrixHandle:
-    """A matrix resident in the device (one layout per channel)."""
+    """A matrix resident in the device."""
 
     m: int
     n: int
-    placements: List[Tuple[int, Tuple[int, int], Layout]] = field(default_factory=list)
-    """(channel index, (row_lo, row_hi), layout) per participating channel."""
-
-    truncated_channels: int = 0
-    """Channel placements dropped by a timing-only load (the device
-    simulates channel 0 only; see :meth:`NewtonDevice.load_matrix`)."""
-
-    truncated_rows: int = 0
-    """Matrix rows covered by those dropped placements."""
-
-    @property
-    def truncated(self) -> bool:
-        """Whether any placement was dropped at load time."""
-        return self.truncated_channels > 0
+    slices: List[Tuple[int, int]] = field(default_factory=list)
+    """Each channel's ``(row_lo, row_hi)`` (:func:`partition_rows`)."""
+    layouts: List[Optional[Layout]] = field(default_factory=list)
+    """Each channel's layout, ``None`` for a channel holding no rows. The
+    members of a class share its layout, built for the class's largest
+    slice (slices differ by at most a row and have equal tile or slot
+    counts, so their streams are equal)."""
 
 
 class NewtonDevice:
@@ -111,33 +111,35 @@ class NewtonDevice:
         self.timing = timing if timing is not None else hbm2e_like_timing()
         self.opt = opt
         self.functional = functional
-        self.load_truncations = 0
-        """Loads whose per-channel placements were truncated (timing-only
-        mode simulates channel 0 only); see :meth:`load_matrix`."""
         # The in-DRAM LUT activates whole row sums at readout; a traversal
         # that reads out per-chunk partials applies activations on the host.
+        whole_row = self.config.rules.whole_row_readout(opt.interleaved_reuse)
         lut = (
             ActivationLUT(lut_activation)
-            if lut_activation is not None
-            and self.config.rules.whole_row_readout(opt.interleaved_reuse)
+            if lut_activation is not None and whole_row
             else None
         )
-        active_channels = self.config.num_channels if functional else 1
+        self.datapath: Optional[BatchedDatapath] = (
+            BatchedDatapath(self.config, whole_row, lut) if functional else None
+        )
+        """Every resident matrix and the arithmetic (``None`` when
+        timing-only)."""
         self.engines: List[NewtonChannelEngine] = [
             NewtonChannelEngine(
                 self.config,
                 self.timing,
                 opt,
-                channel_index=ch,
-                functional=functional,
+                functional=False,
                 refresh_enabled=refresh_enabled,
                 power_params=power_params,
-                lut=lut,
                 fast=fast,
                 telemetry=telemetry,
             )
-            for ch in range(active_channels)
         ]
+        """One timing engine per class of identical channels."""
+        self.classes: List[range] = [range(self.config.num_channels)]
+        """Each engine's member channels; classes are contiguous and in
+        channel order, so ``engines[0]`` times channel 0."""
 
     # ------------------------------------------------------------------
 
@@ -152,19 +154,8 @@ class NewtonDevice:
 
         Pass the array itself in functional mode, or just ``m``/``n`` in
         timing-only mode. Loading is not timed (the matrix lives in the
-        AiM for the model's lifetime).
-
-        In timing-only mode only channel 0 is simulated: it always holds
-        the largest (cumulative) row slice and refresh is identical
-        across channels, so it is the critical path and the other
-        channels' placements are intentionally dropped. The handle
-        records that truncation (``truncated_channels`` /
-        ``truncated_rows``), the device counts it
-        (:attr:`load_truncations`, exported by
-        :meth:`collect_metrics`), and a debug log line is emitted. A
-        functional device is never allowed to drop data: if a placement
-        ever targets a missing engine there, :class:`ProtocolError` is
-        raised instead.
+        AiM for the model's lifetime). Both modes place every channel's
+        rows; a class whose members need different layouts splits here.
         """
         if matrix is not None:
             matrix = np.asarray(matrix, dtype=np.float32)
@@ -179,37 +170,36 @@ class NewtonDevice:
                 "for timing-only shape runs"
             )
         slices = partition_rows(m, self.config.num_channels)
-        handle = MatrixHandle(m=m, n=n)
-        for channel, (lo, hi) in enumerate(slices):
-            if hi == lo:
-                continue
-            if channel >= len(self.engines):
-                if self.functional:
-                    raise ProtocolError(
-                        f"channel {channel} placement of rows [{lo}, {hi}) "
-                        f"has no engine ({len(self.engines)} present); a "
-                        "functional device must simulate every placement"
-                    )
-                # Timing-only: channel 0 is the critical path; record the
-                # dropped placement instead of silently discarding it.
-                handle.truncated_channels += 1
-                handle.truncated_rows += hi - lo
-                continue
-            layout = self.engines[channel].add_matrix(
-                hi - lo, n, matrix[lo:hi] if matrix is not None else None
-            )
-            handle.placements.append((channel, (lo, hi), layout))
-        if handle.truncated:
-            self.load_truncations += 1
-            logger.debug(
-                "timing-only load of %dx%d: %d channel placement(s) "
-                "covering %d rows dropped; channel 0 remains the critical "
-                "path",
-                m,
-                n,
-                handle.truncated_channels,
-                handle.truncated_rows,
-            )
+        banks = self.config.banks_per_channel
+
+        def tiles(channel: int) -> int:  # of the layout the channel needs
+            lo, hi = slices[channel]
+            return -(-(hi - lo) // banks)
+
+        handle = MatrixHandle(m, n, slices, [None] * len(slices))
+        engines: List[NewtonChannelEngine] = []
+        classes: List[range] = []
+        for engine, members in zip(self.engines, self.classes):
+            # Slices shrink along the channels by at most a row, so a
+            # class needs at most two layouts: it splits where its
+            # members' tile counts first differ.
+            first = tiles(members[0])
+            groups = [members]
+            if tiles(members[-1]) != first:
+                cut = next(c for c in members if tiles(c) != first)
+                groups = [range(members[0], cut), range(cut, members[-1] + 1)]
+            # Every part starts from the class's state before this load.
+            parts = [engine] + [engine.fork(group[0]) for group in groups[1:]]
+            for part, group in zip(parts, groups):
+                engines.append(part)
+                classes.append(group)
+                lo, hi = slices[group[0]]
+                if hi > lo:
+                    layout = part.add_matrix(hi - lo, n)
+                    handle.layouts[group[0] : group[-1] + 1] = [layout] * len(group)
+        self.engines, self.classes = engines, classes
+        if self.functional:
+            self.datapath.add(handle, matrix)
         return handle
 
     def store_matrix(
@@ -224,14 +214,7 @@ class NewtonDevice:
         """
         if not self.functional:
             raise ProtocolError("store_matrix needs a functional device")
-        matrix = np.asarray(matrix, dtype=np.float32)
-        if matrix.shape != (handle.m, handle.n):
-            raise LayoutError(
-                f"matrix of shape {matrix.shape}; the handle holds "
-                f"({handle.m}, {handle.n})"
-            )
-        for channel, (lo, hi), layout in handle.placements:
-            self.engines[channel].update_matrix(layout, matrix[lo:hi])
+        self.datapath.write(handle, matrix)
 
     def gemv(
         self,
@@ -240,31 +223,40 @@ class NewtonDevice:
         *,
         fused_input: bool = False,
     ) -> GemvRunResult:
-        """One matrix-vector product; channels run in simulated parallel.
+        """One matrix-vector product; channels run in simulated parallel,
+        each class once (one result per class).
 
         ``fused_input=True`` marks the input as already channel-resident
         (fused-layer dataflow): every channel elides the host GWRITEs
         from its command stream while loading its buffer identically, so
         outputs are bit-identical and only cycles change.
         """
-        if not handle.placements:
+        layouts, slices = handle.layouts, handle.slices
+        if not layouts:
             raise ProtocolError("the matrix handle has no placements")
-        channel_results = [
-            self.engines[channel].run_gemv(layout, vector, fused_input=fused_input)
-            for channel, _, layout in handle.placements
-        ]
-        output = np.zeros(handle.m, dtype=np.float32) if self.functional else None
-        for result, (_, (lo, hi), _) in zip(channel_results, handle.placements):
-            result.row_slice = (lo, hi)
-            if output is not None and result.output is not None:
-                output[lo:hi] = result.output
+        if self.functional:
+            if vector is None:
+                raise ProtocolError("functional mode requires an input vector")
+            # Checked before any class runs: a refused input moves no clock.
+            padded = layouts[0].pad_vector(vector)
+        channel_results = []
+        for engine, members in zip(self.engines, self.classes):
+            layout = layouts[members[0]]
+            if layout is None:
+                continue  # the class holds no rows of this matrix
+            result = engine.run_gemv(layout, fused_input=fused_input)
+            result.row_slice = (slices[members[0]][0], slices[members[-1]][1])
+            result.channels = len(members)
+            channel_results.append(result)
         # Measured from the device clock at issue: the latest
         # participating start. A channel left idle by an earlier
         # narrower matrix lags behind, and must not count its lag.
         start = max(r.start_cycle for r in channel_results)
         end = max(r.end_cycle for r in channel_results)
         return GemvRunResult(
-            cycles=end - start, channel_results=channel_results, output=output
+            cycles=end - start,
+            channel_results=channel_results,
+            output=self.datapath.gemv(handle, padded) if self.functional else None,
         )
 
     def gemm(
@@ -331,7 +323,7 @@ class NewtonDevice:
         """Per-channel normalized power over everything run so far.
 
         Channels are statistically identical (slices differ by at most
-        one row group), so channel 0's report is the device's
+        one row group), so channel 0's class's report is the device's
         per-channel average power — the quantity Figure 13 plots.
         """
         return self.engines[0].power_report()

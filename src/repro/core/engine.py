@@ -1,21 +1,22 @@
-"""The per-channel execution engine: timing + functional, together.
+"""The per-channel execution engine: one channel's, or one class's, timing.
 
 The engine issues each GEMV's lowered command stream to the
-cycle-accurate controller and, in functional mode, computes its output.
-The two are independent: the stream carries no functional payload, and
-the datapath (:mod:`repro.core.datapath`) computes the product from the
-layout's slab one input chunk at a time, bit-identical to the
-per-command :class:`~repro.core.reference.ReferenceExecutor`.
+cycle-accurate controller. The stream carries no functional payload;
+the arithmetic lives in a :class:`~repro.core.datapath.BatchedDatapath`,
+bit-identical to the per-command
+:class:`~repro.core.reference.ReferenceExecutor`. A device runs its
+engines timing-only and keeps one datapath; a lone engine built with
+``functional=True`` holds its own (:attr:`NewtonChannelEngine.datapath`)
+and returns each GEMV's output.
 
 Residency is a bump pointer: each resident layout takes the next free
-DRAM rows of every bank, and a functional engine backs them with one
-contiguous uint16 slab (:attr:`NewtonChannelEngine.slabs`) that
-:meth:`NewtonChannelEngine.add_matrix`,
-:meth:`NewtonChannelEngine.update_matrix` and the ECC scrubber write
-whole, and the datapath reads a chunk of every tile at a time. A
-timing-only engine allocates no storage and has no datapath.
-Construction rejects a command family that cannot walk the configured
-traversal (:meth:`~repro.dram.config.FamilyRules.check_traversal`).
+DRAM rows of every bank. Channels whose load histories are equal hold
+equal layouts and issue equal streams, so a device times each such
+*class* of channels with one engine, and :meth:`NewtonChannelEngine.fork`
+copies an engine's timing state when a load splits its class (see
+:mod:`repro.core.device`). Construction rejects a command family that
+cannot walk the configured traversal
+(:meth:`~repro.dram.config.FamilyRules.check_traversal`).
 
 A single engine persists across runs: successive layers (or batch inputs)
 execute back-to-back on the same controller clock, so refresh interference
@@ -62,6 +63,7 @@ variable) to force per-command issue everywhere.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -90,7 +92,6 @@ from repro.dram.fastpath import ControllerDelta
 from repro.dram.power import PowerParams, PowerReport
 from repro.dram.timing import TimingParams
 from repro.errors import ProtocolError
-from repro.numerics.lut import ActivationLUT
 from repro.utils.envflags import env_flag
 
 
@@ -115,7 +116,8 @@ def telemetry_env_enabled() -> bool:
 
 
 class NewtonChannelEngine:
-    """Executes GEMV command streams on one Newton channel."""
+    """Executes GEMV command streams on one Newton channel (for a device,
+    on every channel of one class)."""
 
     def __init__(
         self,
@@ -123,11 +125,9 @@ class NewtonChannelEngine:
         timing: TimingParams,
         opt: OptimizationConfig,
         *,
-        channel_index: int = 0,
         functional: bool = True,
         refresh_enabled: bool = True,
         power_params: PowerParams = PowerParams(),
-        lut: Optional[ActivationLUT] = None,
         fast: bool = True,
         telemetry: bool = True,
         schedule_cache: Optional[ScheduleCache] = None,
@@ -136,7 +136,9 @@ class NewtonChannelEngine:
         self.config = config
         self.timing = timing
         self.opt = opt
-        self.channel_index = channel_index
+        self.channel_index = 0
+        """The channel this engine times (for a device, its class's
+        first member; set by :meth:`fork`)."""
         self.functional = functional
         self.fast = fast and not fastpath_env_disabled()
         self.telemetry = telemetry and telemetry_env_enabled()
@@ -148,10 +150,6 @@ class NewtonChannelEngine:
             power_params=power_params,
             telemetry=self.telemetry,
         )
-        self.slabs: Optional[Dict[int, np.ndarray]] = {} if functional else None
-        """The resident matrices' bf16 bits: one uint16 slab of shape
-        ``layout.slab_shape`` per layout, keyed by its base row (``None``
-        on a timing-only engine)."""
         # A reference cycle: a dropped engine is reclaimed by the cycle
         # collector, not on its last reference. The benchmark's
         # table2-sweep drops each device inside the next one's timed
@@ -163,13 +161,14 @@ class NewtonChannelEngine:
         self._next_free_row = 0
         self.datapath: Optional[BatchedDatapath] = (
             BatchedDatapath(
-                config, config.rules.whole_row_readout(opt.interleaved_reuse), lut
+                config, config.rules.whole_row_readout(opt.interleaved_reuse)
             )
             if functional
             else None
         )
-        """The functional datapath (see :mod:`repro.core.datapath`;
-        ``None`` on a timing-only engine)."""
+        """The functional datapath, holding each resident layout's matrix
+        (see :mod:`repro.core.datapath`; ``None`` on a timing-only
+        engine)."""
         self.schedule_cache = (
             schedule_cache if schedule_cache is not None else ScheduleCache()
         )
@@ -216,10 +215,10 @@ class NewtonChannelEngine:
         """Allocate DRAM rows for an ``m x n`` matrix and (optionally) load it.
 
         The layout takes the next free rows of every bank; a functional
-        engine backs them with one zeroed slab in :attr:`slabs`. The load
-        itself is not timed: the filter matrix is resident in the AiM
-        for the model's lifetime (the paper re-loads it only for ECC
-        scrubbing, about once per thousand inputs).
+        engine's :attr:`datapath` holds the matrix, zeroed until loaded.
+        The load itself is not timed: the filter matrix is resident in
+        the AiM for the model's lifetime (the paper re-loads it only for
+        ECC scrubbing, about once per thousand inputs).
         """
         layout = make_layout(
             self.config,
@@ -231,24 +230,22 @@ class NewtonChannelEngine:
         )
         self._next_free_row += layout.rows_per_bank_used
         if self.functional:
-            slab = np.zeros(layout.slab_shape, dtype=np.uint16)
-            self.slabs[layout.base_row] = slab
-            if matrix is not None:
-                layout.write_slab(slab, matrix)
+            self.datapath.add(layout, matrix)
         return layout
 
-    def update_matrix(self, layout: Layout, matrix: np.ndarray) -> None:
-        """Rewrite a resident matrix's data in place (functional only).
-
-        The in-place residency update behind the bank-resident KV-cache:
-        decode appends a row/column to an arena whose DRAM rows were
-        allocated once at session open. Like :meth:`add_matrix`, the
-        write itself is not timed (the host streams it alongside compute,
-        exactly as the paper's occasional ECC scrub re-loads are).
-        """
-        if not self.functional:
-            raise ProtocolError("update_matrix needs a functional engine")
-        layout.write_slab(self.slabs[layout.base_row], matrix)
+    def fork(self, channel_index: int) -> "NewtonChannelEngine":
+        """A copy of this engine's state for channel ``channel_index``, as
+        a channel with the same history holds it: the controller, replay
+        records, counters and verifier are copied; the lowered streams,
+        their layouts and the datapath are shared."""
+        memo = {
+            id(shared): shared
+            for shared in (self.config, self.timing, self.opt, self.datapath)
+        }
+        memo[id(self._streams)] = dict(self._streams)
+        twin = copy.deepcopy(self, memo)
+        twin.channel_index = channel_index
+        return twin
 
     # ------------------------------------------------------------------
     # execution
@@ -333,9 +330,7 @@ class NewtonChannelEngine:
         output = None
         if self.functional:
             # The arithmetic is fixed by the layout: no controller state.
-            output = self.datapath.gemv(
-                layout, self.slabs[layout.base_row], padded
-            )
+            output = self.datapath.gemv(layout, padded)
         if self.verifier is not None:
             # Raises VerificationError if this run broke the protocol.
             self.verifier.after_run(end)

@@ -20,7 +20,6 @@ partial-reuse option (input fetched once per L matrix rows per bank).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -53,15 +52,6 @@ def partition_rows(m: int, num_channels: int) -> List[Tuple[int, int]]:
         slices.append((start, start + size))
         start += size
     return slices
-
-
-@dataclass(frozen=True)
-class TilePlacement:
-    """Where one tile's DRAM rows live and which matrix rows they hold."""
-
-    dram_row: int
-    matrix_rows: np.ndarray
-    """Global matrix-row index per bank; -1 marks an unused (padding) bank."""
 
 
 class _BaseLayout:
@@ -126,35 +116,6 @@ class _BaseLayout:
             _ceil_div(remaining, self.config.elems_per_col),
         )
 
-    @property
-    def slab_shape(self) -> Tuple[int, int, int]:
-        """Shape of the layout's storage slab: its DRAM rows of every
-        bank as one ``(rows_per_bank_used, banks, elems_per_row)`` block,
-        indexed by row relative to :attr:`base_row`."""
-        return (self.rows_per_bank_used, self.banks, self.chunk_elems)
-
-    def write_slab(self, slab: np.ndarray, matrix: np.ndarray) -> None:
-        """Store ``matrix`` into its slab (of :attr:`slab_shape`).
-
-        The whole-matrix form of :meth:`place`: the bf16 bits land with
-        one reshape/transpose, and padding banks are zeroed.
-        """
-        if slab.shape != self.slab_shape:
-            raise LayoutError(
-                f"slab of shape {slab.shape}, layout expects {self.slab_shape}"
-            )
-        bits = float_to_bf16_bits(self.pad_matrix(matrix)).reshape(
-            self.m, self.num_chunks, self.chunk_elems
-        )
-        by_row = self.slab_by_matrix_row(slab)
-        full, rest = divmod(self.m, self.banks)
-        by_row[:full] = bits[: full * self.banks].reshape(
-            full, self.banks, self.num_chunks, self.chunk_elems
-        )
-        if rest:
-            by_row[full, :rest] = bits[full * self.banks :]
-            by_row[full, rest:] = 0
-
     def _check_capacity(self, rows_needed: int) -> None:
         if self.base_row + rows_needed > self.config.rows_per_bank:
             raise CapacityError(
@@ -184,20 +145,6 @@ class InterleavedLayout(_BaseLayout):
         """Global matrix row held by each bank in ``tile`` (-1 = padding)."""
         rows = tile * self.banks + np.arange(self.banks)
         return np.where(rows < self.m, rows, -1)
-
-    def slab_by_matrix_row(self, slab: np.ndarray) -> np.ndarray:
-        """``slab`` viewed as ``(tiles, banks, chunks, elems)``: matrix
-        row ``tile * banks + bank``, chunk by chunk."""
-        return slab.reshape(
-            self.num_chunks, self.tiles, self.banks, self.chunk_elems
-        ).transpose(1, 2, 0, 3)
-
-    def placement(self, chunk: int, tile: int) -> TilePlacement:
-        """Full placement record for one tile."""
-        return TilePlacement(
-            dram_row=self.dram_row(chunk, tile),
-            matrix_rows=self.tile_matrix_rows(tile),
-        )
 
     def place(self, matrix: np.ndarray) -> List[Tuple[int, int, np.ndarray]]:
         """Lower a matrix to (bank, dram_row, bf16-bits row data) writes."""
@@ -253,13 +200,6 @@ class NoReuseLayout(_BaseLayout):
         """Global matrix row held by each bank in ``slot`` (-1 = padding)."""
         rows = slot * self.banks + np.arange(self.banks)
         return np.where(rows < self.m, rows, -1)
-
-    def slab_by_matrix_row(self, slab: np.ndarray) -> np.ndarray:
-        """``slab`` viewed as ``(slots, banks, chunks, elems)``: matrix
-        row ``slot * banks + bank``, chunk by chunk."""
-        return slab.reshape(
-            self.slots, self.num_chunks, self.banks, self.chunk_elems
-        ).transpose(0, 2, 1, 3)
 
     def pass_slots(self, pass_index: int) -> Sequence[int]:
         """The slots (latch positions) processed together in one pass."""

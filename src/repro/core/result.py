@@ -66,7 +66,8 @@ def copy_stats(stats: Dict[str, object]) -> Dict[str, object]:
 
 @dataclass
 class ChannelRunResult:
-    """One channel's share of a GEMV run."""
+    """One channel's share of a GEMV run, or one class's: a device runs
+    a class of identical channels once, for all of its members."""
 
     channel_index: int
     row_slice: "tuple[int, int]"
@@ -75,7 +76,10 @@ class ChannelRunResult:
     stats: Dict[str, object]
     output: Optional[np.ndarray] = None
     """fp32 partial-accumulated outputs for this channel's matrix rows
-    (``None`` in timing-only mode)."""
+    (``None`` in timing-only mode and for a device's class, whose
+    datapath computes the whole output)."""
+    channels: int = 1
+    """Channels that ran this result (the class's members)."""
 
     @property
     def cycles(self) -> int:
@@ -89,7 +93,7 @@ class ChannelRunResult:
 
 @dataclass
 class GemvRunResult:
-    """A full device GEMV: all channels in parallel."""
+    """A full device GEMV: all channels in parallel, one result per class."""
 
     cycles: int
     """Wall-clock cycles (the slowest channel)."""
@@ -100,13 +104,13 @@ class GemvRunResult:
     def total_commands(self) -> int:
         """Commands issued across every channel."""
         return sum(
-            sum(r.stats["command_counts"].values())  # type: ignore[union-attr]
+            sum(r.stats["command_counts"].values()) * r.channels  # type: ignore[union-attr]
             for r in self.channel_results
         )
 
     def command_count(self, kind: CommandKind) -> int:
         """Commands of ``kind`` across every channel."""
-        return sum(r.command_count(kind) for r in self.channel_results)
+        return sum(r.command_count(kind) * r.channels for r in self.channel_results)
 
     @property
     def refresh_stall_cycles(self) -> int:

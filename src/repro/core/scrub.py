@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.device import MatrixHandle, NewtonDevice
 from repro.errors import ConfigurationError, ProtocolError
+from repro.numerics.bfloat16 import float_to_bf16_bits
 
 
 @dataclass(frozen=True)
@@ -65,24 +66,21 @@ class MatrixScrubber:
         self.golden = np.asarray(matrix, dtype=np.float32).copy()
         self.flips_injected = 0
 
-    def _slabs(self):
-        """(layout, resident slab, golden rows) per channel placement."""
-        for channel, (lo, hi), layout in self.handle.placements:
-            slab = self.device.engines[channel].slabs[layout.base_row]
-            yield layout, slab, self.golden[lo:hi]
+    def _slab(self) -> np.ndarray:
+        """The device datapath's copy of the matrix (bf16 bits, rows in
+        matrix order; see :class:`~repro.core.datapath.BatchedDatapath`)."""
+        return self.device.datapath.slabs[self.handle]
 
     def inject_faults(self, count: int, seed: int = 0) -> None:
-        """Flip ``count`` random bits in resident matrix rows."""
+        """Flip ``count`` random bits in the resident matrix."""
         if count <= 0:
             raise ConfigurationError("inject at least one fault")
         rng = np.random.default_rng(seed)
-        slabs = [slab for _, slab, _ in self._slabs()]
+        slab = self._slab()
         for _ in range(count):
-            slab = slabs[rng.integers(len(slabs))]
-            bank = int(rng.integers(self.device.config.banks_per_channel))
             row = int(rng.integers(slab.shape[0]))
-            elem = int(rng.integers(self.device.config.elems_per_row))
-            slab[row, bank, elem] ^= np.uint16(1 << int(rng.integers(16)))
+            elem = int(rng.integers(slab.shape[1]))
+            slab[row, elem] ^= np.uint16(1 << int(rng.integers(16)))
             self.flips_injected += 1
 
     def scrub(self) -> None:
@@ -90,10 +88,12 @@ class MatrixScrubber:
         self.device.store_matrix(self.handle, self.golden)
 
     def residency_matches_golden(self) -> bool:
-        """Bit-compare the resident matrix against the golden copy."""
-        for layout, slab, golden in self._slabs():
-            expected = np.empty_like(slab)
-            layout.write_slab(expected, golden)
-            if not np.array_equal(slab, expected):
-                return False
-        return True
+        """Bit-compare the resident matrix, padding included, against the
+        golden copy."""
+        slab = self._slab()
+        m, n = self.golden.shape
+        return (
+            np.array_equal(slab[:m, :n], float_to_bf16_bits(self.golden))
+            and not slab[m:].any()
+            and not slab[:, n:].any()
+        )

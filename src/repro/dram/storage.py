@@ -3,8 +3,9 @@
 Rows are allocated lazily as uint16 arrays holding bfloat16 bit patterns,
 so a 32K-row bank costs memory only for the rows a workload touches.
 The per-command reference executor loads into it row by row; a
-functional engine instead holds one slab per resident layout (see
-:attr:`repro.core.engine.NewtonChannelEngine.slabs`).
+functional device instead holds each resident matrix once, as one slab
+in matrix-row order (see
+:attr:`repro.core.datapath.BatchedDatapath.slabs`).
 """
 
 from __future__ import annotations

@@ -125,18 +125,23 @@ def engine_metrics(engine, *, end: Optional[int] = None) -> dict:
 def device_metrics(device) -> dict:
     """Per-channel engine breakdowns for a whole Newton device.
 
-    ``load_truncations`` counts timing-only matrix loads whose
-    per-channel placements were dropped (only channel 0 is simulated);
-    see :meth:`repro.core.device.NewtonDevice.load_matrix`.
+    A device times each class of identical channels with one engine
+    (:attr:`repro.core.device.NewtonDevice.classes`); every member gets
+    a copy of its class's record, under its own channel index.
     """
+    channels = {}
+    for engine, members in zip(device.engines, device.classes):
+        record = engine_metrics(engine)
+        for channel in members:
+            channels[str(channel)] = _copy(record)
+    return {"schema": SCHEMA, "kind": "device", "channels": channels}
+
+
+def _copy(record: dict) -> dict:
+    """A copy of a record that shares no dict (its leaves are scalars)."""
     return {
-        "schema": SCHEMA,
-        "kind": "device",
-        "load_truncations": getattr(device, "load_truncations", 0),
-        "channels": {
-            str(engine.channel_index): engine_metrics(engine)
-            for engine in device.engines
-        },
+        key: _copy(value) if isinstance(value, dict) else value
+        for key, value in record.items()
     }
 
 

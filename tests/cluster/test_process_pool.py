@@ -10,6 +10,7 @@ share module-scoped fleets and the wide sweeps are marked slow.
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -313,4 +314,43 @@ class TestBoundedReplies:
         finally:
             fleet.close()
         assert not any(worker.process.is_alive() for worker in fleet.backends)
+        assert SharedNDArray.live_segments() == []
+
+    def test_large_send_to_a_stopped_worker_raises_within_deadline(
+        self, monkeypatch
+    ):
+        """A request bigger than the pipe buffer (64 vectors of 4,096
+        floats, about 1 MiB pickled) to a stopped worker fails within the
+        deadline, instead of blocking in the send."""
+        config = hbm2e_like_config(num_channels=1, banks_per_channel=16)
+        worker = ProcessWorker(
+            0, 0, "newton", _kwargs(config=config)
+        ).connect()
+        outcome = []
+
+        def send():
+            try:
+                worker.start("gemv_batch", handle, np.ones((64, 4096), np.float32))
+                outcome.append("sent")
+            except WorkerError as exc:
+                outcome.append(exc)
+
+        try:
+            handle = worker.load_matrix(np.ones((16, 4096), np.float32))
+            monkeypatch.setattr(
+                "repro.cluster.process_pool.REPLY_DEADLINE_S", self.DEADLINE_S
+            )
+            os.kill(worker.process.pid, signal.SIGSTOP)
+            caller = threading.Thread(target=send, daemon=True)
+            began = time.monotonic()
+            caller.start()
+            caller.join(self.DEADLINE_S + 10.0)
+            assert not caller.is_alive(), "the send is still blocked"
+            assert time.monotonic() - began < self.DEADLINE_S + 5.0
+            assert len(outcome) == 1 and isinstance(outcome[0], WorkerError)
+        finally:
+            if worker.process.is_alive():
+                worker.process.kill()
+            worker.close()
+        assert not worker.process.is_alive()
         assert SharedNDArray.live_segments() == []

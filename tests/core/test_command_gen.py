@@ -70,10 +70,14 @@ class TestFullNewtonStream:
         assert len(barriers) == 6  # chunks x tiles
 
     def test_compute_fires_on_last_comp(self):
+        """The tile's result is read (its emit fires) only after its last
+        COMP, column 31."""
         steps = stream(FULL, m=16, n=512)
-        with_compute = [s for s in steps if s.compute is not None]
-        assert len(with_compute) == 1
-        assert with_compute[0].command.col == 31
+        (emit,) = [i for i, s in enumerate(steps) if s.emit is not None]
+        comps = [i for i, s in enumerate(steps) if s.command is not None
+                 and s.command.kind is CommandKind.COMP]
+        assert max(comps) < emit
+        assert steps[max(comps)].command.col == 31
 
     def test_partial_chunk_fewer_comps(self):
         steps = stream(FULL, m=16, n=256)

@@ -22,6 +22,7 @@ from repro.core.datapath import (
     default_datapath,
 )
 from repro.core.device import NewtonDevice
+from repro.core.layout import make_layout, partition_rows
 from repro.core.optimizations import FULL
 from repro.core.reference import ReferenceExecutor
 from repro.dram.config import DRAMConfig
@@ -58,9 +59,19 @@ FAMILY_SUBSETS = [
 
 
 def reference_output(device, handle, matrix, vector):
-    """The per-command reference, channel slice by channel slice."""
+    """The per-command reference, channel slice by channel slice, each
+    in a layout of its own."""
     output = np.zeros(handle.m, dtype=np.float32)
-    for _, (lo, hi), layout in handle.placements:
+    for lo, hi in partition_rows(handle.m, device.config.num_channels):
+        if hi == lo:
+            continue
+        layout = make_layout(
+            device.config,
+            hi - lo,
+            handle.n,
+            interleaved=device.opt.interleaved_reuse,
+            latches_per_bank=device.opt.result_latches,
+        )
         reference = ReferenceExecutor(device.config, device.opt)
         reference.load_matrix(layout, matrix[lo:hi])
         output[lo:hi] = reference.run_gemv(device.timing, layout, vector)
@@ -218,13 +229,15 @@ class TestKernelCalls:
 
 class TestTierSelection:
     def test_default_is_batched(self):
-        """Every engine runs the one datapath ``default_datapath`` names,
-        a direct :class:`FunctionalDatapath` subclass (the benchmark's
-        tracer resolves it that way)."""
+        """Every functional device runs the one datapath
+        ``default_datapath`` names, a direct :class:`FunctionalDatapath`
+        subclass (the benchmark's tracer resolves it that way); its
+        timing engines and a timing-only device have none."""
         assert default_datapath() == "batched"
         device = NewtonDevice(CFG, functional=True)
-        assert type(device.engines[0].datapath) is BatchedDatapath
-        assert NewtonDevice(CFG, functional=False).engines[0].datapath is None
+        assert type(device.datapath) is BatchedDatapath
+        assert all(engine.datapath is None for engine in device.engines)
+        assert NewtonDevice(CFG, functional=False).datapath is None
         assert [
             cls.name for cls in FunctionalDatapath.__subclasses__()
         ] == ["batched"]

@@ -49,13 +49,17 @@ class TestLoadMatrix:
         device = NewtonDevice(CFG2)
         matrix = rng.standard_normal((33, 512)).astype(np.float32)
         handle = device.load_matrix(matrix)
-        assert [slice_ for _, slice_, _ in handle.placements] == [(0, 17), (17, 33)]
+        assert handle.slices == [(0, 17), (17, 33)]
 
-    def test_timing_mode_keeps_critical_channel_only(self):
+    def test_timing_mode_places_every_channel(self):
+        """A timing-only load places every channel's rows too. Channel 0
+        holds 17 rows (two tiles) and channel 1 holds 16 (one), so they
+        need different layouts and the device's one class splits."""
         device = NewtonDevice(CFG2, functional=False)
         handle = device.load_matrix(m=33, n=512)
-        assert len(handle.placements) == 1
-        assert handle.placements[0][1] == (0, 17)  # the largest slice
+        assert handle.slices == [(0, 17), (17, 33)]
+        assert [layout.tiles for layout in handle.layouts] == [2, 1]
+        assert device.classes == [range(0, 1), range(1, 2)]
 
 
 class TestGemv:
@@ -119,8 +123,12 @@ class TestGemv:
         device = NewtonDevice(CFG2)
         matrix = (rng.standard_normal((32, 512)) / 16).astype(np.float32)
         result = device.gemv(device.load_matrix(matrix), rng.standard_normal(512).astype(np.float32))
-        assert result.total_commands > 0
-        assert len(result.channel_results) == 2
+        # Both channels hold one tile: one class, run once for both.
+        (class_result,) = result.channel_results
+        assert class_result.channels == 2
+        assert class_result.row_slice == (0, 32)
+        per_channel = sum(class_result.stats["command_counts"].values())
+        assert result.total_commands == 2 * per_channel > 0
         assert result.output.shape == (32,)
 
 
@@ -208,65 +216,25 @@ class TestPower:
 
 
 class TestLoadTruncationContract:
-    """Timing-only loads drop channels 1+ by design; the handle and the
-    device must record it, and a functional device must never do it."""
-
-    def test_timing_only_load_records_truncation(self):
-        device = NewtonDevice(CFG2, functional=False)
-        handle = device.load_matrix(m=100, n=512)
-        assert handle.truncated
-        assert handle.truncated_channels == 1
-        assert handle.truncated_rows == 50
-        assert device.load_truncations == 1
+    """No load drops a placement: a timing-only device places every
+    channel's rows, as a functional one does."""
 
     def test_single_channel_load_is_not_truncated(self):
         device = NewtonDevice(CFG1, functional=False)
         handle = device.load_matrix(m=100, n=512)
-        assert not handle.truncated
-        assert handle.truncated_channels == 0
-        assert handle.truncated_rows == 0
-        assert device.load_truncations == 0
-
-    def test_truncation_counts_accumulate_per_device(self):
-        device = NewtonDevice(CFG2, functional=False)
-        device.load_matrix(m=64, n=512)
-        device.load_matrix(m=64, n=512)
-        assert device.load_truncations == 2
-
-    def test_truncation_logged(self, caplog):
-        import logging
-
-        device = NewtonDevice(CFG2, functional=False)
-        with caplog.at_level(logging.DEBUG, logger="repro.core.device"):
-            device.load_matrix(m=100, n=512)
-        assert "placement(s)" in caplog.text and "dropped" in caplog.text
-
-    def test_truncated_rows_cover_dropped_placements(self):
-        from repro.core.layout import partition_rows
-
-        device = NewtonDevice(CFG2, functional=False)
-        handle = device.load_matrix(m=101, n=512)
-        dropped = sum(
-            hi - lo
-            for ch, (lo, hi) in enumerate(partition_rows(101, 2))
-            if ch >= 1
-        )
-        assert handle.truncated_rows == dropped
+        assert handle.slices == [(0, 100)]
+        assert handle.layouts[0].m == 100
 
     def test_functional_device_never_truncates(self):
-        """A functional device simulates every channel, so a multi-channel
-        load places everything (truncation would silently drop data)."""
+        """A functional device places everything: its two channels hold
+        equal layouts, one class, and its datapath holds every row."""
         device = NewtonDevice(CFG2, functional=True)
         matrix = np.ones((100, 512), dtype=np.float32)
         handle = device.load_matrix(matrix)
-        assert not handle.truncated
-        assert len(handle.placements) == 2
-
-    def test_telemetry_exports_the_counter(self):
-        device = NewtonDevice(CFG2, functional=False)
-        device.gemv(device.load_matrix(m=100, n=512))
-        record = device.collect_metrics()
-        assert record["load_truncations"] == 1
+        assert handle.slices == [(0, 50), (50, 100)]
+        assert handle.layouts[0] is handle.layouts[1]
+        assert device.classes == [range(2)]
+        assert device.datapath.slabs[handle][:100].all()
 
 
 class TestBatchShapeValidation:

@@ -162,39 +162,40 @@ class TestFunctionalCorrectness:
 
 class TestResidency:
     def test_one_slab_per_layout_and_none_when_timing_only(self, rng):
-        """Layouts take consecutive row ranges; a functional engine backs
-        each with one slab, zeroed until loaded; a timing-only engine
-        with nothing."""
+        """Layouts take consecutive row ranges; a functional engine's
+        datapath holds each matrix in one slab of whole tiles and chunks,
+        zeroed until loaded; a timing-only engine has no datapath."""
         engine = make_engine()
         first = engine.add_matrix(40, 700, rng.standard_normal((40, 700)))
         second = engine.add_matrix(16, 512)
         assert second.base_row == first.base_row + first.rows_per_bank_used
-        assert sorted(engine.slabs) == [first.base_row, second.base_row]
+        slabs = engine.datapath.slabs
+        assert list(slabs) == [first, second]
         for layout in (first, second):
-            slab = engine.slabs[layout.base_row]
-            assert slab.dtype == np.uint16
-            assert slab.shape == (
-                layout.rows_per_bank_used,
-                CFG.banks_per_channel,
-                CFG.elems_per_row,
+            assert slabs[layout].dtype == np.uint16
+            assert slabs[layout].shape == (
+                layout.tiles * CFG.banks_per_channel,
+                layout.padded_n,
             )
-        assert engine.slabs[first.base_row].any()
-        assert not engine.slabs[second.base_row].any()
+        assert slabs[first].shape == (48, 1024)
+        assert slabs[first].any()
+        assert not slabs[second].any()
         timing_only = make_engine(functional=False)
         timing_only.add_matrix(40, 700)
-        assert timing_only.slabs is None
+        assert timing_only.datapath is None
 
     def test_storage_independent_per_bank(self):
-        """Writing one row of one bank leaves the other banks, the other
-        rows and the other layouts' slabs untouched."""
+        """Writing one row (bank 0 of the first tile) leaves the other
+        rows, the rest of its own row and the other layouts' slabs
+        untouched."""
         engine = make_engine()
         first = engine.add_matrix(48, 1024)
         second = engine.add_matrix(16, 512)
-        slab = engine.slabs[first.base_row]
-        slab[0, 0] = np.ones(CFG.elems_per_row, dtype=np.uint16)
-        assert not slab[0, 1:].any()
+        slab = engine.datapath.slabs[first]
+        slab[0, : CFG.elems_per_row] = np.ones(CFG.elems_per_row, dtype=np.uint16)
+        assert not slab[0, CFG.elems_per_row :].any()
         assert not slab[1:].any()
-        assert not engine.slabs[second.base_row].any()
+        assert not engine.datapath.slabs[second].any()
 
 
 class TestTiming:

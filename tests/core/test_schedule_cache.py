@@ -11,7 +11,7 @@ from repro.core.engine import NewtonChannelEngine
 from repro.core.layout import make_layout
 from repro.core.optimizations import FULL, NON_OPT, figure9_ladder
 from repro.core.schedule_cache import RunRecord, ScheduleCache, segment_stream
-from repro.dram.commands import CommandKind
+from repro.dram.commands import ACTIVATION_KINDS, TREE_FEED_KINDS, CommandKind
 from repro.dram.config import DRAMConfig
 from repro.dram.timing import TimingParams
 from repro.errors import ProtocolError
@@ -46,7 +46,9 @@ def row_blind(command):
 
 
 def payload_records(step):
-    """A step's functional payload as plain comparable values.
+    """What the per-command reference reads off a step, as plain
+    comparable values: buffer repurposing, each activation's row, the
+    latch each tree-feeding command accumulates into, and result reads.
 
     Compared field by field: ``EmitOp`` equality would compare numpy
     arrays.
@@ -54,11 +56,11 @@ def payload_records(step):
     records = []
     if step.new_chunk is not None:
         records.append(("new_chunk", step.new_chunk))
-    if step.load is not None:
-        records.append(("load",) + tuple(step.load))
-    if step.compute is not None:
-        op = step.compute
-        records.append(("compute", op.chunk, op.dram_row, op.latch))
+    command = step.command
+    if command is not None and command.kind in ACTIVATION_KINDS:
+        records.append(("activate", command.row))
+    if command is not None and command.kind in TREE_FEED_KINDS:
+        records.append(("compute", step.latch))
     if step.emit is not None:
         emit = step.emit
         records.append(("emit", emit.latch, emit.chunk, emit.matrix_rows.tolist()))
@@ -94,10 +96,11 @@ class TestPayloadPlan:
     def test_payloads_follow_the_datapath_plan(self, opt, family):
         """The datapath computes a GEMV from the layout and
         ``whole_row_readout`` alone; the payloads the per-command
-        reference executes must agree. Every compute reads the buffered
-        chunk, each tile or slot computes every chunk once, and each
-        read drains one chunk of its tile (per-chunk readout) or all of
-        them in chunk order (whole-row readout)."""
+        reference executes must agree. Every tile's compute reads the
+        buffered chunk from the row its activations opened, each tile or
+        slot computes every chunk once, and each read drains one chunk of
+        its tile (per-chunk readout) or all of them in chunk order
+        (whole-row readout)."""
         config = dataclasses.replace(CFG, command_family=family)
         generator, layout = make_stream(opt, m=40, n=700, config=config)
         chunks = range(layout.num_chunks)
@@ -107,15 +110,19 @@ class TestPayloadPlan:
         else:
             groups = range(layout.slots)
             owner = {layout.dram_row(g, c): (g, c) for g in groups for c in chunks}
-        buffered, held, reads = None, {}, []
+        buffered, row, held, reads = None, None, {}, []
         for step in generator.gemv_steps():
             for record in payload_records(step):
                 if record[0] == "new_chunk":
                     buffered = record[1]
-                elif record[0] == "compute":
-                    _, chunk, row, latch = record
-                    assert chunk == buffered == owner[row][1]
+                elif record[0] == "activate":
+                    row = record[1]
+                elif record[0] == "compute" and row is not None:
+                    # The tile's first tree-feeding command: one per tile.
+                    latch = record[1]
+                    assert buffered == owner[row][1]
                     held.setdefault(latch, []).append(owner[row])
+                    row = None
                 elif record[0] == "emit":
                     _, latch, chunk, rows = record
                     group = rows[0] // config.banks_per_channel
@@ -224,8 +231,10 @@ class TestTileTemplates:
             eval_config(), eval_timing(), NON_OPT, functional=False
         )
         handle = device.load_matrix(m=2048, n=2048)
-        ((channel, _, layout),) = handle.placements
-        stream = device.engines[channel]._segments_for(layout)
+        # Every channel holds 86 or 85 rows (six tiles): one class.
+        assert device.classes == [range(24)]
+        layout = handle.layouts[0]
+        stream = device.engines[0]._segments_for(layout)
         tiles = [s for s in stream.segments if s.barrier_cycles]
         banks = device.config.banks_per_channel
         # BUF_READ + COL_READ + MAC per bank and column.

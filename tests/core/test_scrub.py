@@ -84,9 +84,8 @@ class TestMatrixScrubber:
         its last tile; the reload rewrites those too."""
         device, handle, matrix = loaded_device(rng, m=40)
         scrubber = MatrixScrubber(device, handle, matrix)
-        _, _, layout = handle.placements[0]
-        slab = device.engines[0].slabs[layout.base_row]
-        slab[-1, -1, 0] ^= 1  # bank 15 of the last tile holds no matrix row
+        slab = device.datapath.slabs[handle]
+        slab[-1, 0] ^= 1  # bank 15 of the last tile holds no matrix row
         assert not scrubber.residency_matches_golden()
         scrubber.scrub()
         assert scrubber.residency_matches_golden()

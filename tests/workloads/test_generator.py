@@ -21,8 +21,21 @@ class TestGenerator:
 
     def test_reference_is_float64_product(self):
         data = generate_layer_data(8, 16, seed=0)
+        assert "reference" not in vars(data)  # computed on first access
         expected = data.matrix.astype(np.float64) @ data.vector.astype(np.float64)
         assert np.array_equal(data.reference, expected)
+
+    @pytest.mark.parametrize("m, n", [(3, 7), (1000, 513), (2049, 1100)])
+    def test_bits_match_one_whole_draw(self, m, n):
+        """Drawing the matrix in row blocks keeps the bits of one whole
+        ``(m, n)`` draw, and of the vector drawn after it; 2,049 rows end
+        in a one-row block."""
+        rng = np.random.default_rng(11)
+        matrix = (rng.standard_normal((m, n)) / np.sqrt(n)).astype(np.float32)
+        vector = rng.standard_normal(n).astype(np.float32)
+        data = generate_layer_data(m, n, seed=11)
+        assert np.array_equal(data.matrix.view(np.uint32), matrix.view(np.uint32))
+        assert np.array_equal(data.vector.view(np.uint32), vector.view(np.uint32))
 
     def test_xavier_scaling(self):
         """Column scaling keeps dot products O(1) for bf16 headroom."""
