@@ -259,12 +259,10 @@ class HeteroBackend(Backend):
             compute = self.cost.predict("gpu", handle.m, handle.n)
             output = None
             if self.functional:
-                # The GPU side contributes cycles, never data: run the
-                # payload on the Newton datapath so outputs stay
-                # bit-identical to an all-Newton execution.
-                output = self.newton.gemv(
-                    handle.inner, vector, fused_input=False
-                ).output
+                # The GPU side contributes cycles, never data: the Newton
+                # datapath computes the output, untimed, so it equals an
+                # all-Newton run's bit for bit and moves no Newton clock.
+                (output,) = self.newton.device.compute(handle.inner, (vector,))
         self._record(chosen, handle.m, handle.n, 1, compute)
         self._last_backend = chosen
         self._last_compute = compute
@@ -311,16 +309,10 @@ class HeteroBackend(Backend):
             compute = sum(r.cycles for r in runs)
         else:
             compute = self.cost.predict("gpu", handle.m, handle.n, batch=k)
-            per_run = compute / k
-            runs = []
-            for i in range(k):
-                output = None
-                if self.functional:
-                    assert vectors is not None
-                    output = self.newton.gemv(
-                        handle.inner, vectors[i], fused_input=False
-                    ).output
-                runs.append(BackendRun(cycles=per_run, output=output))
+            outputs = [None] * k
+            if self.functional:  # untimed, as in gemv
+                outputs = self.newton.device.compute(handle.inner, vectors)
+            runs = [BackendRun(cycles=compute / k, output=o) for o in outputs]
         # The exposed handoff is part of the dispatch's occupancy: charge
         # it to the first run so cycle sums stay honest.
         if boundary:

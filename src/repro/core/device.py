@@ -58,7 +58,8 @@ def validate_batch_vectors(vectors: np.ndarray, n: int) -> np.ndarray:
     malformed input identically.
 
     Raises:
-        LayoutError: for >2-D input or a trailing-dimension mismatch.
+        LayoutError: for >2-D input, an empty batch or a
+            trailing-dimension mismatch.
     """
     vectors = np.asarray(vectors, dtype=np.float32)
     if vectors.ndim == 1:
@@ -73,6 +74,8 @@ def validate_batch_vectors(vectors: np.ndarray, n: int) -> np.ndarray:
             f"batch vectors have width {vectors.shape[1]}, the matrix "
             f"expects n={n}"
         )
+    if not len(vectors):
+        raise LayoutError("a batch needs at least one vector")
     return vectors
 
 
@@ -231,38 +234,15 @@ class NewtonDevice:
         from its command stream while loading its buffer identically, so
         outputs are bit-identical and only cycles change.
         """
-        layouts, slices = handle.layouts, handle.slices
-        if not layouts:
-            raise ProtocolError("the matrix handle has no placements")
-        if self.functional:
-            if vector is None:
-                raise ProtocolError("functional mode requires an input vector")
-            # Checked before any class runs: a refused input moves no clock.
-            padded = layouts[0].pad_vector(vector)
-        channel_results = []
-        for engine, members in zip(self.engines, self.classes):
-            layout = layouts[members[0]]
-            if layout is None:
-                continue  # the class holds no rows of this matrix
-            result = engine.run_gemv(layout, fused_input=fused_input)
-            result.row_slice = (slices[members[0]][0], slices[members[-1]][1])
-            result.channels = len(members)
-            channel_results.append(result)
-        # Measured from the device clock at issue: the latest
-        # participating start. A channel left idle by an earlier
-        # narrower matrix lags behind, and must not count its lag.
-        start = max(r.start_cycle for r in channel_results)
-        end = max(r.end_cycle for r in channel_results)
-        return GemvRunResult(
-            cycles=end - start,
-            channel_results=channel_results,
-            output=self.datapath.gemv(handle, padded) if self.functional else None,
+        (run,) = self._run(
+            handle, 1, None if vector is None else (vector,), fused_input
         )
+        return run
 
     def gemm(
         self, handle: MatrixHandle, matrix_b: np.ndarray
     ) -> "tuple[np.ndarray, int]":
-        """Matrix-matrix product ``A @ B`` via sequential GEMVs.
+        """Matrix-matrix product ``A @ B``: B's columns as one batch.
 
         Newton has no batch reuse: each of B's columns is an independent
         matrix-vector product, so ``cycles`` is the sum (the Section V-D
@@ -276,13 +256,11 @@ class NewtonDevice:
             raise LayoutError(
                 f"B of shape {matrix_b.shape}; expected ({handle.n}, k)"
             )
-        columns = []
-        cycles = 0
-        for j in range(matrix_b.shape[1]):
-            run = self.gemv(handle, matrix_b[:, j])
-            columns.append(run.output)
-            cycles += run.cycles
-        return np.stack(columns, axis=1), cycles
+        runs = self.gemv_batch(handle, matrix_b.T)
+        return (
+            np.stack([run.output for run in runs], axis=1),
+            sum(run.cycles for run in runs),
+        )
 
     def gemv_batch(
         self,
@@ -295,22 +273,66 @@ class NewtonDevice:
 
         Newton cannot exploit batch reuse (Section V-D): the command
         stream for k inputs is the concatenation of k single-input
-        streams, so per-input latency is constant by construction.
+        streams, so per-input latency is constant by construction, and
+        each run equals one :meth:`gemv`. Each class runs the batch as
+        one chain (:meth:`~repro.core.engine.NewtonChannelEngine.run_gemvs`):
+        one signature, one lookup per run and one write-back when steady.
 
         Raises:
-            LayoutError: if ``vectors`` is not 1-D or 2-D, or its
-                trailing dimension does not match the matrix width.
+            LayoutError: if ``vectors`` is not 1-D or 2-D, holds no
+                vector, or its trailing dimension does not match the
+                matrix width.
         """
         if vectors is not None:
             vectors = validate_batch_vectors(vectors, handle.n)
-            runs = [self.gemv(handle, vectors[i]) for i in range(vectors.shape[0])]
-        elif batch is not None:
-            if batch <= 0:
-                raise ProtocolError("batch must be positive")
-            runs = [self.gemv(handle) for _ in range(batch)]
-        else:
+            return self._run(handle, len(vectors), vectors)
+        if batch is None:
             raise ProtocolError("provide vectors or a batch size")
-        return runs
+        if batch <= 0:
+            raise ProtocolError("batch must be positive")
+        return self._run(handle, batch, None)
+
+    def compute(self, handle: MatrixHandle, vectors) -> List[np.ndarray]:
+        """The products of ``vectors`` with a resident matrix, from the
+        datapath alone: untimed, so no clock moves (functional only)."""
+        if not self.functional:
+            raise ProtocolError("compute needs a functional device")
+        if vectors is None:
+            raise ProtocolError("functional mode requires an input vector")
+        padded = [handle.layouts[0].pad_vector(vector) for vector in vectors]
+        return [self.datapath.gemv(handle, vector) for vector in padded]
+
+    def _run(
+        self, handle: MatrixHandle, count: int, vectors, fused_input: bool = False
+    ) -> List[GemvRunResult]:
+        """``count`` GEMVs back to back: each participating class runs
+        them all, and run ``i`` gathers every class's ``i``-th result."""
+        if not handle.layouts:
+            raise ProtocolError("the matrix handle has no placements")
+        # Computed before any class runs: a refused input moves no clock.
+        outputs = self.compute(handle, vectors) if self.functional else [None] * count
+        per_class = []
+        for engine, members in zip(self.engines, self.classes):
+            layout = handle.layouts[members[0]]
+            if layout is None:
+                continue  # the class holds no rows of this matrix
+            results = engine.run_gemvs(layout, count, fused_input=fused_input)
+            row_slice = (handle.slices[members[0]][0], handle.slices[members[-1]][1])
+            for result in results:
+                result.row_slice, result.channels = row_slice, len(members)
+            per_class.append(results)
+        # Each run is timed from the device clock at issue: the latest
+        # participating start. A channel left idle by an earlier
+        # narrower matrix lags behind, and must not count its lag.
+        return [
+            GemvRunResult(
+                cycles=max(r.end_cycle for r in results)
+                - max(r.start_cycle for r in results),
+                channel_results=list(results),
+                output=output,
+            )
+            for output, results in zip(outputs, zip(*per_class))
+        ]
 
     # ------------------------------------------------------------------
 

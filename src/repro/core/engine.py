@@ -28,8 +28,10 @@ cycle of exactness (see :mod:`repro.core.schedule_cache`,
 :mod:`repro.dram.burst`, and ``docs/cold-path.md``):
 
 * the **schedule cache** replays a whole GEMV from one record when the
-  run starts from a controller state and refresh phase already seen:
-  one signature, one lookup and one write-back, refreshes included;
+  run starts from a controller state and refresh phase already seen.
+  :meth:`NewtonChannelEngine.run_gemvs` chains a batch's runs: one
+  signature at its start, one lookup per run (keyed by the previous
+  record's end signature) and one write-back, refreshes included;
 * otherwise it replays recorded per-tile timing deltas when a tile
   starts from a controller state already seen (same relative
   bus/bank/FAW phase) — the steady-state tier. Replay walks the
@@ -38,24 +40,20 @@ cycle of exactness (see :mod:`repro.core.schedule_cache`,
   cannot fire is one comparison, and the controller is written back
   only before a refresh that fires, before a miss and at the end of the
   run. A walk that hits on every segment records the run whole;
-* on a replay miss (the *cold* path: first encounter of a layer shape
-  or controller phase), homogeneous command runs go through the **burst
-  kernel** — first command solved by the constraint solver, the rest in
-  closed form — instead of N per-command solver iterations;
+* on a replay miss (the *cold* path), homogeneous command runs go
+  through the **burst kernel** — first command solved by the constraint
+  solver, the rest in closed form;
 * the **per-command reference** solver handles everything else, and the
   whole stream when the fast path is off.
 
-Lowering itself (:func:`~repro.core.schedule_cache.segment_stream`)
-costs O(tiles): each row-independent tile piece is a template built
-once per tile shape, segments key by interned fragment ids, and no
-engine lowers functional payloads. Each resident layout's segmented
-stream is kept for the engine's lifetime, so
-``gemm``/``gemv_batch``/serving/model re-runs skip lowering entirely.
-Every refresh that fires is executed exactly in every tier but the
-whole-run record, which replays only at the exact refresh phase it was
-recorded at. Tracing or mixed background traffic forces the per-command
-reference for the run. Whichever tier serves it, the controller is fully
-written back when :meth:`NewtonChannelEngine.run_gemv` returns.
+Lowering (:func:`~repro.core.schedule_cache.segment_stream`) costs
+O(tiles) and happens once per resident layout and engine. Every refresh
+that fires is executed exactly in every tier but the whole-run record,
+which replays only at the exact refresh phase it was recorded at.
+Tracing or mixed background traffic forces the per-command reference.
+Nothing is deferred between calls: whichever tier serves them, the
+controller is fully written back when :meth:`NewtonChannelEngine.run_gemv`
+or :meth:`NewtonChannelEngine.run_gemvs` returns.
 
 Set ``fast=False`` (or the ``NEWTON_NO_FASTPATH=1`` environment
 variable) to force per-command issue everywhere.
@@ -95,26 +93,6 @@ from repro.errors import ProtocolError
 from repro.utils.envflags import env_flag
 
 
-def fastpath_env_disabled() -> bool:
-    """True when ``NEWTON_NO_FASTPATH`` requests the slow path.
-
-    Accepts the repository's standard boolean spellings (see
-    :mod:`repro.utils.envflags`): ``1/true/yes/on`` disable the fast
-    path, ``0/false/no/off`` and the empty string keep it, anything
-    else warns and keeps the default (fast path on).
-    """
-    return env_flag("NEWTON_NO_FASTPATH", default=False)
-
-
-def telemetry_env_enabled() -> bool:
-    """True unless ``NEWTON_TELEMETRY`` requests attribution off.
-
-    Telemetry defaults on; set ``NEWTON_TELEMETRY=0`` (or any falsy
-    spelling) to skip cycle-attribution accounting entirely.
-    """
-    return env_flag("NEWTON_TELEMETRY", default=True)
-
-
 class NewtonChannelEngine:
     """Executes GEMV command streams on one Newton channel (for a device,
     on every channel of one class)."""
@@ -140,8 +118,10 @@ class NewtonChannelEngine:
         """The channel this engine times (for a device, its class's
         first member; set by :meth:`fork`)."""
         self.functional = functional
-        self.fast = fast and not fastpath_env_disabled()
-        self.telemetry = telemetry and telemetry_env_enabled()
+        # NEWTON_NO_FASTPATH=1 forces per-command issue; NEWTON_TELEMETRY=0
+        # skips cycle attribution (spellings: repro.utils.envflags).
+        self.fast = fast and not env_flag("NEWTON_NO_FASTPATH", default=False)
+        self.telemetry = telemetry and env_flag("NEWTON_TELEMETRY", default=True)
         self.channel = Channel(
             config,
             timing,
@@ -277,34 +257,49 @@ class NewtonChannelEngine:
         *,
         fused_input: bool = False,
     ) -> ChannelRunResult:
-        """Execute one matrix-vector product on this channel's slice.
+        """One matrix-vector product on this channel's slice: the one-run
+        case of :meth:`run_gemvs`, with ``vector`` its input."""
+        vectors = None if vector is None else (vector,)
+        (result,) = self.run_gemvs(
+            layout, 1, vectors, background, fused_input=fused_input
+        )
+        return result
+
+    def run_gemvs(
+        self,
+        layout: Layout,
+        count: int,
+        vectors=None,
+        background=None,
+        *,
+        fused_input: bool = False,
+    ) -> List[ChannelRunResult]:
+        """``count`` matrix-vector products back to back, each equal to a
+        :meth:`run_gemv` call's; on the fast tier, one chain
+        (:meth:`_replay_runs`).
 
         Args:
             layout: the resident matrix's layout (from :meth:`add_matrix`).
-            vector: the input vector (functional mode).
+            count: the runs.
+            vectors: their ``count`` input vectors (functional mode).
             background: optional non-AiM traffic source with a
                 ``commands_for_boundary(index, now) -> list[Command]``
-                method (and optionally ``record_completion``);
-                its commands are interleaved at tile boundaries, where
-                every bank is precharged — honouring Section III-D's rule
-                that non-AiM commands access a different row and never
-                interfere with in-flight AiM row operations. Background
-                traffic (like tracing) disables the steady-state fast
-                path for the run.
-            fused_input: the input vector is already channel-resident
+                method (and optionally ``record_completion``); its
+                commands are interleaved at tile boundaries, where every
+                bank is precharged, so they never interfere with AiM row
+                operations (Section III-D). It forces per-command issue.
+            fused_input: the input is already channel-resident
                 (fused-layer dataflow), so the stream's host GWRITEs are
                 elided from the command bus; outputs stay bit-identical.
                 Ignored on a family whose rules keep the GWRITEs
                 (:attr:`~repro.dram.config.FamilyRules.elides_gwrites`),
-                and when the protocol verifier is attached — the
-                verifier checks the *host* protocol, whose
-                GWRITE-before-COMP rule a fused stream intentionally
-                bypasses.
+                and under the protocol verifier, whose host-protocol
+                GWRITE-before-COMP rule a fused stream bypasses.
         """
         if self.functional:
-            if vector is None:
-                raise ProtocolError("functional mode requires an input vector")
-            padded = layout.pad_vector(vector)
+            if vectors is None or len(vectors) != count:
+                raise ProtocolError(f"functional mode requires {count} input vectors")
+            padded = [layout.pad_vector(vector) for vector in vectors]
         controller = self.channel.controller
         # Fused lowering elides GWRITEs from the timed stream, where the
         # family's rules allow it (the controller resolved them once).
@@ -315,41 +310,38 @@ class NewtonChannelEngine:
         )
         stream = self._segments_for(layout, fused=fused)
         if fused:
-            self.fused_runs += 1
-            self.fused_skipped_gwrites += stream.skipped_gwrites
-            self.fused_saved_cycles += stream.skipped_gwrites * max(
+            self.fused_runs += count
+            self.fused_skipped_gwrites += count * stream.skipped_gwrites
+            self.fused_saved_cycles += count * stream.skipped_gwrites * max(
                 self.timing.t_cmd, self.timing.t_ccd
             )
-        start = controller.now
         if self.fast and background is None and controller.trace is None:
-            end, stats = self._replay_walk(stream, start)
+            runs = self._replay_runs(stream, count)
         else:
-            before = stats_snapshot(controller.stats)
-            end = self._issue_each(stream, background, start)
-            stats = stats_delta(before, stats_snapshot(controller.stats))
-        output = None
-        if self.functional:
-            # The arithmetic is fixed by the layout: no controller state.
-            output = self.datapath.gemv(layout, padded)
-        if self.verifier is not None:
-            # Raises VerificationError if this run broke the protocol.
-            self.verifier.after_run(end)
-        return ChannelRunResult(
-            channel_index=self.channel_index,
-            row_slice=(0, layout.m),
-            start_cycle=start,
-            end_cycle=end,
-            stats=stats,
-            output=output,
-        )
+            runs = [self._issue_each(stream, background) for _ in range(count)]
+        return [
+            ChannelRunResult(
+                channel_index=self.channel_index,
+                row_slice=(0, layout.m),
+                start_cycle=start,
+                end_cycle=end,
+                stats=stats,
+                # The arithmetic is fixed by the layout: no controller state.
+                output=self.datapath.gemv(layout, padded[i]) if self.functional else None,
+            )
+            for i, (start, end, stats) in enumerate(runs)
+        ]
 
     def _issue_each(
-        self, stream: SegmentedStream, background, end: int
-    ) -> int:
-        """The per-command reference: every barrier and every command
-        through the controller, background traffic at tile boundaries.
-        Returns the latest completion (at least ``end``)."""
+        self, stream: SegmentedStream, background
+    ) -> Tuple[int, int, Dict[str, object]]:
+        """The per-command reference for one run: every barrier and every
+        command through the controller, background traffic at tile
+        boundaries. Returns the run's start, its latest completion (at
+        least the start) and its stats."""
         controller = self.channel.controller
+        start = end = controller.now
+        before = stats_snapshot(controller.stats)
         boundary = 0
         for segment in stream.segments:
             if segment.barrier_cycles:
@@ -367,7 +359,10 @@ class NewtonChannelEngine:
             for command in segment.commands:
                 record = controller.issue(command)
                 end = max(end, record.complete)
-        return end
+        if self.verifier is not None:
+            # Raises VerificationError if this run broke the protocol.
+            self.verifier.after_run(end)
+        return start, end, stats_delta(before, stats_snapshot(controller.stats))
 
     def _signature_id(self) -> Optional[int]:
         """The interned relative signature of the controller's state
@@ -377,16 +372,65 @@ class NewtonChannelEngine:
             return None
         return self.schedule_cache.intern_signature(signature)
 
-    def _replay_walk(
-        self, stream: SegmentedStream, start: int
-    ) -> Tuple[int, Dict[str, object]]:
-        """The fast tier. Returns the run's end cycle (the latest
-        completion, at least ``start``) and its stats.
+    def _replay_runs(
+        self, stream: SegmentedStream, count: int
+    ) -> List[Tuple[int, int, Dict[str, object]]]:
+        """The fast tier: ``count`` runs as one chain, from one signature.
+        Returns each run's start, end (the latest completion, at least
+        the start) and stats.
 
         A run whose start signature and refresh phase match a
-        :class:`~repro.core.schedule_cache.RunRecord` replays whole
-        (:meth:`_replay_record`). Otherwise the walk goes segment by
-        segment on a local clock. A hit costs one lookup and one
+        :class:`~repro.core.schedule_cache.RunRecord` is served whole:
+        its delta joins the chain, the refresh scheduler advances at
+        once, and the record's end signature keys the next lookup. A run
+        with no record writes the chain back and walks. One
+        :func:`fastpath.apply_delta` writes back what is left.
+        """
+        controller = self.channel.controller
+        cache = self.schedule_cache
+        refresh = controller.refresh
+        chain: List[ControllerDelta] = []
+        runs = []
+        base = start = controller.now
+        signature = self._signature_id()
+        for _ in range(count):
+            record = signature is not None and cache.lookup_run(
+                stream.key_id,
+                signature,
+                start,
+                refresh.last_safe_start(stream.barrier_cycles),
+                refresh.phase(start),
+            )
+            if not record:
+                if chain:
+                    fastpath.apply_delta(controller, chain, base)
+                    chain.clear()
+                end, stats, signature = self._replay_walk(stream, start, signature)
+                runs.append((start, end, stats))
+                start = controller.now
+                continue
+            delta = record.delta
+            chain.append(delta)
+            if record.refresh is not None:
+                refresh.replay(record.refresh, start)
+            cache.hits += len(stream.segments)
+            cache.replayed_commands += stream.total_commands
+            cache.whole_runs += 1
+            runs.append((start, start + delta.max_complete, copy_stats(record.stats)))
+            base, start = start, start + delta.dt_now
+            signature = delta.end_signature
+        if chain:
+            fastpath.apply_delta(controller, chain, base)
+        return runs
+
+    def _replay_walk(
+        self, stream: SegmentedStream, start: int, signature: Optional[int]
+    ) -> Tuple[int, Dict[str, object], Optional[int]]:
+        """One run segment by segment, from ``start`` and its interned
+        ``signature``. Returns the run's end cycle (the latest
+        completion, at least ``start``), its stats and its end signature.
+
+        The walk keeps a local clock. A hit costs one lookup and one
         addition: the delta's recorded end signature keys the next
         lookup, and the replayed deltas accumulate in ``replays`` until
         one :func:`fastpath.apply_delta` writes them back — before a
@@ -404,21 +448,16 @@ class NewtonChannelEngine:
         window = stream.barrier_cycles
         limit = refresh.last_safe_start(window)
         now = end = start
-        signature = start_signature = self._signature_id()
-        if signature is not None:
+        start_signature = signature
+        whole = signature is not None
+        if whole:
             phase = refresh.phase(start)
-            recorded = cache.lookup_run(
-                stream.key_id, signature, start, limit, phase
-            )
-            if recorded is not None:
-                return self._replay_record(recorded, start)
             counters_start = fastpath.counters(controller)
             refreshes_start = refresh.refreshes_issued
             stall_start = refresh.stall_cycles
         before = stats_snapshot(controller.stats)
         replays: List[ControllerDelta] = []
         replayed = 0
-        whole = signature is not None
         last_barrier = None
 
         def write_back() -> None:
@@ -503,28 +542,9 @@ class NewtonChannelEngine:
                         else last_barrier - start
                     ),
                     stats=copy_stats(stats),
-                    lookups=len(stream.segments),
-                    commands=replayed,
                 ),
             )
-        return end, stats
-
-    def _replay_record(
-        self, record: RunRecord, start: int
-    ) -> Tuple[int, Dict[str, object]]:
-        """Replay a whole recorded run from ``start``: one write-back,
-        the refresh scheduler's advance, and the counters the segment
-        walk would have reported."""
-        controller = self.channel.controller
-        delta = record.delta
-        fastpath.apply_delta(controller, (delta,), start)
-        if record.refresh is not None:
-            controller.refresh.replay(record.refresh, start)
-        cache = self.schedule_cache
-        cache.hits += record.lookups
-        cache.replayed_commands += record.commands
-        cache.whole_runs += 1
-        return start + delta.max_complete, copy_stats(record.stats)
+        return end, stats, signature
 
     def power_report(self) -> PowerReport:
         """Normalized power breakdown over everything run so far."""

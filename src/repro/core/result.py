@@ -10,48 +10,39 @@ import numpy as np
 from repro.dram.commands import CommandKind
 from repro.dram.controller import ControllerStats
 
+_SCALAR_STATS = (
+    "bank_activations",
+    "bank_column_accesses",
+    "compute_column_accesses",
+    "data_transfers",
+    "refreshes",
+    "refresh_stall_cycles",
+)
+
 
 def stats_snapshot(stats: ControllerStats) -> Dict[str, object]:
     """Copy the mutable controller statistics for delta computation."""
     return {
         "command_counts": dict(stats.command_counts),
         "cycle_attribution": dict(stats.cycle_attribution),
-        "bank_activations": stats.bank_activations,
-        "bank_column_accesses": stats.bank_column_accesses,
-        "compute_column_accesses": stats.compute_column_accesses,
-        "data_transfers": stats.data_transfers,
-        "refreshes": stats.refreshes,
-        "refresh_stall_cycles": stats.refresh_stall_cycles,
+        **{name: getattr(stats, name) for name in _SCALAR_STATS},
     }
+
+
+def _changes(before: Dict, after: Dict) -> Dict:
+    """The non-zero per-key differences of two counter dicts."""
+    changes = {k: after.get(k, 0) - before.get(k, 0) for k in set(before) | set(after)}
+    return {key: value for key, value in changes.items() if value}
 
 
 def stats_delta(before: Dict[str, object], after: Dict[str, object]) -> Dict[str, object]:
     """Difference of two snapshots (per-run accounting)."""
-    counts_before: Dict[CommandKind, int] = before["command_counts"]  # type: ignore[assignment]
-    counts_after: Dict[CommandKind, int] = after["command_counts"]  # type: ignore[assignment]
-    counts = {
-        kind: counts_after.get(kind, 0) - counts_before.get(kind, 0)
-        for kind in set(counts_before) | set(counts_after)
+    delta: Dict[str, object] = {
+        key: _changes(before[key], after[key])  # type: ignore[arg-type]
+        for key in ("command_counts", "cycle_attribution")
     }
-    attr_before: Dict[str, int] = before["cycle_attribution"]  # type: ignore[assignment]
-    attr_after: Dict[str, int] = after["cycle_attribution"]  # type: ignore[assignment]
-    attribution = {
-        category: attr_after.get(category, 0) - attr_before.get(category, 0)
-        for category in set(attr_before) | set(attr_after)
-    }
-    delta = {
-        "command_counts": {k: v for k, v in counts.items() if v},
-        "cycle_attribution": {k: v for k, v in attribution.items() if v},
-    }
-    for key in (
-        "bank_activations",
-        "bank_column_accesses",
-        "compute_column_accesses",
-        "data_transfers",
-        "refreshes",
-        "refresh_stall_cycles",
-    ):
-        delta[key] = after[key] - before[key]  # type: ignore[operator]
+    for name in _SCALAR_STATS:
+        delta[name] = after[name] - before[name]  # type: ignore[operator]
     return delta
 
 

@@ -32,18 +32,18 @@ periodically and becomes cacheable).
 
 A whole GEMV is the next replay unit up. When every segment of a run
 hits, the engine records the run as one :class:`RunRecord`: the
-composite delta from the run's start, the refresh scheduler's advance,
-the run's stats and the lookups and commands it replayed. Records key
-by ``(stream key id, start signature id, refresh phase)``. The stream
-key interns the stream's ``(barrier, segment key id)`` sequence, so it
-is content-derived like every other id. The phase is ``None`` when no
-refresh fired: such a record replays at any start whose last barrier
-cannot fire (:meth:`ScheduleCache.lookup_run`). When a refresh fired,
-the phase is the scheduler's ``next_due - now``
+composite delta from the run's start, the refresh scheduler's advance
+and the run's stats. Records key by ``(stream key id, start signature
+id, refresh phase)``; the stream key interns the stream's ``(barrier,
+segment key id)`` sequence. The phase is ``None`` when no refresh
+fired: such a record replays at any start whose last barrier cannot
+fire (:meth:`ScheduleCache.lookup_run`). Otherwise it is the
+scheduler's ``next_due - now``
 (:meth:`~repro.dram.refresh.RefreshScheduler.phase`), its only absolute
-time, so equal phases refresh identically. A steady serving GEMV,
-refreshes included, then costs one signature, one or two lookups and
-one write-back.
+time, so equal phases refresh identically. A record's delta ends in a
+signature too, so the runs of a batch chain record to record: a steady
+batch of k GEMVs, refreshes included, costs one signature, k lookups
+and one write-back.
 """
 
 from __future__ import annotations
@@ -116,10 +116,6 @@ class RunRecord:
     refresh (``None``: no barrier, or a refresh fired)."""
     stats: Dict[str, object]
     """The run's stats delta (callers get a copy)."""
-    lookups: int
-    """Segment lookups the walk made, every one a hit."""
-    commands: int
-    """Commands those hits replayed."""
 
 
 @dataclass
@@ -134,16 +130,14 @@ class SegmentedStream:
     """The row-operation window every barrier in the stream guards (the
     generator sizes them all by one tile-duration bound; 0: no barrier),
     so a walk tests each barrier against one precomputed cycle."""
+    total_commands: int = 0
+    """Commands a run issues: what a run served whole replays."""
     skipped_gwrites: int = 0
     """GWRITE commands elided from a fused lowering (0 for the ordinary
     round-trip stream). A fused design fills the global buffer from the
     result latches / activation buffer instead of the host, so the data
     still arrives, just not over the command bus (see
     :func:`segment_stream`)."""
-
-    @property
-    def total_commands(self) -> int:
-        return sum(s.n_commands for s in self.segments)
 
 
 class ScheduleCache:
@@ -228,8 +222,8 @@ class ScheduleCache:
         :meth:`~repro.dram.refresh.RefreshScheduler.phase` at ``now``. A
         record with no refresh replays when its last barrier cannot
         fire; otherwise the run must match a record's phase exactly.
-        Counts nothing: the caller adds the record's lookups to
-        :attr:`hits` when it replays.
+        Counts nothing: the caller adds a hit per stream segment when
+        it replays.
         """
         record = self._runs.get((stream_id, signature_id, None))
         if record is not None and (
@@ -352,6 +346,7 @@ def segment_stream(
             key.append(fragment_id)
             n_commands += fragment.n_commands
     flush()
+    stream.total_commands = sum(s.n_commands for s in stream.segments)
     stream.key_id = cache.intern_key(
         tuple((s.barrier_cycles, s.key_id) for s in stream.segments)
     )

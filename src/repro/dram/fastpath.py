@@ -23,28 +23,26 @@ This module provides the three primitives that make that sound:
 * :func:`apply_delta` — write a chain of replayed deltas back to the
   controller: ``now``, bank state, bus timers, the activation window,
   the adder-tree drain anchor and the attribution cursor from the last
-  delta, every statistic folded once per distinct delta (a lone delta's
-  counters are added as they stand).
+  delta, every statistic folded once per distinct delta.
 
 The engine (:mod:`repro.core.engine`) replays on a local clock. Because a
 delta records the signature it ends in, a hit chains straight to the
-next segment's lookup: the walk adds ``dt_now`` and moves on, computing
-no signature and touching no controller state. Every delta overwrites
-the whole timing state relative to its base, so the chain's end state
-is its last delta's, and the counters it advanced are additive; one
-:func:`apply_delta` per chain is therefore exactly the per-segment
-replay. The walk writes back before a refresh that fires, before a
-miss, and at the end of the run.
+next lookup, computing no signature and touching no controller state.
+Every delta overwrites the whole timing state relative to its base, so
+a chain's end state is its last delta's, and the counters it advanced
+are additive; one :func:`apply_delta` per chain is therefore exactly
+the per-segment replay. The walk writes back before a refresh that
+fires, before a miss, and at the end of the run.
 
 A whole GEMV is one delta too: :func:`capture_delta` taken from the
-run's start records its composite effect, refreshes included, and the
-engine replays it with one :func:`apply_delta`. Refresh is otherwise
-**not replayed**: the refresh scheduler works on absolute deadlines, so
-a segment delta never contains one. The engine checks every barrier
-against the local clock and runs every refresh that fires exactly; a
-whole-run delta contains the refreshes only because its record is keyed
-by the exact refresh phase it was recorded at (see
-:mod:`repro.core.schedule_cache`).
+run's start records its composite effect, refreshes included, and a
+batch's whole runs chain the same way, so one :func:`apply_delta`
+writes back a steady batch, each repeated record's counters folded
+once. Refresh is otherwise **not replayed**: the refresh scheduler works
+on absolute deadlines, so a segment delta never contains one, and every
+refresh that fires outside a record runs exactly. A whole-run delta
+contains refreshes only because its record is keyed by the exact
+refresh phase it was recorded at (see :mod:`repro.core.schedule_cache`).
 
 Sentinel time fields (``NEG_INF`` markers for "never happened") are
 preserved as ``None`` offsets so a replayed controller is bit-identical
@@ -108,20 +106,9 @@ class ControllerDelta:
     """``now`` advance over the segment."""
     max_complete: Optional[int]
     """Latest command-completion offset (``None``: no commands issued)."""
-    banks: Tuple[Tuple[int, int, int, Optional[int]], ...]
-    """Per bank: (ready_for_act, column_ready, precharge_ready,
-    last_column_issue) offsets; every bank ends precharged."""
-    cmd_next_free: int
-    data_next_free: int
-    window_recent: Tuple[Tuple[int, ...], ...]
-    """Per-scope recent-activation offsets (one scope channel-wide, one
-    per bank group under the ``bankgroup_ext`` family)."""
-    window_last_act: Optional[int]
-    last_tree_feed: Optional[int]
-    attr_cursor: int
-    """Offset of the attribution cursor, restored with telemetry on
-    (equal to ``dt_now`` unless a telemetry read left the cursor past
-    ``now``)."""
+    state: Tuple
+    """The timing state at the segment's end, as :func:`_relative_state`
+    offsets from its start; every bank ends precharged."""
     counters: Tuple[int, ...]
     """The :func:`counters` vector's advance over the segment: command
     counts, cycle-attribution buckets, stats fields, bus and window
@@ -138,41 +125,52 @@ Signature = Tuple
 """Opaque hashable relative-state signature."""
 
 
-def relative_signature(controller: ChannelController) -> Optional[Signature]:
-    """The controller's timing state as offsets from ``now``.
-
-    Two controller states with equal signatures schedule any identical
-    command sequence identically (up to a rigid time shift). Returns
-    ``None`` when the state cannot be summarized shift-invariantly: a
-    bank holding an open row (the row identity is data, not timing, and
-    differs tile to tile). With telemetry on, the attribution cursor's
-    offset is part of the state: it is 0 after every issue and refresh,
-    but a telemetry read (:meth:`ChannelController.finalize`) moves the
-    cursor past ``now``, and the next issue charges its wait from there.
-    """
-    now = controller.now
+def _relative_state(controller: ChannelController, origin: int) -> Optional[Tuple]:
+    """The timing state as offsets from ``origin``: per bank
+    (ready_for_act, column_ready, precharge_ready, last_column_issue),
+    the command- and data-bus next free cycles, each activation-window
+    scope's recent activations (one scope channel-wide, one per bank
+    group under ``bankgroup_ext``), the last activation, the last tree
+    feed and, with telemetry on, the attribution cursor. ``None`` when a
+    bank holds an open row."""
     banks = []
     for bank in controller.banks:
         if bank.open_row is not None:
             return None
         banks.append(
             (
-                bank.ready_for_act - now,
-                bank.column_ready - now,
-                bank.precharge_ready - now,
-                _rel(bank.last_column_issue, now),
+                bank.ready_for_act - origin,
+                bank.column_ready - origin,
+                bank.precharge_ready - origin,
+                _rel(bank.last_column_issue, origin),
             )
         )
     scopes, last_act = controller.window.snapshot()
     return (
         tuple(banks),
-        controller.cmd_bus.next_free - now,
-        controller.data_bus.next_free - now,
-        tuple(tuple(t - now for t in recent) for recent in scopes),
-        _rel(last_act, now),
-        _rel(controller._last_tree_feed, now),
-        controller._attr_cursor - now if controller.telemetry else 0,
+        controller.cmd_bus.next_free - origin,
+        controller.data_bus.next_free - origin,
+        tuple(tuple(t - origin for t in recent) for recent in scopes),
+        _rel(last_act, origin),
+        _rel(controller._last_tree_feed, origin),
+        controller._attr_cursor - origin if controller.telemetry else 0,
     )
+
+
+def relative_signature(controller: ChannelController) -> Optional[Signature]:
+    """The controller's timing state as offsets from ``now``
+    (:func:`_relative_state`).
+
+    Two controller states with equal signatures schedule any identical
+    command sequence identically (up to a rigid time shift). Returns
+    ``None`` when the state cannot be summarized shift-invariantly: a
+    bank holding an open row (the row identity is data, not timing, and
+    differs tile to tile). The attribution cursor's offset is 0 after
+    every issue and refresh, but a telemetry read
+    (:meth:`ChannelController.finalize`) moves the cursor past ``now``,
+    and the next issue charges its wait from there.
+    """
+    return _relative_state(controller, controller.now)
 
 
 def counters(controller: ChannelController) -> Tuple[int, ...]:
@@ -221,27 +219,10 @@ def capture_delta(
     """
     if end_signature is None:
         return None
-    scopes, last_act = controller.window.snapshot()
     return ControllerDelta(
         dt_now=controller.now - base,
         max_complete=None if max_complete is None else max_complete - base,
-        banks=tuple(
-            (
-                b.ready_for_act - base,
-                b.column_ready - base,
-                b.precharge_ready - base,
-                _rel(b.last_column_issue, base),
-            )
-            for b in controller.banks
-        ),
-        cmd_next_free=controller.cmd_bus.next_free - base,
-        data_next_free=controller.data_bus.next_free - base,
-        window_recent=tuple(
-            tuple(t - base for t in recent) for recent in scopes
-        ),
-        window_last_act=_rel(last_act, base),
-        last_tree_feed=_rel(controller._last_tree_feed, base),
-        attr_cursor=controller._attr_cursor - base,
+        state=_relative_state(controller, base),
         counters=tuple(
             after - prior for after, prior in zip(counters(controller), before)
         ),
@@ -262,23 +243,17 @@ def apply_delta(
     (the cache keys guarantee it), and each later delta's recorded start
     is its predecessor's end. The timing state comes from the last delta
     alone — every delta overwrites all of it — while each distinct
-    delta's counters are folded once, times its replay count; a lone
-    delta (a whole replayed GEMV) adds its counters as they stand.
+    delta's counters are folded once, times its replay count.
     """
     delta = replays[-1]
-    if len(replays) == 1:
-        total = delta.counters
-    else:
-        total = None
-        for replayed, times in Counter(replays).items():
-            advance = replayed.counters
-            if times > 1:
-                advance = map(mul, advance, repeat(times))
-            total = (
-                tuple(advance)
-                if total is None
-                else tuple(map(add, total, advance))
-            )
+    # A lone delta (a single replayed GEMV) skips building the Counter.
+    folded = Counter(replays).items() if len(replays) > 1 else ((delta, 1),)
+    total = None
+    for replayed, times in folded:
+        advance = replayed.counters
+        if times > 1:
+            advance = tuple(map(mul, advance, repeat(times)))
+        total = advance if total is None else tuple(map(add, total, advance))
     stats = controller.stats
     counts = stats.command_counts
     for kind, count in zip(_KINDS, total):
@@ -294,9 +269,10 @@ def apply_delta(
     cmd_slots, cmd_busy, data_slots, data_busy, activations = total[
         _BUSES_AT:_BANKS_AT
     ]
+    bank_state, cmd_free, data_free, recent, last_act, tree_feed, cursor = delta.state
     banks = controller.banks
     for bank, (ra, cr, pr, lci), bank_activations, column_accesses in zip(
-        banks, delta.banks, total[_BANKS_AT:], total[_BANKS_AT + len(banks) :]
+        banks, bank_state, total[_BANKS_AT:], total[_BANKS_AT + len(banks) :]
     ):
         bank.open_row = None
         bank.ready_for_act = base + ra
@@ -305,20 +281,16 @@ def apply_delta(
         bank.last_column_issue = _abs(lci, base)
         bank.activations += bank_activations
         bank.column_accesses += column_accesses
-    controller.cmd_bus.fastforward(base + delta.cmd_next_free, cmd_slots, cmd_busy)
-    controller.data_bus.fastforward(
-        base + delta.data_next_free, data_slots, data_busy
-    )
+    controller.cmd_bus.fastforward(base + cmd_free, cmd_slots, cmd_busy)
+    controller.data_bus.fastforward(base + data_free, data_slots, data_busy)
     controller.window.fastforward_scopes(
-        tuple(
-            tuple(base + t for t in recent) for recent in delta.window_recent
-        ),
-        _abs(delta.window_last_act, base),
+        tuple(tuple(base + t for t in scope) for scope in recent),
+        _abs(last_act, base),
         activations,
     )
-    controller._last_tree_feed = _abs(delta.last_tree_feed, base)
+    controller._last_tree_feed = _abs(tree_feed, base)
     controller.now = base + delta.dt_now
     if controller.telemetry:
         # The next segment (or refresh barrier) charges its wait from
         # the cursor. Without telemetry nothing moves the cursor.
-        controller._attr_cursor = base + delta.attr_cursor
+        controller._attr_cursor = base + cursor

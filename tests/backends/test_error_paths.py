@@ -70,7 +70,7 @@ class TestBatchShapeValidation:
         assert out.shape == (1, N)
 
     @pytest.mark.parametrize(
-        "shape", [(2, 2, N), (N,) * 3, (2, N + 1), (N + 1,)]
+        "shape", [(2, 2, N), (N,) * 3, (2, N + 1), (N + 1,), (0, N)]
     )
     def test_validator_rejects(self, shape):
         with pytest.raises(LayoutError):
@@ -91,6 +91,8 @@ class TestBatchShapeValidation:
             backend.gemv_batch(handle, np.zeros((2, N + 1), dtype=np.float32))
         with pytest.raises(LayoutError):
             backend.gemv_batch(handle, np.zeros(N + 1, dtype=np.float32))
+        with pytest.raises(LayoutError):
+            backend.gemv_batch(handle, np.zeros((0, N), dtype=np.float32))
         # The legal twin still runs.
         runs = backend.gemv_batch(
             handle, np.zeros((2, N), dtype=np.float32)
@@ -110,4 +112,6 @@ class TestBatchShapeValidation:
             cluster.gemv_batch(handle, np.zeros((2, 2, N), dtype=np.float32))
         with pytest.raises(LayoutError):
             cluster.gemv_batch(handle, np.zeros((3, N - 1), dtype=np.float32))
+        with pytest.raises(LayoutError):
+            cluster.gemv_batch(handle, np.zeros((0, N), dtype=np.float32))
         assert len(cluster.gemv_batch(handle, np.zeros((2, N)))) == 2

@@ -132,6 +132,36 @@ class TestBitIdentity:
         ours.close()
         reference.close()
 
+    @pytest.mark.parametrize(
+        "placement, batches",
+        [("auto", (1, 512, 1, 1, 512, 1, 2, 1)), ("all-gpu", (1, 3, 1))],
+    )
+    def test_gpu_work_moves_no_newton_clock(self, placement, batches):
+        """The GPU side contributes cycles, never Newton timing: after
+        every dispatch a functional hybrid reports its timing-only
+        twin's per-run cycles and Newton clock, and at the end its Newton
+        telemetry; its outputs equal an all-Newton run's."""
+        rng = np.random.default_rng(4)
+        matrix = rng.standard_normal((512, 512)).astype(np.float32)
+        ours = _hetero(functional=True, placement=placement)
+        twin = _hetero(functional=False, placement=placement)
+        reference = _newton(functional=True)
+        h1, h2 = ours.load_matrix(matrix), twin.load_matrix(m=512, n=512)
+        h3 = reference.load_matrix(matrix)
+        for k in batches:
+            vectors = rng.standard_normal((k, 512)).astype(np.float32)
+            if k == 1:
+                runs, twins = [ours.gemv(h1, vectors[0])], [twin.gemv(h2)]
+            else:
+                runs, twins = ours.gemv_batch(h1, vectors), twin.gemv_batch(h2, batch=k)
+            assert [r.cycles for r in runs] == [r.cycles for r in twins]
+            assert ours.newton.device.now == twin.newton.device.now
+            for run, expected in zip(runs, reference.gemv_batch(h3, vectors)):
+                assert np.array_equal(
+                    run.output.view(np.uint32), expected.output.view(np.uint32)
+                )
+        assert ours.newton.collect_metrics() == twin.newton.collect_metrics()
+
     def test_session_outputs_match_all_newton(self):
         """A fused graph session on hetero is bit-identical to newton
         (the CI hetero-smoke contract)."""

@@ -628,25 +628,26 @@ class TestTierEngagement:
         )
         return engine, engine.add_matrix(2048, 2048)
 
+    @staticmethod
+    def count(monkeypatch, calls, owner, name):
+        """Count ``owner.name`` calls into ``calls[name]``."""
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
     def test_alexnet_l7_counters(self, monkeypatch):
         slow, slow_layout = self.alexnet_l7_engine(False)
         fast, fast_layout = self.alexnet_l7_engine(True)
         controller = fast.channel.controller
         cache = fast.schedule_cache
         calls = collections.Counter()
-
-        def count(owner, name):
-            original = getattr(owner, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counted)
-
-        count(fastpath, "apply_delta")
-        count(fastpath, "relative_signature")
-        count(controller, "refresh_barrier")
+        self.count(monkeypatch, calls, fastpath, "apply_delta")
+        self.count(monkeypatch, calls, fastpath, "relative_signature")
+        self.count(monkeypatch, calls, controller, "refresh_barrier")
         burst, hits, runs = [], [], []
         for _ in range(self.RUNS):
             calls.clear()
@@ -702,6 +703,46 @@ class TestTierEngagement:
         assert runs[3][1] == {"apply_delta": 1, "relative_signature": 1}
         assert cache.whole_runs == 1
         assert cache.run_records == 1
+
+    def test_a_warm_batch_is_one_chain(self, monkeypatch):
+        """Warm, every run replays whole, so ``run_gemvs(layout, 4)`` is
+        one chain: one signature and one write-back, where four single
+        runs on a twin make four of each. Each run equals the twin's."""
+        batched, layout = self.alexnet_l7_engine(True)
+        single, single_layout = self.alexnet_l7_engine(True)
+        for _ in range(self.RUNS):
+            batched.run_gemv(layout)
+            single.run_gemv(single_layout)
+        calls = collections.Counter()
+        self.count(monkeypatch, calls, fastpath, "apply_delta")
+        self.count(monkeypatch, calls, fastpath, "relative_signature")
+
+        def tally(engine):
+            cache = engine.schedule_cache
+            refresh = engine.channel.controller.refresh
+            return (cache.hits, cache.misses, refresh.refreshes_issued, cache.whole_runs)
+
+        counts = []
+        before = tally(single)
+        expected = [single.run_gemv(single_layout) for _ in range(4)]
+        counts.append((tuple(y - x for x, y in zip(before, tally(single))), dict(calls)))
+        calls.clear()
+        before = tally(batched)
+        runs = batched.run_gemvs(layout, 4)
+        counts.append((tuple(y - x for x, y in zip(before, tally(batched))), dict(calls)))
+        assert counts == [
+            ((4 * 513, 0, 4 * 32, 4), {"apply_delta": 4, "relative_signature": 4}),
+            ((4 * 513, 0, 4 * 32, 4), {"apply_delta": 1, "relative_signature": 1}),
+        ]
+        for a, b in zip(expected, runs):
+            assert (a.start_cycle, a.end_cycle, a.stats) == (
+                b.start_cycle,
+                b.end_cycle,
+                b.stats,
+            )
+        assert controller_fingerprint(
+            single.channel.controller
+        ) == controller_fingerprint(batched.channel.controller)
 
 
 class TestPropertyDifferential:

@@ -320,8 +320,7 @@ class TestRunRecords:
 
         def record(last_barrier):
             return RunRecord(
-                delta=None, refresh=None, last_barrier=last_barrier,
-                stats={}, lookups=1, commands=1,
+                delta=None, refresh=None, last_barrier=last_barrier, stats={}
             )
 
         quiet, phased = record(100), record(None)
