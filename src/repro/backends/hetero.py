@@ -179,6 +179,12 @@ class HeteroBackend(Backend):
             ),
         )
 
+    def _check_input(self, handle: HeteroHandle, vectors) -> None:
+        """Refuse a bad input before placement, by the device's own pad
+        step: a refused call charges no crossing and records nothing."""
+        if self.functional:
+            self.newton.device.pad(handle.inner, vectors)
+
     def _boundary(self, chosen: str, elements: int) -> float:
         """Exposed transfer cycles of this dispatch's placement edge.
 
@@ -246,6 +252,7 @@ class HeteroBackend(Backend):
         *,
         fused_input: bool = False,
     ) -> BackendRun:
+        self._check_input(handle, None if vector is None else (vector,))
         chosen = self._choose(handle.m, handle.n, batch=1)
         boundary = self._boundary(chosen, handle.n)
         # Crossing the PIM/GPU boundary forces the host round trip:
@@ -296,6 +303,7 @@ class HeteroBackend(Backend):
 
                 raise ProtocolError("batch must be positive")
             k = batch
+        self._check_input(handle, vectors)
         chosen = self._choose(handle.m, handle.n, batch=k)
         boundary = self._boundary(chosen, handle.n * k)
         if chosen == "newton":

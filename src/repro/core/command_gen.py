@@ -21,13 +21,15 @@ Each disabled optimization swaps in its de-optimized encoding:
   activation function is applied by the in-DRAM lookup table.
 
 Every tile piece — activations, compute phase, result read, a chunk's
-GWRITE prologue — is lowered as one :class:`BlockStep`. Only the
-activations name a DRAM row, so every other piece is a *template*:
-built once per tile shape (chunk width) and reused by every tile. The
+GWRITE prologue — is lowered as one :class:`BlockStep` over a
+*template*: built once per tile shape (chunk width) and reused by every
+tile. The activations' template is row-blind, and a tile's activation
+block carries only the DRAM row it opens; its row-bearing commands are
+built (:func:`at_row`) only where commands issue one at a time. The
 per-tile functional payloads, which the per-command reference executes
 (:meth:`CommandStreamGenerator.gemv_steps`), ride on copies only when
 asked for; the engine's streams carry none. A Non-opt tile is ~1,550
-commands but costs a handful of objects to lower.
+commands but costs one block and its row to lower.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from repro.dram import commands as cmds
-from repro.dram.commands import Command, CommandKind, CommandRun
+from repro.dram.commands import ACTIVATION_KINDS, Command, CommandKind, CommandRun
 from repro.dram.config import DRAMConfig
 from repro.dram.timing import TimingParams
 from repro.core.layout import InterleavedLayout, Layout, NoReuseLayout
@@ -125,6 +127,26 @@ class Fragment:
         """The one command kind the piece issues, or ``None`` if mixed."""
 
 
+def at_row(items: Tuple, row: Optional[int]) -> Tuple:
+    """Template items as issued: each row-blind activation opens ``row``."""
+    if row is None:
+        return items
+    return tuple(
+        Command(item.kind, bank=item.bank, group=item.group, row=row)
+        if item.kind in ACTIVATION_KINDS else item
+        for item in items
+    )
+
+
+def per_command(items: Iterable) -> Iterator[Command]:
+    """Stream items one command at a time (runs expanded)."""
+    for item in items:
+        if isinstance(item, CommandRun):
+            yield from item.commands()
+        else:
+            yield item
+
+
 @dataclass(frozen=True)
 class BlockStep:
     """One tile piece lowered as a unit: its timed items and payloads.
@@ -132,14 +154,16 @@ class BlockStep:
     ``items`` are single :class:`~repro.dram.commands.Command` objects
     and homogeneous :class:`~repro.dram.commands.CommandRun` runs (a
     tile's COMP burst, one bank's COMP_BANK burst, a chunk's GWRITE
-    prologue) — what the engine's cold path issues. A payload-free block
-    is a template: the generator yields the same object for every tile
-    of a shape. The payload fields describe the exact per-command steps
-    the block stands for (:meth:`expand`).
+    prologue) — a shape's template. A block with neither row nor payload
+    is the template itself: the generator yields the same object for
+    every tile of a shape. The row and payload fields describe the exact
+    per-command steps the block stands for (:meth:`expand`).
     """
 
     fragment: Fragment
     items: Tuple  # Tuple[Command | CommandRun, ...]
+    row: Optional[int] = None
+    """If set: the DRAM row a tile's activations open (:func:`at_row`)."""
     gwrite_chunk: Optional[int] = None
     """If set: the global buffer is repurposed for this chunk, and the
     block's GWRITEs load its sub-chunks ``0..n-1``."""
@@ -153,20 +177,13 @@ class BlockStep:
         """This block's items carrying one tile's functional payload."""
         return BlockStep(self.fragment, self.items, **payload)
 
-    def commands(self) -> Iterator[Command]:
-        for item in self.items:
-            if isinstance(item, CommandRun):
-                yield from item.commands()
-            else:
-                yield item
-
     def expand(self) -> Iterator[Step]:
         """The exact per-command steps this block stands for."""
         if self.gwrite_chunk is not None:
             yield Step(new_chunk=self.gwrite_chunk)
         latch = self.compute or 0
         last = self.fragment.n_commands - 1
-        for i, command in enumerate(self.commands()):
+        for i, command in enumerate(per_command(at_row(self.items, self.row))):
             yield Step(
                 command=command,
                 emit=self.emit if i == last else None,
@@ -199,7 +216,6 @@ class CommandStreamGenerator:
         self.opt = opt
         self.layout = layout
         self._templates: Dict[tuple, BlockStep] = {}
-        self._activation_fragment: Optional[Fragment] = None
 
     # ------------------------------------------------------------------
     # duration estimates (for the refresh barrier)
@@ -266,22 +282,17 @@ class CommandStreamGenerator:
             block = self._templates[shape] = BlockStep(Fragment(items), items)
         return block
 
-    def _activation_block(self, dram_row: int) -> BlockStep:
-        """A tile's activations: its own commands (they name the row),
-        but one shared, row-blind fragment."""
+    def _activation_commands(self) -> Iterator[Command]:
+        """A tile's activations, row-blind (:func:`at_row` names the row)."""
         if self.opt.four_bank_activation:
-            items = tuple(
-                cmds.g_act(group, dram_row)
-                for group in range(self.config.bank_groups)
-            )
-        else:
-            items = tuple(
-                cmds.act(bank, dram_row)
-                for bank in range(self.config.banks_per_channel)
-            )
-        if self._activation_fragment is None:
-            self._activation_fragment = Fragment(items)
-        return BlockStep(self._activation_fragment, items)
+            groups = range(self.config.bank_groups)
+            return (Command(CommandKind.G_ACT, group=group) for group in groups)
+        banks = range(self.config.banks_per_channel)
+        return (Command(CommandKind.ACT, bank=bank) for bank in banks)
+
+    def _activation_item(self, dram_row: int) -> BlockStep:
+        block = self._template(("activate",), self._activation_commands)
+        return BlockStep(block.fragment, block.items, dram_row)
 
     def _compute_commands(self, cols: int) -> Iterator:
         """One tile's compute phase over ``cols`` columns.
@@ -366,8 +377,8 @@ class CommandStreamGenerator:
         stream with every block expanded in place. ``payloads=False``
         lowers the same commands without functional payloads (no tile
         evaluations, result emits or buffer loads) — the stream every
-        engine runs, whose row-independent pieces are the shared
-        templates themselves."""
+        engine runs: the shared templates themselves, and per tile one
+        activation block carrying its row."""
         if self.config.rules.tile_major:
             yield from self._tile_major_items(payloads)
         elif self.opt.interleaved_reuse:
@@ -385,7 +396,7 @@ class CommandStreamGenerator:
             for tile in range(layout.tiles):
                 dram_row = layout.dram_row(chunk, tile)
                 yield barrier
-                yield self._activation_block(dram_row)
+                yield self._activation_item(dram_row)
                 yield self._compute_item(cols, 0 if payloads else None)
                 yield self._readres_item(
                     EmitOp(0, chunk, layout.tile_matrix_rows(tile))
@@ -412,7 +423,7 @@ class CommandStreamGenerator:
                 yield self._gwrite_item(chunk, payloads)
                 dram_row = layout.dram_row(chunk, tile)
                 yield barrier
-                yield self._activation_block(dram_row)
+                yield self._activation_item(dram_row)
                 yield self._compute_item(
                     layout.cols_in_chunk(chunk), 0 if payloads else None
                 )
@@ -434,7 +445,7 @@ class CommandStreamGenerator:
                 for latch, slot in enumerate(slots):
                     dram_row = layout.dram_row(slot, chunk)
                     yield barrier
-                    yield self._activation_block(dram_row)
+                    yield self._activation_item(dram_row)
                     yield self._compute_item(cols, latch if payloads else None)
             for latch, slot in enumerate(slots):
                 yield self._readres_item(

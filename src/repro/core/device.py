@@ -292,15 +292,18 @@ class NewtonDevice:
             raise ProtocolError("batch must be positive")
         return self._run(handle, batch, None)
 
-    def compute(self, handle: MatrixHandle, vectors) -> List[np.ndarray]:
-        """The products of ``vectors`` with a resident matrix, from the
-        datapath alone: untimed, so no clock moves (functional only)."""
+    def pad(self, handle: MatrixHandle, vectors) -> List[np.ndarray]:
+        """``vectors`` checked and zero-padded to whole chunks (functional)."""
         if not self.functional:
             raise ProtocolError("compute needs a functional device")
         if vectors is None:
             raise ProtocolError("functional mode requires an input vector")
-        padded = [handle.layouts[0].pad_vector(vector) for vector in vectors]
-        return [self.datapath.gemv(handle, vector) for vector in padded]
+        return [handle.layouts[0].pad_vector(vector) for vector in vectors]
+
+    def compute(self, handle: MatrixHandle, vectors) -> List[np.ndarray]:
+        """The products of ``vectors`` with a resident matrix, from the
+        datapath alone: untimed, so no clock moves (functional only)."""
+        return [self.datapath.gemv(handle, v) for v in self.pad(handle, vectors)]
 
     def _run(
         self, handle: MatrixHandle, count: int, vectors, fused_input: bool = False

@@ -49,10 +49,13 @@ and one write-back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.command_gen import BlockStep, CommandStreamGenerator, Fragment
-from repro.dram.commands import CommandKind, CommandRun
+from repro.core.command_gen import (
+    BlockStep, CommandStreamGenerator, Fragment, at_row, per_command,
+)
+from repro.dram.commands import CommandKind
 from repro.dram.fastpath import ControllerDelta, Signature
 from repro.dram.refresh import RefreshAdvance
 from repro.errors import ProtocolError
@@ -68,38 +71,39 @@ class StreamSegment:
 
     A segment is timing only: the datapath computes a GEMV from its
     layout (:mod:`repro.core.datapath`), so no functional payload rides
-    on the stream. ``items`` is the compiled form the cold path
-    executes: individual :class:`~repro.dram.commands.Command` objects
-    interleaved with :class:`~repro.dram.commands.CommandRun`
-    homogeneous runs (a tile's COMP burst arrives as *one* item).
-    Barriers never fall inside a run: the segmenter flushes at every
-    barrier step, so a refresh splits runs exactly where it splits
-    replay segments. The per-command view (:attr:`commands`) is
-    materialized lazily for the consumers that need it — the slow
-    reference path, tracing, background traffic.
+    on the stream. ``templates`` are its tile pieces' shared items —
+    individual :class:`~repro.dram.commands.Command` objects interleaved
+    with :class:`~repro.dram.commands.CommandRun` homogeneous runs (a
+    tile's COMP burst arrives as *one* item), the activations row-blind
+    — and ``row`` is the DRAM row its activations open, so lowering a
+    tile builds no command. Barriers never fall inside a run: the
+    segmenter flushes at every barrier step, so a refresh splits runs
+    exactly where it splits replay segments. The row-bearing views are
+    built on first use, where commands issue one at a time:
+    :attr:`items` for the cold path on a replay miss, :attr:`commands`
+    for the per-command tier, tracing and background traffic.
     """
 
     barrier_cycles: int
     """Refresh-barrier window preceding the steps (0: no barrier)."""
-    items: Tuple  # Tuple[Command | CommandRun, ...]
+    templates: Tuple  # Tuple[Command | CommandRun, ...]
+    row: Optional[int]
+    """The DRAM row the activations open (``None``: no activation)."""
     n_commands: int
     """Commands the segment expands to (``len(self.commands)``)."""
     key_id: int
     """Cache-interned id of the segment's fragment-id sequence."""
-    _commands: Optional[Tuple] = None
 
-    @property
+    @cached_property
+    def items(self) -> Tuple:
+        """The compiled form the cold path issues: the templates, each
+        activation opening :attr:`row`."""
+        return at_row(self.templates, self.row)
+
+    @cached_property
     def commands(self) -> Tuple:
-        """The segment as per-command objects (lazily materialized)."""
-        if self._commands is None:
-            flat: List = []
-            for item in self.items:
-                if isinstance(item, CommandRun):
-                    flat.extend(item.commands())
-                else:
-                    flat.append(item)
-            self._commands = tuple(flat)
-        return self._commands
+        """The segment as per-command objects."""
+        return tuple(per_command(self.items))
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,11 +276,12 @@ def segment_stream(
     """Lower a generator's compiled stream into barrier-delimited segments.
 
     Consumes :meth:`~repro.core.command_gen.CommandStreamGenerator.gemv_items`
-    without payloads, so every row-independent piece is a shared
-    template: each :class:`~repro.core.command_gen.BlockStep` contributes
-    its timed items (homogeneous runs stay single
+    without payloads, so every piece is a shared template: each
+    :class:`~repro.core.command_gen.BlockStep` contributes its template
+    items (homogeneous runs stay single
     :class:`~repro.dram.commands.CommandRun` items) and one fragment id
-    to the segment key. Every other stream item is a refresh-barrier
+    to the segment key, and a tile's activations their row to the
+    segment. Every other stream item is a refresh-barrier
     :class:`~repro.core.command_gen.Step`, which always flushes the open
     segment, so no run ever straddles a refresh decision point; every
     barrier in a stream must guard the same window
@@ -299,23 +304,26 @@ def segment_stream(
     fragment_ids: Dict[Fragment, int] = {}
     barrier = 0
     lowered = False
+    row: Optional[int] = None
     items: List = []
     key: List[int] = []
     n_commands = 0
 
     def flush() -> None:
-        nonlocal barrier, lowered, n_commands
+        nonlocal barrier, lowered, row, n_commands
         if barrier or lowered:
             stream.segments.append(
                 StreamSegment(
                     barrier_cycles=barrier,
-                    items=tuple(items),
+                    templates=tuple(items),
+                    row=row,
                     n_commands=n_commands,
                     key_id=cache.intern_key(tuple(key)),
                 )
             )
         barrier = 0
         lowered = False
+        row = None
         n_commands = 0
         items.clear()
         key.clear()
@@ -332,6 +340,8 @@ def segment_stream(
             stream.barrier_cycles = barrier
             continue
         lowered = True
+        if item.row is not None:
+            row = item.row  # a barrier precedes every tile's activations
         fragment = item.fragment
         if fused and fragment.kind is CommandKind.GWRITE:
             # Fused: the buffer fill happens off the command bus.

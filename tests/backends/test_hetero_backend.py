@@ -8,7 +8,7 @@ import pytest
 from repro.backends import make_backend
 from repro.dram.config import hbm2e_like_config
 from repro.dram.timing import hbm2e_like_timing
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, LayoutError, ProtocolError
 from repro.telemetry import SCHEMA
 from repro.workloads.scenarios import scenario_model
 
@@ -161,6 +161,50 @@ class TestBitIdentity:
                     run.output.view(np.uint32), expected.output.view(np.uint32)
                 )
         assert ours.newton.collect_metrics() == twin.newton.collect_metrics()
+
+    def test_refused_inputs_charge_no_crossing(self):
+        """A call the device refuses is refused before placement: after a
+        GPU-placed batch, a misfit vector, a missing vector and a batch
+        size with no vectors leave the crossings, the exposed transfer,
+        the dispatches and the decisions as they were, and the next valid
+        call equals a twin's that was never refused."""
+        rng = np.random.default_rng(5)
+        matrix = rng.standard_normal((512, 512)).astype(np.float32)
+        batch = rng.standard_normal((128, 512)).astype(np.float32)
+        vector = rng.standard_normal(512).astype(np.float32)
+        ours, twin = _hetero(functional=True), _hetero(functional=True)
+        h1, h2 = ours.load_matrix(matrix), twin.load_matrix(matrix)
+        ours.gemv_batch(h1, batch)
+        twin.gemv_batch(h2, batch)
+
+        def charged(backend):
+            record = backend.collect_metrics()
+            return {
+                key: record[key]
+                for key in (
+                    "crossings",
+                    "exposed_transfer_cycles",
+                    "dispatches",
+                    "decisions",
+                )
+            }
+
+        before = charged(ours)
+        assert before["dispatches"]["gpu"] == 1
+        with pytest.raises(LayoutError):
+            ours.gemv(h1, vector[:511])
+        with pytest.raises(ProtocolError):
+            ours.gemv(h1, None)
+        with pytest.raises(ProtocolError):
+            ours.gemv_batch(h1, batch=2)
+        assert charged(ours) == before
+        run, expected = ours.gemv(h1, vector), twin.gemv(h2, vector)
+        assert run.cycles == expected.cycles
+        assert np.array_equal(
+            run.output.view(np.uint32), expected.output.view(np.uint32)
+        )
+        assert ours.collect_metrics() == twin.collect_metrics()
+        assert charged(ours)["crossings"] == 1
 
     def test_session_outputs_match_all_newton(self):
         """A fused graph session on hetero is bit-identical to newton

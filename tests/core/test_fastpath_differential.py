@@ -18,11 +18,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.command_gen import CommandStreamGenerator
 from repro.core.engine import NewtonChannelEngine
 from repro.core.optimizations import FULL, OptimizationConfig, figure9_ladder
 from repro.core.schedule_cache import ScheduleCache
 from repro.dram import commands as cmds
 from repro.dram import fastpath
+from repro.dram.commands import Command, CommandKind
 from repro.dram.config import DRAMConfig, hbm2e_like_config
 from repro.dram.timing import TimingParams, hbm2e_like_timing
 from repro.dram.trace import CommandTrace
@@ -704,6 +706,31 @@ class TestTierEngagement:
         assert cache.whole_runs == 1
         assert cache.run_records == 1
 
+    def test_only_missed_tiles_build_activations(self, monkeypatch):
+        """A lowered tile carries its DRAM row, not its activation
+        commands: lowering builds no row-bearing activation (512 tiles x
+        4 ``G_ACT`` when every tile owned its commands), the cold run
+        builds those of the 7 tiles it misses (the prologue has none),
+        and runs that miss only tiles already built, or nothing, build
+        none."""
+        engine, layout = self.alexnet_l7_engine(True)
+        built = collections.Counter()
+        init = Command.__init__
+
+        def counted(command, *args, **kwargs):
+            init(command, *args, **kwargs)
+            if command.row is not None:
+                built[command.kind] += 1
+
+        monkeypatch.setattr(Command, "__init__", counted)
+        assert len(engine._segments_for(layout).segments) == 513
+        per_phase = [dict(built)]
+        for _ in range(self.RUNS):
+            built.clear()
+            engine.run_gemv(layout)
+            per_phase.append(dict(built))
+        assert per_phase == [{}, {CommandKind.G_ACT: 7 * 4}, {}, {}, {}]
+
     def test_a_warm_batch_is_one_chain(self, monkeypatch):
         """Warm, every run replays whole, so ``run_gemvs(layout, 4)`` is
         one chain: one signature and one write-back, where four single
@@ -805,16 +832,40 @@ class _BoundaryTraffic:
 
 
 class TestFastPathGuardrails:
-    def test_trace_disables_replay_and_stays_exact(self):
-        slow = make_engine(False, FULL)
-        fast = make_engine(True, FULL)
+    @pytest.mark.parametrize(
+        "family, fused",
+        [("newton", False), ("newton", True)]
+        + [(family, False) for family in RIVAL_FAMILIES],
+    )
+    def test_trace_disables_replay_and_stays_exact(self, family, fused):
+        """A trace forces the per-command tier, which builds each tile's
+        row-bearing commands from its lowered row: the traced commands
+        equal ``gemv_steps()`` command for command, rows included (a
+        fused run without the GWRITEs). Three chunks, ragged."""
+        slow = make_engine(False, FULL, family=family)
+        fast = make_engine(True, FULL, family=family)
         trace = CommandTrace()
         fast.channel.controller.trace = trace
-        a = slow.run_gemv(slow.add_matrix(64, 1024))
-        b = fast.run_gemv(fast.add_matrix(64, 1024))
+        layout = fast.add_matrix(40, 1100)
+        a = slow.run_gemv(slow.add_matrix(40, 1100), fused_input=fused)
+        b = fast.run_gemv(layout, fused_input=fused)
         assert (a.end_cycle, a.stats) == (b.end_cycle, b.stats)
         assert trace.total_recorded == sum(a.stats["command_counts"].values())
         assert fast.schedule_cache.hits == 0
+        generator = CommandStreamGenerator(fast.config, fast.timing, FULL, layout)
+        expected = [
+            step.command
+            for step in generator.gemv_steps()
+            if step.command is not None
+            and not (fused and step.command.kind is CommandKind.GWRITE)
+        ]
+        issued = [
+            record.command
+            for record in trace.records()
+            if record.command.kind is not CommandKind.REF
+        ]
+        assert issued == expected
+        assert fast.fused_runs == int(fused)
 
     def test_background_traffic_disables_replay_and_stays_exact(self):
         slow = make_engine(False, FULL)

@@ -222,9 +222,11 @@ class TestTileTemplates:
     """Deterministic counts for lowering the Table II AlexNetL7 layer
     (2048x2048, channel 0 of the evaluation config) as Non-opt-Newton,
     timing-only: every tile reuses one set of compute-phase ``Command``
-    objects, so the stream holds each tile's own activations plus one
-    body per tile shape — not one object per command. A regression to
-    per-tile lowering moves a count rather than a wall-clock ratio."""
+    objects, so the materialized stream holds each tile's own
+    activations plus one body per tile shape — not one object per
+    command — and the lowered stream holds no activation with a row. A
+    regression to per-tile lowering moves a count rather than a
+    wall-clock ratio."""
 
     def test_non_opt_alexnet_l7_shares_tile_bodies(self):
         device = NewtonDevice(
@@ -235,6 +237,12 @@ class TestTileTemplates:
         assert device.classes == [range(24)]
         layout = handle.layouts[0]
         stream = device.engines[0]._segments_for(layout)
+        # Lowered, a tile keeps its row alone: no command names one.
+        assert not any(
+            getattr(item, "row", None) is not None
+            for segment in stream.segments
+            for item in segment.templates
+        )
         tiles = [s for s in stream.segments if s.barrier_cycles]
         banks = device.config.banks_per_channel
         # BUF_READ + COL_READ + MAC per bank and column.
