@@ -23,13 +23,18 @@ Each disabled optimization swaps in its de-optimized encoding:
 Every tile piece — activations, compute phase, result read, a chunk's
 GWRITE prologue — is lowered as one :class:`BlockStep` over a
 *template*: built once per tile shape (chunk width) and reused by every
-tile. The activations' template is row-blind, and a tile's activation
-block carries only the DRAM row it opens; its row-bearing commands are
-built (:func:`at_row`) only where commands issue one at a time. The
-per-tile functional payloads, which the per-command reference executes
+tile. A compute phase and a GWRITE prologue are command runs
+(:class:`~repro.dram.commands.CommandRun`): one run per bank scope, each
+repeating a COMP, a COMP_BANK or a micro-command triplet column after
+column, which the cold path solves in closed form
+(:mod:`repro.dram.burst`). The activations' template is row-blind, and
+a tile's activation block carries only the DRAM row it opens; its
+row-bearing commands are built (:func:`at_row`) only where commands
+issue one at a time. The per-tile functional payloads, which the
+per-command reference executes
 (:meth:`CommandStreamGenerator.gemv_steps`), ride on copies only when
 asked for; the engine's streams carry none. A Non-opt tile is ~1,550
-commands but costs one block and its row to lower.
+commands in 16 runs but costs one block and its row to lower.
 """
 
 from __future__ import annotations
@@ -122,7 +127,9 @@ class Fragment:
         self.n_commands = sum(
             len(item) if isinstance(item, CommandRun) else 1 for item in items
         )
-        kinds = {item.kind for item in items}
+        kinds = set()
+        for item in items:
+            kinds.update(item.kinds if isinstance(item, CommandRun) else (item.kind,))
         self.kind: Optional[CommandKind] = kinds.pop() if len(kinds) == 1 else None
         """The one command kind the piece issues, or ``None`` if mixed."""
 
@@ -133,7 +140,8 @@ def at_row(items: Tuple, row: Optional[int]) -> Tuple:
         return items
     return tuple(
         Command(item.kind, bank=item.bank, group=item.group, row=row)
-        if item.kind in ACTIVATION_KINDS else item
+        if isinstance(item, Command) and item.kind in ACTIVATION_KINDS
+        else item
         for item in items
     )
 
@@ -147,17 +155,20 @@ def per_command(items: Iterable) -> Iterator[Command]:
             yield item
 
 
-@dataclass(frozen=True)
+@dataclass
 class BlockStep:
     """One tile piece lowered as a unit: its timed items and payloads.
 
     ``items`` are single :class:`~repro.dram.commands.Command` objects
-    and homogeneous :class:`~repro.dram.commands.CommandRun` runs (a
-    tile's COMP burst, one bank's COMP_BANK burst, a chunk's GWRITE
-    prologue) — a shape's template. A block with neither row nor payload
-    is the template itself: the generator yields the same object for
-    every tile of a shape. The row and payload fields describe the exact
-    per-command steps the block stands for (:meth:`expand`).
+    and :class:`~repro.dram.commands.CommandRun` runs (a tile's COMP
+    burst, one bank's COMP_BANK or BUF_READ/COL_READ/MAC burst, a
+    chunk's GWRITE prologue) — a shape's template. A block with neither
+    row nor payload is the template itself: the generator yields the
+    same object for every tile of a shape. The row and payload fields
+    describe the exact per-command steps the block stands for
+    (:meth:`expand`). Lowering builds one block per tile, so the class
+    is a plain (not frozen) dataclass: nothing hashes, compares or
+    mutates a block.
     """
 
     fragment: Fragment
@@ -294,37 +305,22 @@ class CommandStreamGenerator:
         block = self._template(("activate",), self._activation_commands)
         return BlockStep(block.fragment, block.items, dram_row)
 
-    def _compute_commands(self, cols: int) -> Iterator:
-        """One tile's compute phase over ``cols`` columns.
-
-        The two *complex-command* modes compile to homogeneous runs (a
-        tile's COMP burst is run-length encodable by construction); the
-        three-step micro-command modes interleave distinct kinds and stay
-        per-command."""
-        banks = self.config.banks_per_channel
-        gang = self.opt.ganged_compute
-        fused = self.opt.complex_commands
-        if gang and fused:
-            yield cmds.comp_run(cols)
-        elif gang:
-            for col in range(cols):
-                yield cmds.buf_read(col)
-                yield cmds.col_read_all(col, auto_precharge=col == cols - 1)
-                yield cmds.mac_all()
-        elif fused:
-            for bank in range(banks):
-                yield cmds.comp_bank_run(bank, cols)
+    def _compute_commands(self, cols: int) -> Iterator[CommandRun]:
+        """One tile's compute phase over ``cols`` columns, one command run
+        per bank scope: all banks when ganged, else each bank in turn.
+        A complex-command run repeats COMP (COMP_BANK); otherwise each
+        column is the BUF_READ + COL_READ_ALL (COL_READ) + MAC_ALL (MAC)
+        triplet (:func:`~repro.dram.commands.micro_run`)."""
+        banks = range(self.config.banks_per_channel)
+        if self.opt.complex_commands:
+            if self.opt.ganged_compute:
+                yield cmds.comp_run(cols)
+            else:
+                yield from (cmds.comp_bank_run(bank, cols) for bank in banks)
+        elif self.opt.ganged_compute:
+            yield cmds.micro_run(cols)
         else:
-            for bank in range(banks):
-                for col in range(cols):
-                    yield cmds.buf_read(col)
-                    yield Command(
-                        CommandKind.COL_READ,
-                        bank=bank,
-                        col=col,
-                        auto_precharge=col == cols - 1,
-                    )
-                    yield cmds.mac(bank)
+            yield from (cmds.micro_run(cols, bank=bank) for bank in banks)
 
     def _readres_commands(self) -> Iterator[Command]:
         if self.opt.ganged_compute:

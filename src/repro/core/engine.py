@@ -40,9 +40,9 @@ cycle of exactness (see :mod:`repro.core.schedule_cache`,
   cannot fire is one comparison, and the controller is written back
   only before a refresh that fires, before a miss and at the end of the
   run. A walk that hits on every segment records the run whole;
-* on a replay miss (the *cold* path), homogeneous command runs go
-  through the **burst kernel** — first command solved by the constraint
-  solver, the rest in closed form;
+* on a replay miss (the *cold* path), command runs go through the
+  **burst kernel** — the first period solved by the constraint solver,
+  the rest in closed form;
 * the **per-command reference** solver handles everything else, and the
   whole stream when the fast path is off.
 
@@ -164,7 +164,7 @@ class NewtonChannelEngine:
         # immutable and never freed, so this is bounded by what is
         # resident.
         self.burst_runs = 0
-        """Homogeneous runs issued through the cold-path burst kernel."""
+        """Command runs issued through the cold-path burst kernel."""
         self.burst_commands = 0
         """Commands those runs covered (each one skipped the per-command
         constraint solver; see :mod:`repro.dram.burst`)."""
@@ -175,7 +175,7 @@ class NewtonChannelEngine:
         """GWRITE commands those fused runs kept off the command bus."""
         self.fused_saved_cycles = 0
         """Estimated command-slot cycles the elided GWRITEs would have
-        occupied (``skipped * max(t_cmd, t_ccd)``, the homogeneous-run
+        occupied (``skipped * max(t_cmd, t_ccd)``, a GWRITE run's
         stride). An estimate for telemetry only — the measured saving is
         the fused-vs-round-trip end-cycle difference."""
         # Opt-in protocol verification (NEWTON_CHECK_INVARIANTS=1): the
@@ -494,8 +494,8 @@ class NewtonChannelEngine:
                     end = max(end, record.complete)
                 signature = self._signature_id()
             else:
-                # Cold path: homogeneous runs go through the burst
-                # kernel (first command solved, tail in closed form);
+                # Cold path: command runs go through the burst kernel
+                # (first period solved, the rest in closed form);
                 # everything else through the per-command solver.
                 counters_before = fastpath.counters(controller)
                 segment_complete: Optional[int] = None
@@ -503,7 +503,7 @@ class NewtonChannelEngine:
                     if isinstance(item, CommandRun):
                         complete = controller.issue_burst(item).complete
                         self.burst_runs += 1
-                        self.burst_commands += item.count
+                        self.burst_commands += len(item)
                     else:
                         complete = controller.issue(item).complete
                     if segment_complete is None or complete > segment_complete:

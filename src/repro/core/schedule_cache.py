@@ -73,8 +73,9 @@ class StreamSegment:
     layout (:mod:`repro.core.datapath`), so no functional payload rides
     on the stream. ``templates`` are its tile pieces' shared items —
     individual :class:`~repro.dram.commands.Command` objects interleaved
-    with :class:`~repro.dram.commands.CommandRun` homogeneous runs (a
-    tile's COMP burst arrives as *one* item), the activations row-blind
+    with :class:`~repro.dram.commands.CommandRun` runs (a tile's COMP
+    burst, or one bank's BUF_READ/COL_READ/MAC burst, arrives as *one*
+    item), the activations row-blind
     — and ``row`` is the DRAM row its activations open, so lowering a
     tile builds no command. Barriers never fall inside a run: the
     segmenter flushes at every barrier step, so a refresh splits runs
@@ -278,7 +279,7 @@ def segment_stream(
     Consumes :meth:`~repro.core.command_gen.CommandStreamGenerator.gemv_items`
     without payloads, so every piece is a shared template: each
     :class:`~repro.core.command_gen.BlockStep` contributes its template
-    items (homogeneous runs stay single
+    items (command runs stay single
     :class:`~repro.dram.commands.CommandRun` items) and one fragment id
     to the segment key, and a tile's activations their row to the
     segment. Every other stream item is a refresh-barrier

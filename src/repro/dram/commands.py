@@ -97,6 +97,10 @@ BUFFER_READ_KINDS = _kinds("COMP", "COMP_BANK", "BUF_READ")
 ALL_BANK_KINDS = _kinds("COMP", "COL_READ_ALL", "MAC_ALL", "READRES")
 """The ganged kinds: one command drives every bank of the channel."""
 
+SUBCHUNK_ONLY_KINDS = _kinds("GWRITE", "BUF_READ")
+"""Kinds whose one operand is a global-buffer sub-chunk: no bank, no
+column."""
+
 
 def target_banks(command: Command, config: DRAMConfig) -> Sequence[int]:
     """The banks ``command`` acts on under ``config``'s geometry.
@@ -251,43 +255,52 @@ def readres_bank(bank: int) -> Command:
 
 
 # ----------------------------------------------------------------------
-# run-length-encoded homogeneous command runs
+# run-length-encoded command runs
 
-RUN_KINDS: Tuple[CommandKind, ...] = (
-    CommandKind.COMP,
-    CommandKind.COMP_BANK,
-    CommandKind.GWRITE,
+RUN_KINDS: Tuple[Tuple[CommandKind, ...], ...] = (
+    (CommandKind.COMP,),
+    (CommandKind.COMP_BANK,),
+    (CommandKind.GWRITE,),
+    (CommandKind.BUF_READ, CommandKind.COL_READ, CommandKind.MAC),
+    (CommandKind.BUF_READ, CommandKind.COL_READ_ALL, CommandKind.MAC_ALL),
 )
-"""Kinds a :class:`CommandRun` may encode. These are the command
-sequences Newton's streams issue in long homogeneous stretches (a tile's
-COMP burst, a chunk's GWRITE prologue), and exactly the sequences whose
-issue cycles satisfy the affine recurrence the burst timing kernel
+"""The command periods a :class:`CommandRun` may repeat: a tile's COMP
+burst, one bank's COMP_BANK burst, a chunk's GWRITE prologue, and the
+non-complex compute's micro-command triplet in one bank or in all.
+Each period holds exactly one *paced* kind (a column or data kind, one
+per ``t_ccd``) among kinds only the command bus paces, so a run's issue
+cycles satisfy the recurrence the burst timing kernel
 (:mod:`repro.dram.burst`) solves in closed form."""
 
 
 class CommandRun:
-    """A homogeneous command run, compiled instead of materialized.
+    """A run of one repeated command period, compiled instead of
+    materialized.
 
-    One ``CommandRun`` stands for ``count`` consecutive commands of the
-    same kind against the same bank scope, whose per-command operands
-    (column / sub-chunk index) are carried as numpy arrays rather than
-    ``count`` Python :class:`Command` objects. Only the *last* command of
-    a run may carry auto-precharge — the shape Newton's streams emit.
+    One ``CommandRun`` stands for ``count`` repetitions of the period
+    ``kinds`` (one of :data:`RUN_KINDS`) against one bank scope, ``len(run)``
+    commands in all. Each repetition's column and sub-chunk index are
+    carried as numpy arrays rather than as Python :class:`Command`
+    objects, and each kind in the period takes the operands it names:
+    a column kind the column, a buffer kind the sub-chunk, every kind
+    but the sub-chunk-only ones the run's bank. Only the column command
+    of the *last* repetition may carry auto-precharge — the shape
+    Newton's streams emit.
 
     The per-command objects are produced lazily by :meth:`commands` (for
     the per-command reference solver, the trace writer, and the
     background-traffic path); the fast cold path hands the run itself to
-    :meth:`repro.dram.controller.ChannelController.issue_burst` and never
-    materializes anything.
+    :meth:`repro.dram.controller.ChannelController.issue_burst`, which
+    builds only :meth:`first_period`.
 
-    ``timing_key`` is the run's schedule-relevant identity (kind, bank
+    ``timing_key`` is the run's schedule-relevant identity (period, bank
     scope, operand arrays, count, trailing auto-precharge) — the run
     analogue of the per-command key the schedule cache interns. DRAM rows
     never appear: none of the runnable kinds carries one.
     """
 
     __slots__ = (
-        "kind",
+        "kinds",
         "count",
         "bank",
         "cols",
@@ -300,7 +313,7 @@ class CommandRun:
 
     def __init__(
         self,
-        kind: CommandKind,
+        kinds: "CommandKind | Tuple[CommandKind, ...]",
         count: int,
         *,
         bank: Optional[int] = None,
@@ -310,30 +323,34 @@ class CommandRun:
     ):
         from repro.errors import ProtocolError
 
-        if kind not in RUN_KINDS:
-            raise ProtocolError(
-                f"{kind} streams are not homogeneous; only "
-                f"{[k.value for k in RUN_KINDS]} can be run-length encoded"
-            )
+        if isinstance(kinds, CommandKind):
+            kinds = (kinds,)
+        period = "/".join(kind.value for kind in kinds)
+        if kinds not in RUN_KINDS:
+            raise ProtocolError(f"{period} is not a run period (RUN_KINDS)")
         if count < 1:
             raise ProtocolError("a command run needs at least one command")
-        if kind is CommandKind.COMP_BANK and bank is None:
-            raise ProtocolError("a COMP_BANK run requires a bank operand")
-        self.kind = kind
+        banked = any(
+            k not in ALL_BANK_KINDS and k not in SUBCHUNK_ONLY_KINDS for k in kinds
+        )
+        if banked != (bank is not None):
+            raise ProtocolError(f"a {period} run needs a bank iff it is per-bank")
+        self.kinds = kinds
         self.count = count
         self.bank = bank
         self.cols = None if cols is None else np.asarray(cols, dtype=np.int32)
         self.subchunks = (
             None if subchunks is None else np.asarray(subchunks, dtype=np.int32)
         )
-        for name, arr in (("cols", self.cols), ("subchunks", self.subchunks)):
-            if arr is not None and arr.shape != (count,):
-                raise ProtocolError(
-                    f"run {name} array has shape {arr.shape}, expected ({count},)"
-                )
+        for name, arr, needed in (
+            ("cols", self.cols, any(k in COLUMN_KINDS for k in kinds)),
+            ("subchunks", self.subchunks, any(_takes_subchunk(k) for k in kinds)),
+        ):
+            if needed and getattr(arr, "shape", None) != (count,):
+                raise ProtocolError(f"a {period} run needs {name} of shape ({count},)")
         self.auto_precharge_last = auto_precharge_last
         self.timing_key = (
-            kind,
+            kinds,
             bank,
             count,
             auto_precharge_last,
@@ -341,38 +358,50 @@ class CommandRun:
             None if self.subchunks is None else self.subchunks.tobytes(),
         )
         self._commands: Optional[Tuple[Command, ...]] = None
-        self._first: Optional[Command] = None
+        self._first: Optional[Tuple[Command, ...]] = None
 
     def _command_at(self, i: int) -> Command:
+        repetition, slot = divmod(i, len(self.kinds))
+        kind = self.kinds[slot]
+        column = kind in COLUMN_KINDS
         return Command(
-            self.kind,
-            bank=self.bank,
-            col=None if self.cols is None else int(self.cols[i]),
-            subchunk=None if self.subchunks is None else int(self.subchunks[i]),
-            auto_precharge=self.auto_precharge_last and i == self.count - 1,
+            kind,
+            bank=None if kind in SUBCHUNK_ONLY_KINDS else self.bank,
+            col=int(self.cols[repetition]) if column else None,
+            subchunk=(
+                int(self.subchunks[repetition]) if _takes_subchunk(kind) else None
+            ),
+            auto_precharge=(
+                column
+                and self.auto_precharge_last
+                and repetition == self.count - 1
+            ),
         )
 
-    def first_command(self) -> Command:
-        """The run's first command (what the burst kernel issues exactly)."""
+    def first_period(self) -> Tuple[Command, ...]:
+        """The run's first period (what the burst kernel issues exactly)."""
         if self._first is None:
-            self._first = self._command_at(0)
+            self._first = tuple(self._command_at(i) for i in range(len(self.kinds)))
         return self._first
 
     def commands(self) -> Tuple[Command, ...]:
         """Materialize the run as per-command objects (lazily, cached)."""
         if self._commands is None:
-            self._commands = tuple(
-                self._command_at(i) for i in range(self.count)
-            )
+            self._commands = tuple(self._command_at(i) for i in range(len(self)))
         return self._commands
 
     def __len__(self) -> int:
-        return self.count
+        return self.count * len(self.kinds)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        period = "/".join(k.value for k in self.kinds)
         scope = "" if self.bank is None else f" bank={self.bank}"
         ap = " AP" if self.auto_precharge_last else ""
-        return f"<CommandRun {self.kind.value} x{self.count}{scope}{ap}>"
+        return f"<CommandRun {period} x{self.count}{scope}{ap}>"
+
+
+def _takes_subchunk(kind: CommandKind) -> bool:
+    return kind in SUBCHUNK_ONLY_KINDS or kind in BUFFER_READ_KINDS
 
 
 def comp_run(cols: int, *, auto_precharge_last: bool = True, start: int = 0) -> CommandRun:
@@ -394,6 +423,28 @@ def comp_bank_run(
     idx = np.arange(start, start + cols, dtype=np.int32)
     return CommandRun(
         CommandKind.COMP_BANK,
+        cols,
+        bank=bank,
+        cols=idx,
+        subchunks=idx,
+        auto_precharge_last=auto_precharge_last,
+    )
+
+
+def micro_run(
+    cols: int, *, bank: Optional[int] = None, auto_precharge_last: bool = True
+) -> CommandRun:
+    """A tile's non-complex compute burst: per column, BUF_READ + COL_READ
+    + MAC in ``bank``, or BUF_READ + COL_READ_ALL + MAC_ALL in every bank
+    (``bank=None``, the ganged encoding)."""
+    idx = np.arange(cols, dtype=np.int32)
+    kinds = (
+        (CommandKind.BUF_READ, CommandKind.COL_READ, CommandKind.MAC)
+        if bank is not None
+        else (CommandKind.BUF_READ, CommandKind.COL_READ_ALL, CommandKind.MAC_ALL)
+    )
+    return CommandRun(
+        kinds,
         cols,
         bank=bank,
         cols=idx,

@@ -500,9 +500,9 @@ class ChannelController:
         return self._record(command, at, done)
 
     def issue_burst(self, run) -> "object":
-        """Issue a homogeneous :class:`~repro.dram.commands.CommandRun`.
+        """Issue a :class:`~repro.dram.commands.CommandRun`.
 
-        The cold-path entry point: the first command goes through the
+        The cold-path entry point: the first period goes through the
         ordinary constraint solver, the rest are applied in closed form
         by :func:`repro.dram.burst.issue_burst` — bit-identical to
         issuing :meth:`issue` per command (the differential suite pins

@@ -28,6 +28,7 @@ from repro.dram.commands import (
     ACTIVATION_KINDS,
     BUFFER_READ_KINDS,
     COLUMN_KINDS,
+    SUBCHUNK_ONLY_KINDS,
     Command,
     CommandKind,
 )
@@ -50,7 +51,6 @@ _COL_SHIFT = _ROW_SHIFT + _ROW_BITS
 _AP_SHIFT = _COL_SHIFT + _COL_BITS
 
 _GROUP_KINDS = frozenset({CommandKind.G_ACT})
-_SUBCHUNK_ONLY = frozenset({CommandKind.GWRITE, CommandKind.BUF_READ})
 
 
 def _field(value: "int | None", bits: int, label: str) -> int:
@@ -68,7 +68,7 @@ def encode(command: Command) -> int:
     bank_field = command.group if command.kind in _GROUP_KINDS else command.bank
     col_field = (
         command.subchunk
-        if (command.kind in _SUBCHUNK_ONLY or command.col is None)
+        if (command.kind in SUBCHUNK_ONLY_KINDS or command.col is None)
         else command.col
     )
     word = _OPCODES[command.kind]
@@ -116,7 +116,7 @@ def decode(word: int) -> Command:
     row_value = row if kind in ACTIVATION_KINDS else None
     col_value = None
     subchunk = None
-    if kind in _SUBCHUNK_ONLY:
+    if kind in SUBCHUNK_ONLY_KINDS:
         subchunk = col
     elif kind in COLUMN_KINDS:
         col_value = col

@@ -9,7 +9,7 @@ workload) point, executed four ways:
    .InvariantChecker` and the :class:`~repro.verify.oracle.CycleOracle`
    validate;
 2. **burst kernel** — a fresh ``fast=True`` engine's first run (a cold
-   schedule-cache miss issues homogeneous runs through the closed-form
+   schedule-cache miss issues command runs through the closed-form
    burst kernel);
 3. **fast-path replay** — the same engine's subsequent runs (schedule
    cache hits fast-forward the controller);

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.command_gen import CommandStreamGenerator
+from repro.core.device import NewtonDevice
 from repro.core.engine import NewtonChannelEngine
 from repro.core.optimizations import FULL, OptimizationConfig, figure9_ladder
 from repro.core.schedule_cache import ScheduleCache
@@ -26,8 +27,10 @@ from repro.dram import commands as cmds
 from repro.dram import fastpath
 from repro.dram.commands import Command, CommandKind
 from repro.dram.config import DRAMConfig, hbm2e_like_config
+from repro.dram.controller import ChannelController
 from repro.dram.timing import TimingParams, hbm2e_like_timing
 from repro.dram.trace import CommandTrace
+from repro.experiments.common import eval_config, eval_timing
 from repro.telemetry import validate_metrics
 
 CFG = DRAMConfig(num_channels=1, banks_per_channel=16, rows_per_bank=512)
@@ -580,10 +583,9 @@ class TestColdBurstAllCombinations:
         opt = OptimizationConfig(**dict(zip(FLAGS, bits)))
         _, fast = run_pair(opt, m=40, n=700, refresh=refresh, cold=True)
         assert fast.schedule_cache.hits == 0
-        if opt.complex_commands:
-            # Every COMP/COMP_BANK/GWRITE stretch went through the kernel.
-            assert fast.burst_runs > 0
-            assert fast.burst_commands > fast.burst_runs
+        # Every compute phase and GWRITE prologue went through the kernel.
+        assert fast.burst_runs > 0
+        assert fast.burst_commands > fast.burst_runs
 
     def test_cold_functional_outputs_bit_identical(self):
         rng = np.random.default_rng(7)
@@ -705,6 +707,36 @@ class TestTierEngagement:
         assert runs[3][1] == {"apply_delta": 1, "relative_signature": 1}
         assert cache.whole_runs == 1
         assert cache.run_records == 1
+
+    @pytest.mark.parametrize(
+        "step, counts",
+        [
+            ("non-opt", (357, 85, 186_100, 187_229)),
+            ("+gang", (163, 16, 18_376, 18_899)),
+        ],
+    )
+    def test_micro_command_tiles_burst_whole(self, monkeypatch, step, counts):
+        """Without complex commands a tile's compute phase is one
+        BUF_READ/COL_READ/MAC run per bank (Non-opt) or one ganged
+        BUF_READ/COL_READ_ALL/MAC_ALL run (+gang), and a cold run solves
+        each in closed form: the solver sees the activations, the result
+        reads and each run's first period only (7,797 and 907 ``issue``
+        calls when every micro-command went through it). Pinned on the
+        evaluation device, whose 24 channels form one class: ``issue``
+        calls and burst runs in the cold run, then the cold and warm
+        cycles."""
+        device = NewtonDevice(
+            eval_config(), eval_timing(), dict(figure9_ladder())[step],
+            functional=False,
+        )
+        handle = device.load_matrix(m=2048, n=2048)
+        assert device.classes == [range(24)]
+        calls = collections.Counter()
+        self.count(monkeypatch, calls, ChannelController, "issue")
+        cold = device.gemv(handle)
+        issued = (calls["issue"], device.engines[0].burst_runs)
+        warm = device.gemv(handle)
+        assert issued + (cold.cycles, warm.cycles) == counts
 
     def test_only_missed_tiles_build_activations(self, monkeypatch):
         """A lowered tile carries its DRAM row, not its activation

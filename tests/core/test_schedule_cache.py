@@ -221,11 +221,11 @@ class TestSegmentation:
 class TestTileTemplates:
     """Deterministic counts for lowering the Table II AlexNetL7 layer
     (2048x2048, channel 0 of the evaluation config) as Non-opt-Newton,
-    timing-only: every tile reuses one set of compute-phase ``Command``
-    objects, so the materialized stream holds each tile's own
-    activations plus one body per tile shape — not one object per
-    command — and the lowered stream holds no activation with a row. A
-    regression to per-tile lowering moves a count rather than a
+    timing-only: every tile reuses one compute phase of 16 per-bank
+    BUF_READ/COL_READ/MAC runs, so the materialized stream holds each
+    tile's own activations plus one body per tile shape — not one object
+    per command — and the lowered stream holds no activation with a row.
+    A regression to per-tile lowering moves a count rather than a
     wall-clock ratio."""
 
     def test_non_opt_alexnet_l7_shares_tile_bodies(self):
@@ -245,19 +245,25 @@ class TestTileTemplates:
         )
         tiles = [s for s in stream.segments if s.barrier_cycles]
         banks = device.config.banks_per_channel
-        # BUF_READ + COL_READ + MAC per bank and column.
+        # One BUF_READ + COL_READ + MAC run per bank, one triplet per column.
         body = 3 * banks * device.config.cols_per_row
-        compute = tiles[0].items[banks : banks + body]
-        assert len(compute) == body == 1536
+        compute = tiles[0].items[banks : 2 * banks]
+        assert [run.bank for run in compute] == list(range(banks))
+        assert all(
+            run.kinds == (CommandKind.BUF_READ, CommandKind.COL_READ, CommandKind.MAC)
+            for run in compute
+        )
+        assert sum(len(run) for run in compute) == body == 1536
         for tile in tiles:
             assert all(c.kind is CommandKind.ACT for c in tile.items[:banks])
-            ours = tile.items[banks : banks + body]
+            ours = tile.items[banks : 2 * banks]
             assert all(a is b for a, b in zip(ours, compute))
         distinct = {id(c) for s in stream.segments for c in s.commands}
         assert len(tiles) == 24
         assert stream.total_commands == 38_112
-        # Each tile's 16 ACTs, one compute body, one per-bank result read
-        # (16 READRES_BANK) and one GWRITE run (32) shared by every chunk.
+        # Each tile's 16 ACTs, the compute runs' 1,536 commands, one
+        # per-bank result read (16 READRES_BANK) and one GWRITE run (32)
+        # shared by every chunk.
         assert len(distinct) == len(tiles) * banks + body + banks + 32 == 1968
 
 

@@ -1,13 +1,16 @@
 """The cold-path burst kernel (``repro.dram.burst``) vs per-command issue.
 
-Controller-level differential pinning: issuing a homogeneous run through
+Controller-level differential pinning: issuing a command run through
 :meth:`ChannelController.issue_burst` must leave the controller in a
 state bit-identical to issuing the same commands one by one — every bank
 field, both buses, all stats, the full telemetry attribution — and the
 per-command issue cycles recovered from the closed form must equal the
-per-command solver's. Includes the splitting edge case: a refresh
-barrier landing *inside* a conceptual COMP burst, which the stream
-compiler must split into two runs exactly as it splits replay segments.
+per-command solver's. Runs of the micro-command triplet (BUF_READ +
+COL_READ + MAC, per bank or ganged) are held there in every stride
+regime, including the column-bound ones no timing preset reaches.
+Includes the splitting edge case: a refresh barrier landing *inside* a
+conceptual COMP burst, which the stream compiler must split into two
+runs exactly as it splits replay segments.
 """
 
 import numpy as np
@@ -26,6 +29,7 @@ from repro.dram.commands import (
     comp_bank_run,
     comp_run,
     gwrite_run,
+    micro_run,
 )
 from repro.dram.config import DRAMConfig
 from repro.dram.controller import ChannelController
@@ -36,9 +40,9 @@ from repro.errors import ProtocolError
 CFG = DRAMConfig(num_channels=1, banks_per_channel=16, rows_per_bank=64)
 
 
-def fresh_controller(timing=None, *, refresh=False, open_rows=True):
+def fresh_controller(timing=None, *, refresh=False, open_rows=True, telemetry=True):
     controller = ChannelController(
-        CFG, timing or TimingParams(), refresh_enabled=refresh
+        CFG, timing or TimingParams(), refresh_enabled=refresh, telemetry=telemetry
     )
     if open_rows:
         for group in range(CFG.bank_groups):
@@ -85,10 +89,10 @@ def fingerprint(controller):
     )
 
 
-def run_both(run, timing=None):
+def run_both(run, timing=None, *, telemetry=True):
     """Issue ``run`` as a burst and per-command; return both controllers."""
-    burst = fresh_controller(timing)
-    reference = fresh_controller(timing)
+    burst = fresh_controller(timing, telemetry=telemetry)
+    reference = fresh_controller(timing, telemetry=telemetry)
     record = burst.issue_burst(run)
     cycles = []
     complete = 0
@@ -110,7 +114,28 @@ RUN_MAKERS = {
     "comp_no_ap": lambda cols: comp_run(cols, auto_precharge_last=False),
     "comp_bank": lambda cols: comp_bank_run(5, cols),
     "gwrite": lambda cols: gwrite_run(cols),
+    "micro_bank": lambda cols: micro_run(cols, bank=5),
+    "micro_bank_no_ap": lambda cols: micro_run(
+        cols, bank=5, auto_precharge_last=False
+    ),
+    "micro_all": lambda cols: micro_run(cols),
+    "micro_all_no_ap": lambda cols: micro_run(cols, auto_precharge_last=False),
 }
+
+STRIDE_REGIMES = {
+    # p * t_cmd > t_ccd for every period p: the command bus paces.
+    "4": TimingParams(t_cmd=4),
+    "7": TimingParams(t_cmd=7),
+    # A triplet ties, 3 * t_cmd == t_ccd: the solver charges the column.
+    "2-6": TimingParams(t_cmd=2, t_ccd=6),
+    # 3 * t_cmd < t_ccd: the column cadence paces a triplet too.
+    "1": TimingParams(t_cmd=1),
+    "2-8": TimingParams(t_cmd=2, t_ccd=8),
+}
+"""``t_cmd``/``t_ccd`` pairs on each side of ``max(p * t_cmd, t_ccd)``
+(``t_ccd`` 4 unless named). Every timing preset has
+``t_ccd <= 2 * t_cmd``, so outside this file a triplet run meets only
+the bus-bound regime and the tie."""
 
 
 class TestBurstMatchesPerCommand:
@@ -120,10 +145,30 @@ class TestBurstMatchesPerCommand:
         run_both(maker(count))
 
     @pytest.mark.parametrize("maker", RUN_MAKERS.values(), ids=RUN_MAKERS)
-    @pytest.mark.parametrize("t_cmd", [1, 4, 7])
-    def test_identical_when_cmd_bus_binds(self, maker, t_cmd):
-        """The tail's binding bucket flips to cmd_bus when t_cmd > t_ccd."""
-        run_both(maker(16), TimingParams(t_cmd=t_cmd))
+    @pytest.mark.parametrize("timing", STRIDE_REGIMES.values(), ids=STRIDE_REGIMES)
+    def test_identical_when_cmd_bus_binds(self, maker, timing):
+        """The tail's binding bucket flips to cmd_bus when
+        ``p * t_cmd > t_ccd``, in every stride regime, with telemetry on
+        and off."""
+        for telemetry in (True, False):
+            run_both(maker(16), timing, telemetry=telemetry)
+
+    @pytest.mark.parametrize("maker", RUN_MAKERS.values(), ids=RUN_MAKERS)
+    @pytest.mark.parametrize("timing", STRIDE_REGIMES.values(), ids=STRIDE_REGIMES)
+    def test_cursor_past_the_first_period(self, maker, timing):
+        """A finalize moves the attribution cursor past ``now``; the
+        tail's cycles before the cursor stay uncharged, wherever in the
+        run the cursor falls."""
+        for ahead in (1, 7, 40, 1000):
+            burst = fresh_controller(timing)
+            reference = fresh_controller(timing)
+            run = maker(8)
+            for controller in (burst, reference):
+                controller.finalize(controller.now + ahead)
+            burst.issue_burst(run)
+            for command in run.commands():
+                reference.issue(command)
+            assert fingerprint(burst) == fingerprint(reference), ahead
 
     def test_attribution_sums_to_end_cycle(self):
         controller, _ = run_both(comp_run(32))
@@ -133,42 +178,52 @@ class TestBurstMatchesPerCommand:
     def test_back_to_back_runs(self):
         """Chained runs: each burst starts from the previous burst's exit
         state, covering non-trivial entry constraints (data-bus phase,
-        column cadence carried across runs)."""
-        burst = fresh_controller()
-        reference = fresh_controller()
-        sequence = [
-            gwrite_run(32),
-            comp_bank_run(0, 8, auto_precharge_last=False),
-            comp_bank_run(1, 8, auto_precharge_last=False),
-            comp_run(32, auto_precharge_last=False),
-            gwrite_run(4),
-        ]
-        for run in sequence:
-            burst.issue_burst(run)
-            for command in run.commands():
-                reference.issue(command)
-        assert fingerprint(burst) == fingerprint(reference)
+        column cadence carried across runs, a triplet run entering
+        behind another period), in every stride regime."""
+        for timing in STRIDE_REGIMES.values():
+            burst = fresh_controller(timing)
+            reference = fresh_controller(timing)
+            sequence = [
+                gwrite_run(32),
+                comp_bank_run(0, 8, auto_precharge_last=False),
+                micro_run(8, bank=0, auto_precharge_last=False),
+                micro_run(8, bank=1, auto_precharge_last=False),
+                comp_bank_run(1, 8, auto_precharge_last=False),
+                micro_run(8, auto_precharge_last=False),
+                comp_run(32, auto_precharge_last=False),
+                gwrite_run(4),
+                micro_run(32, auto_precharge_last=False),
+                micro_run(5, bank=2),
+            ]
+            for run in sequence:
+                burst.issue_burst(run)
+                for command in run.commands():
+                    reference.issue(command)
+            assert fingerprint(burst) == fingerprint(reference), timing
 
 
 class TestFallbacks:
     def test_trace_forces_per_command_records(self):
-        controller = fresh_controller()
-        trace = CommandTrace()
-        controller.trace = trace
-        reference = fresh_controller()
-        run = comp_run(16)
-        record = controller.issue_burst(run)
-        for command in run.commands():
-            reference.issue(command)
-        assert fingerprint(controller) == fingerprint(reference)
-        assert trace.total_recorded == 16
-        assert list(record.issue_cycles()) == [
-            r.issue for r in trace.records(kinds=[CommandKind.COMP])
-        ]
+        for run in (comp_run(16), micro_run(16, bank=3)):
+            controller = fresh_controller()
+            trace = CommandTrace()
+            controller.trace = trace
+            reference = fresh_controller()
+            record = controller.issue_burst(run)
+            for command in run.commands():
+                reference.issue(command)
+            assert fingerprint(controller) == fingerprint(reference)
+            assert trace.total_recorded == len(run)
+            assert list(record.issue_cycles()) == [
+                r.issue for r in trace.records(kinds=run.kinds)
+            ]
 
     def test_single_command_run(self):
-        _, record = run_both(gwrite_run(1))
-        assert record.stride == 0
+        """A run of one period (one command, or one triplet) has no tail
+        and issues per command."""
+        for run in (gwrite_run(1), micro_run(1, bank=3)):
+            _, record = run_both(run)
+            assert record.stride == 0
 
     def test_closed_form_matches_fallback_cycles(self):
         """The explicit (fallback) cycle list and the affine closed form
@@ -182,10 +237,23 @@ class TestCommandRunContainer:
     def test_run_kinds_are_validated(self):
         with pytest.raises(ProtocolError):
             CommandRun(CommandKind.ACT, 4)
+        with pytest.raises(ProtocolError):
+            CommandRun((CommandKind.COL_READ, CommandKind.MAC), 4, bank=0)
 
     def test_comp_bank_requires_bank(self):
         with pytest.raises(ProtocolError):
             CommandRun(CommandKind.COMP_BANK, 4)
+        with pytest.raises(ProtocolError):
+            CommandRun(
+                (CommandKind.BUF_READ, CommandKind.COL_READ, CommandKind.MAC),
+                4,
+                cols=np.arange(4),
+                subchunks=np.arange(4),
+            )
+        with pytest.raises(ProtocolError):
+            CommandRun(
+                CommandKind.COMP, 4, bank=0, cols=np.arange(4), subchunks=np.arange(4)
+            )
 
     def test_operand_shape_is_validated(self):
         with pytest.raises(ProtocolError):
@@ -195,8 +263,35 @@ class TestCommandRunContainer:
         run = comp_run(4)
         expected = [cmds.comp(c, c, auto_precharge=c == 3) for c in range(4)]
         assert list(run.commands()) == expected
-        assert run.first_command() == expected[0]
+        assert run.first_period() == (expected[0],)
         assert len(run) == 4
+
+    def test_triplets_expand_to_the_micro_commands(self):
+        per_bank = [
+            command
+            for c in range(4)
+            for command in (
+                cmds.buf_read(c),
+                cmds.Command(
+                    CommandKind.COL_READ, bank=2, col=c, auto_precharge=c == 3
+                ),
+                cmds.mac(2),
+            )
+        ]
+        ganged = [
+            command
+            for c in range(4)
+            for command in (
+                cmds.buf_read(c),
+                cmds.col_read_all(c, auto_precharge=c == 3),
+                cmds.mac_all(),
+            )
+        ]
+        for run, expected in ((micro_run(4, bank=2), per_bank), (micro_run(4), ganged)):
+            assert list(run.commands()) == expected
+            assert run.first_period() == tuple(expected[:3])
+            assert len(run) == 12
+            assert run.count == 4
 
     def test_timing_key_distinguishes_scope_and_operands(self):
         keys = {
@@ -206,24 +301,42 @@ class TestCommandRunContainer:
             comp_bank_run(0, 8).timing_key,
             comp_bank_run(1, 8).timing_key,
             gwrite_run(8).timing_key,
+            micro_run(8).timing_key,
+            micro_run(8, bank=0).timing_key,
+            micro_run(8, bank=1).timing_key,
+            micro_run(8, bank=0, auto_precharge_last=False).timing_key,
         }
-        assert len(keys) == 6
+        assert len(keys) == 10
         assert comp_run(8).timing_key == comp_run(8).timing_key
 
     def test_burst_kinds_cover_run_kinds(self):
-        """Every kind a run may encode takes the closed form once the
-        run has a tail: none falls back to per-command issue."""
+        """Every period a run may repeat takes the closed form once the
+        run has a second period: the solver places the first period
+        alone, and none falls back to per-command issue."""
         builders = {
-            CommandKind.COMP: comp_run,
-            CommandKind.COMP_BANK: lambda count: comp_bank_run(0, count),
-            CommandKind.GWRITE: gwrite_run,
+            (CommandKind.COMP,): comp_run,
+            (CommandKind.COMP_BANK,): lambda count: comp_bank_run(0, count),
+            (CommandKind.GWRITE,): gwrite_run,
+            (
+                CommandKind.BUF_READ,
+                CommandKind.COL_READ,
+                CommandKind.MAC,
+            ): lambda count: micro_run(count, bank=0),
+            (
+                CommandKind.BUF_READ,
+                CommandKind.COL_READ_ALL,
+                CommandKind.MAC_ALL,
+            ): micro_run,
         }
         assert set(builders) == set(cmds.RUN_KINDS)
-        for kind in cmds.RUN_KINDS:
+        for kinds in cmds.RUN_KINDS:
             for count in (2, 5):
-                record = issue_burst(fresh_controller(), builders[kind](count))
-                assert record._cycles is None, (kind, count)
-                assert record.count == count
+                run = builders[kinds](count)
+                assert run.kinds == kinds
+                record = issue_burst(fresh_controller(), run)
+                assert len(record._solved) == len(kinds), (kinds, count)
+                assert run._commands is None  # never materialized
+                assert record.count == len(run) == count * len(kinds)
 
 
 # ----------------------------------------------------------------------
