@@ -30,11 +30,18 @@ column, which the cold path solves in closed form
 (:mod:`repro.dram.burst`). The activations' template is row-blind, and
 a tile's activation block carries only the DRAM row it opens; its
 row-bearing commands are built (:func:`at_row`) only where commands
-issue one at a time. The per-tile functional payloads, which the
+issue one at a time.
+
+The stream is periodic by construction: the tiles of a chunk differ
+only in the row they open, so the generator yields it as
+runs (:class:`StreamRun`), a period of pieces repeated ``count`` times with
+the row advancing by a fixed stride — the tiles of a chunk
+(interleaved), the chunks of a tile (tile-major) or of a pass
+(no-reuse). Lowering a layout therefore builds O(chunks × latches)
+blocks, not one per tile. The per-tile functional payloads, which the
 per-command reference executes
 (:meth:`CommandStreamGenerator.gemv_steps`), ride on copies only when
-asked for; the engine's streams carry none. A Non-opt tile is ~1,550
-commands in 16 runs but costs one block and its row to lower.
+asked for, one run per repeat; the engine's streams carry none.
 """
 
 from __future__ import annotations
@@ -166,9 +173,10 @@ class BlockStep:
     row nor payload is the template itself: the generator yields the
     same object for every tile of a shape. The row and payload fields
     describe the exact per-command steps the block stands for
-    (:meth:`expand`). Lowering builds one block per tile, so the class
-    is a plain (not frozen) dataclass: nothing hashes, compares or
-    mutates a block.
+    (:meth:`expand`). Lowering builds one activation block per tile of
+    a run's period, and a payload-bearing stream one block per piece,
+    so the class is a plain (not frozen) dataclass: nothing hashes,
+    compares or mutates a block.
     """
 
     fragment: Fragment
@@ -205,6 +213,22 @@ class BlockStep:
 StreamItem = Union[Step, BlockStep]
 """A lowered-stream element: a tile piece, or a refresh-barrier
 :class:`Step`."""
+
+
+@dataclass
+class StreamRun:
+    """A stretch of a lowered stream that repeats: ``period`` issued
+    ``count`` times.
+
+    ``period`` holds the first repeat's items. Every later repeat issues
+    the same pieces, each activation opening the row ``row_stride``
+    further on — Algorithm 1 applies one tile pattern to every DRAM row
+    of a chunk (Figure 7), and only the row changes.
+    """
+
+    period: Tuple  # Tuple[StreamItem, ...]
+    count: int = 1
+    row_stride: int = 0
 
 
 class CommandStreamGenerator:
@@ -354,53 +378,82 @@ class CommandStreamGenerator:
     def gemv_steps(self) -> Iterator[Step]:
         """The full command stream, one :class:`Step` per command.
 
-        The materialized view of :meth:`gemv_items`, payloads included —
+        The materialized view of :meth:`gemv_runs`, payloads included —
         what the per-command
         :class:`~repro.core.reference.ReferenceExecutor` (the datapath's
         bit contract), the trace example and the tick-level cross-check
-        consume. The engine itself executes the payload-free item form."""
-        for item in self.gemv_items():
-            if isinstance(item, BlockStep):
-                yield from item.expand()
-            else:
-                yield item
+        consume. The engine itself executes the payload-free run form."""
+        for run in self.gemv_runs():
+            # With payloads every run is one repeat (see _repeats).
+            for item in run.period:
+                if isinstance(item, BlockStep):
+                    yield from item.expand()
+                else:
+                    yield item
 
-    def gemv_items(self, *, payloads: bool = True) -> "Iterator[StreamItem]":
-        """The compiled command stream for one matrix-vector product.
+    def gemv_runs(self, *, payloads: bool = True) -> Iterator[StreamRun]:
+        """The compiled command stream for one matrix-vector product, as
+        runs of repeated tiles.
 
-        Tile pieces arrive as :class:`BlockStep`; refresh barriers as
-        plain :class:`Step`. ``gemv_steps()`` is always exactly this
-        stream with every block expanded in place. ``payloads=False``
-        lowers the same commands without functional payloads (no tile
-        evaluations, result emits or buffer loads) — the stream every
-        engine runs: the shared templates themselves, and per tile one
-        activation block carrying its row."""
+        Each :class:`StreamRun` is a period of tile pieces
+        (:class:`BlockStep`) and refresh barriers (plain :class:`Step`)
+        issued ``count`` times: the tiles of a chunk (interleaved), the
+        chunks of a tile (tile-major) or of a pass (no-reuse), each
+        repeat opening rows ``row_stride`` further on. ``gemv_steps()``
+        is always exactly this stream with every block expanded in
+        place. ``payloads=False`` lowers the same commands without
+        functional payloads (no tile evaluations, result emits or buffer
+        loads) — the stream every engine runs, O(chunks × latches) objects: the
+        shared templates themselves, and per period tile one activation
+        block carrying its row."""
         if self.config.rules.tile_major:
-            yield from self._tile_major_items(payloads)
-        elif self.opt.interleaved_reuse:
-            yield from self._interleaved_items(payloads)
-        else:
-            yield from self._no_reuse_items(payloads)
+            return self._tile_major_runs(payloads)
+        if self.opt.interleaved_reuse:
+            return self._interleaved_runs(payloads)
+        return self._no_reuse_runs(payloads)
 
-    def _interleaved_items(self, payloads: bool) -> "Iterator[StreamItem]":
+    @staticmethod
+    def _repeats(
+        build: Callable[[int], Tuple], count: int, row_stride: int, payloads: bool
+    ) -> Iterator[StreamRun]:
+        """``count`` repeats of the period ``build(k)`` builds for repeat
+        ``k``: one run, or with payloads one run per repeat (each
+        repeat's result reads name their own matrix rows)."""
+        if payloads:
+            for k in range(count):
+                yield StreamRun(build(k))
+        elif count:
+            yield StreamRun(build(0), count, row_stride)
+
+    def _interleaved_runs(self, payloads: bool) -> Iterator[StreamRun]:
         layout = self.layout
         assert isinstance(layout, InterleavedLayout)
         barrier = Step(barrier_cycles=self.tile_duration_estimate())
+        yield StreamRun((self._gwrite_item(0, payloads),))
         for chunk in range(layout.num_chunks):
             cols = layout.cols_in_chunk(chunk)
-            yield self._gwrite_item(chunk, payloads)
-            for tile in range(layout.tiles):
-                dram_row = layout.dram_row(chunk, tile)
-                yield barrier
-                yield self._activation_item(dram_row)
-                yield self._compute_item(cols, 0 if payloads else None)
-                yield self._readres_item(
-                    EmitOp(0, chunk, layout.tile_matrix_rows(tile))
-                    if payloads
-                    else None
+
+            def tile(index: int, chunk: int = chunk, cols: int = cols) -> Tuple:
+                return (
+                    barrier,
+                    self._activation_item(layout.dram_row(chunk, index)),
+                    self._compute_item(cols, 0 if payloads else None),
+                    self._readres_item(
+                        EmitOp(0, chunk, layout.tile_matrix_rows(index))
+                        if payloads
+                        else None
+                    ),
                 )
 
-    def _tile_major_items(self, payloads: bool) -> "Iterator[StreamItem]":
+            if chunk + 1 == layout.num_chunks:
+                yield from self._repeats(tile, layout.tiles, 1, payloads)
+            else:
+                # The chunk's last tile loads the next chunk's input.
+                last = layout.tiles - 1
+                yield from self._repeats(tile, last, 1, payloads)
+                yield StreamRun(tile(last) + (self._gwrite_item(chunk + 1, payloads),))
+
+    def _tile_major_runs(self, payloads: bool) -> Iterator[StreamRun]:
         """The tile-major traversal (MAC-DO-style output-stationary).
 
         Partials for one tile accumulate in result latch 0 across every
@@ -414,38 +467,68 @@ class CommandStreamGenerator:
         layout = self.layout
         assert isinstance(layout, InterleavedLayout)
         barrier = Step(barrier_cycles=self.tile_duration_estimate())
-        for tile in range(layout.tiles):
-            for chunk in range(layout.num_chunks):
-                yield self._gwrite_item(chunk, payloads)
-                dram_row = layout.dram_row(chunk, tile)
-                yield barrier
-                yield self._activation_item(dram_row)
-                yield self._compute_item(
-                    layout.cols_in_chunk(chunk), 0 if payloads else None
-                )
-            yield self._readres_item(
-                EmitOp(0, None, layout.tile_matrix_rows(tile)) if payloads else None
-            )
 
-    def _no_reuse_items(self, payloads: bool) -> "Iterator[StreamItem]":
-        layout = self.layout
-        assert isinstance(layout, NoReuseLayout)
-        barrier = Step(barrier_cycles=self.tile_duration_estimate())
-        for pass_index in range(layout.passes):
-            slots = list(layout.pass_slots(pass_index))
+        def tile(index: int) -> Tuple:
+            items: list = []
             for chunk in range(layout.num_chunks):
-                # The input chunk must be re-fetched every pass: this is
-                # the traffic the interleaved layout eliminates.
-                yield self._gwrite_item(chunk, payloads)
-                cols = layout.cols_in_chunk(chunk)
-                for latch, slot in enumerate(slots):
-                    dram_row = layout.dram_row(slot, chunk)
-                    yield barrier
-                    yield self._activation_item(dram_row)
-                    yield self._compute_item(cols, latch if payloads else None)
-            for latch, slot in enumerate(slots):
-                yield self._readres_item(
-                    EmitOp(latch, None, layout.slot_matrix_rows(slot))
+                if chunk:
+                    items.append(self._gwrite_item(chunk, payloads))
+                items += (
+                    barrier,
+                    self._activation_item(layout.dram_row(chunk, index)),
+                    self._compute_item(
+                        layout.cols_in_chunk(chunk), 0 if payloads else None
+                    ),
+                )
+            items.append(
+                self._readres_item(
+                    EmitOp(0, None, layout.tile_matrix_rows(index))
                     if payloads
                     else None
                 )
+            )
+            if index + 1 < layout.tiles:
+                items.append(self._gwrite_item(0, payloads))
+            return tuple(items)
+
+        yield StreamRun((self._gwrite_item(0, payloads),))
+        yield from self._repeats(tile, layout.tiles - 1, 1, payloads)
+        yield StreamRun(tile(layout.tiles - 1))
+
+    def _no_reuse_runs(self, payloads: bool) -> Iterator[StreamRun]:
+        layout = self.layout
+        assert isinstance(layout, NoReuseLayout)
+        barrier = Step(barrier_cycles=self.tile_duration_estimate())
+
+        def one_pass(index: int) -> Tuple:
+            slots = layout.pass_slots(index)
+            items: list = []
+            for chunk in range(layout.num_chunks):
+                # The input chunk must be re-fetched every pass: this is
+                # the traffic the interleaved layout eliminates.
+                if chunk:
+                    items.append(self._gwrite_item(chunk, payloads))
+                cols = layout.cols_in_chunk(chunk)
+                for latch, slot in enumerate(slots):
+                    items += (
+                        barrier,
+                        self._activation_item(layout.dram_row(slot, chunk)),
+                        self._compute_item(cols, latch if payloads else None),
+                    )
+            for latch, slot in enumerate(slots):
+                items.append(
+                    self._readres_item(
+                        EmitOp(latch, None, layout.slot_matrix_rows(slot))
+                        if payloads
+                        else None
+                    )
+                )
+            if index + 1 < layout.passes:
+                items.append(self._gwrite_item(0, payloads))
+            return tuple(items)
+
+        # A pass opens the next latches_per_bank slots of every chunk.
+        stride = layout.latches_per_bank * layout.num_chunks
+        yield StreamRun((self._gwrite_item(0, payloads),))
+        yield from self._repeats(one_pass, layout.passes - 1, stride, payloads)
+        yield StreamRun(one_pass(layout.passes - 1))

@@ -39,7 +39,10 @@ cycle of exactness (see :mod:`repro.core.schedule_cache`,
   delta's end-signature id keys the next lookup, a refresh barrier that
   cannot fire is one comparison, and the controller is written back
   only before a refresh that fires, before a miss and at the end of the
-  run. A walk that hits on every segment records the run whole;
+  run. Once a repeat of a run of identical tiles ends in the signature
+  it started from, the walk takes the repeats up to the next refresh
+  in one step. A walk that hits on every segment records the run
+  whole;
 * on a replay miss (the *cold* path), command runs go through the
   **burst kernel** — the first period solved by the constraint solver,
   the rest in closed form;
@@ -47,7 +50,8 @@ cycle of exactness (see :mod:`repro.core.schedule_cache`,
   whole stream when the fast path is off.
 
 Lowering (:func:`~repro.core.schedule_cache.segment_stream`) costs
-O(tiles) and happens once per resident layout and engine. Every refresh
+O(chunks × latches), runs of repeated tiles lowering once each, and
+happens once per resident layout and engine. Every refresh
 that fires is executed exactly in every tier but the whole-run record,
 which replays only at the exact refresh phase it was recorded at.
 Tracing or mixed background traffic forces the per-command reference.
@@ -343,7 +347,7 @@ class NewtonChannelEngine:
         start = end = controller.now
         before = stats_snapshot(controller.stats)
         boundary = 0
-        for segment in stream.segments:
+        for segment in stream.segments():
             if segment.barrier_cycles:
                 if background is not None:
                     for command in background.commands_for_boundary(
@@ -389,7 +393,7 @@ class NewtonChannelEngine:
         controller = self.channel.controller
         cache = self.schedule_cache
         refresh = controller.refresh
-        chain: List[ControllerDelta] = []
+        chain: List[Tuple[ControllerDelta, int]] = []
         runs = []
         base = start = controller.now
         signature = self._signature_id()
@@ -410,10 +414,10 @@ class NewtonChannelEngine:
                 start = controller.now
                 continue
             delta = record.delta
-            chain.append(delta)
+            chain.append((delta, 1))
             if record.refresh is not None:
                 refresh.replay(record.refresh, start)
-            cache.hits += len(stream.segments)
+            cache.hits += stream.segment_count
             cache.replayed_commands += stream.total_commands
             cache.whole_runs += 1
             runs.append((start, start + delta.max_complete, copy_stats(record.stats)))
@@ -440,6 +444,14 @@ class NewtonChannelEngine:
         runs :meth:`ChannelController.refresh_barrier` exactly. A miss
         runs the cold path and records its delta. A walk that hit on
         every segment is then recorded whole.
+
+        A :class:`~repro.core.schedule_cache.SegmentRun` repeats one
+        period of segment keys, so a repeat that hit on every segment,
+        fired no refresh and ended in the signature it started from is
+        a fixed point: every later repeat would replay the same deltas,
+        shifted by the repeat's length. The walk takes those repeats in
+        one step, up to the last whose last barrier cannot fire, with
+        every hit, replayed command and counter they stand for.
         """
         controller = self.channel.controller
         cache = self.schedule_cache
@@ -456,69 +468,103 @@ class NewtonChannelEngine:
             refreshes_start = refresh.refreshes_issued
             stall_start = refresh.stall_cycles
         before = stats_snapshot(controller.stats)
-        replays: List[ControllerDelta] = []
+        replays: List[Tuple[ControllerDelta, int]] = []
         replayed = 0
         last_barrier = None
 
         def write_back() -> None:
             if replays:
-                fastpath.apply_delta(controller, replays, now - replays[-1].dt_now)
+                fastpath.apply_delta(controller, replays, now - replays[-1][0].dt_now)
                 replays.clear()
 
-        for segment in stream.segments:
-            if segment.barrier_cycles:
-                last_barrier = now
-                if now > limit:
+        for run in stream.runs:
+            repeat = 0
+            while repeat < run.count:
+                repeat_start, repeat_signature, mark = now, signature, len(replays)
+                steady = True
+                for segment in run.period:
+                    if segment.barrier_cycles:
+                        last_barrier = now
+                        if now > limit:
+                            steady = False
+                            write_back()
+                            now = controller.refresh_barrier(window)
+                            limit = refresh.last_safe_start(window)
+                            signature = self._signature_id()
+                    if signature is not None:
+                        delta = lookup(segment.key_id, signature)
+                        if delta is not None:
+                            replays.append((delta, 1))
+                            if delta.max_complete is not None:
+                                complete = now + delta.max_complete
+                                if complete > end:
+                                    end = complete
+                            now += delta.dt_now
+                            signature = delta.end_signature
+                            replayed += segment.n_commands
+                            continue
+                    steady = whole = False
                     write_back()
-                    now = controller.refresh_barrier(window)
-                    limit = refresh.last_safe_start(window)
-                    signature = self._signature_id()
-            if signature is not None:
-                delta = lookup(segment.key_id, signature)
-                if delta is not None:
-                    replays.append(delta)
-                    if delta.max_complete is not None:
-                        complete = now + delta.max_complete
-                        if complete > end:
-                            end = complete
-                    now += delta.dt_now
-                    signature = delta.end_signature
-                    replayed += segment.n_commands
-                    continue
-            whole = False
-            write_back()
-            if signature is None:
-                # A bank holds an open row: issue per command.
-                for command in segment.commands:
-                    record = controller.issue(command)
-                    end = max(end, record.complete)
-                signature = self._signature_id()
-            else:
-                # Cold path: command runs go through the burst kernel
-                # (first period solved, the rest in closed form);
-                # everything else through the per-command solver.
-                counters_before = fastpath.counters(controller)
-                segment_complete: Optional[int] = None
-                for item in segment.items:
-                    if isinstance(item, CommandRun):
-                        complete = controller.issue_burst(item).complete
-                        self.burst_runs += 1
-                        self.burst_commands += len(item)
+                    segment = run.at(segment, repeat)
+                    if signature is None:
+                        # A bank holds an open row: issue per command.
+                        for command in segment.commands:
+                            record = controller.issue(command)
+                            end = max(end, record.complete)
+                        signature = self._signature_id()
                     else:
-                        complete = controller.issue(item).complete
-                    if segment_complete is None or complete > segment_complete:
-                        segment_complete = complete
-                if segment_complete is not None:
-                    end = max(end, segment_complete)
-                end_signature = self._signature_id()
-                delta = fastpath.capture_delta(
-                    controller, now, counters_before, segment_complete,
-                    end_signature,
-                )
-                if delta is not None:
-                    cache.store(segment.key_id, signature, delta)
-                signature = end_signature
-            now = controller.now
+                        # Cold path: command runs go through the burst
+                        # kernel (first period solved, the rest in closed
+                        # form); everything else through the per-command
+                        # solver.
+                        counters_before = fastpath.counters(controller)
+                        segment_complete: Optional[int] = None
+                        for item in segment.items:
+                            if isinstance(item, CommandRun):
+                                complete = controller.issue_burst(item).complete
+                                self.burst_runs += 1
+                                self.burst_commands += len(item)
+                            else:
+                                complete = controller.issue(item).complete
+                            if segment_complete is None or complete > segment_complete:
+                                segment_complete = complete
+                        if segment_complete is not None:
+                            end = max(end, segment_complete)
+                        end_signature = self._signature_id()
+                        delta = fastpath.capture_delta(
+                            controller, now, counters_before, segment_complete,
+                            end_signature,
+                        )
+                        if delta is not None:
+                            cache.store(segment.key_id, signature, delta)
+                        signature = end_signature
+                    now = controller.now
+                repeat += 1
+                if not steady or repeat == run.count or signature != repeat_signature:
+                    continue
+                # A fixed point: every later repeat replays this one's
+                # deltas ``length`` cycles on. Take them at once, up to
+                # the last whose last barrier cannot fire.
+                length = now - repeat_start
+                times = run.count - repeat
+                if run.has_barrier and length:
+                    times = min(times, (limit - last_barrier) // length)
+                if not times:
+                    continue
+                shift = times * length
+                deltas = replays[mark:]
+                replays[mark:] = [(delta, 1 + times) for delta, _ in deltas]
+                offset = repeat_start + shift  # the last repeat taken
+                for delta, _ in deltas:
+                    if delta.max_complete is not None:
+                        end = max(end, offset + delta.max_complete)
+                    offset += delta.dt_now
+                now += shift
+                if run.has_barrier:
+                    last_barrier += shift
+                cache.hits += times * len(run.period)
+                replayed += times * run.n_commands
+                repeat += times
         write_back()
         cache.replayed_commands += replayed
         stats = stats_delta(before, stats_snapshot(controller.stats))

@@ -6,7 +6,11 @@ per tile (activations + computes + result reads, plus the next chunk's
 GWRITEs when a chunk boundary falls inside). Within a run the segments
 are overwhelmingly identical — the same command kinds against the same
 bank/column operands, differing only in the DRAM row they open, which
-never affects timing.
+never affects timing. A lowered stream stores them as
+runs (:class:`SegmentRun`): a period of segments repeated ``count`` times,
+the row advancing by a fixed stride per repeat, so lowering costs
+O(chunks × latches) objects and the replay walk can step over the
+repeats of a run that reached a fixed point.
 
 A segment's key is the sequence of its pieces' *fragment ids*: each
 tile piece the generator lowers (activations, compute phase, result
@@ -34,8 +38,9 @@ A whole GEMV is the next replay unit up. When every segment of a run
 hits, the engine records the run as one :class:`RunRecord`: the
 composite delta from the run's start, the refresh scheduler's advance
 and the run's stats. Records key by ``(stream key id, start signature
-id, refresh phase)``; the stream key interns the stream's ``(barrier,
-segment key id)`` sequence. The phase is ``None`` when no refresh
+id, refresh phase)``; the stream key interns the stream's runs, each
+its repeat count and its period's ``(barrier, segment key id)`` pairs.
+The phase is ``None`` when no refresh
 fired: such a record replays at any start whose last barrier cannot
 fire (:meth:`ScheduleCache.lookup_run`). Otherwise it is the
 scheduler's ``next_due - now``
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.command_gen import (
     BlockStep, CommandStreamGenerator, Fragment, at_row, per_command,
@@ -67,7 +72,7 @@ records, each); real workloads use a handful of entries."""
 
 @dataclass
 class StreamSegment:
-    """A barrier-delimited run of stream items with a row-blind key.
+    """A barrier-delimited piece of a stream with a row-blind key.
 
     A segment is timing only: the datapath computes a GEMV from its
     layout (:mod:`repro.core.datapath`), so no functional payload rides
@@ -77,8 +82,8 @@ class StreamSegment:
     burst, or one bank's BUF_READ/COL_READ/MAC burst, arrives as *one*
     item), the activations row-blind
     — and ``row`` is the DRAM row its activations open, so lowering a
-    tile builds no command. Barriers never fall inside a run: the
-    segmenter flushes at every barrier step, so a refresh splits runs
+    tile builds no command. Barriers never fall inside a command run: the
+    segmenter flushes at every barrier step, so a refresh splits them
     exactly where it splits replay segments. The row-bearing views are
     built on first use, where commands issue one at a time:
     :attr:`items` for the cold path on a replay miss, :attr:`commands`
@@ -107,6 +112,40 @@ class StreamSegment:
         return tuple(per_command(self.items))
 
 
+@dataclass
+class SegmentRun:
+    """``count`` repeats of a period of segments: the lowered form of a
+    :class:`~repro.core.command_gen.StreamRun`.
+
+    ``period`` holds the first repeat's segments. Repeat ``k`` issues
+    the same segments, each opening the row ``k * row_stride`` further
+    on (:meth:`at`), so a run lowers to one object per period segment
+    however many tiles it covers. Every repeat has the same keys, which
+    is what lets the replay walk step over repeats in closed form.
+    """
+
+    period: Tuple[StreamSegment, ...]
+    count: int
+    row_stride: int
+    n_commands: int
+    """Commands one repeat issues."""
+    has_barrier: bool
+    """Whether a refresh barrier guards some segment of the period."""
+
+    def at(self, segment: StreamSegment, repeat: int) -> StreamSegment:
+        """A period segment as repeat ``repeat`` issues it (built per call
+        past the first repeat)."""
+        if not repeat or segment.row is None:
+            return segment
+        return StreamSegment(
+            segment.barrier_cycles,
+            segment.templates,
+            segment.row + repeat * self.row_stride,
+            segment.n_commands,
+            segment.key_id,
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class RunRecord:
     """A whole GEMV's replayable effect, relative to its start cycle."""
@@ -127,10 +166,13 @@ class RunRecord:
 class SegmentedStream:
     """One layout's full command stream, lowered and segmented once."""
 
-    segments: List[StreamSegment] = field(default_factory=list)
+    runs: List[SegmentRun] = field(default_factory=list)
+    segment_count: int = 0
+    """Segments a run walks: every repeat of every period."""
     key_id: int = -1
-    """Cache-interned id of the stream's ``(barrier, segment key id)``
-    sequence: the first part of a :class:`RunRecord` key."""
+    """Cache-interned id of the stream's sequence of runs (each run's
+    count and its period's ``(barrier, segment key id)`` pairs): the
+    first part of a :class:`RunRecord` key."""
     barrier_cycles: int = 0
     """The row-operation window every barrier in the stream guards (the
     generator sizes them all by one tile-duration bound; 0: no barrier),
@@ -143,6 +185,14 @@ class SegmentedStream:
     result latches / activation buffer instead of the host, so the data
     still arrives, just not over the command bus (see
     :func:`segment_stream`)."""
+
+    def segments(self) -> Iterator[StreamSegment]:
+        """Every segment in stream order, each at its own row: the form
+        the per-command tier issues."""
+        for run in self.runs:
+            for repeat in range(run.count):
+                for segment in run.period:
+                    yield run.at(segment, repeat)
 
 
 class ScheduleCache:
@@ -268,27 +318,47 @@ class ScheduleCache:
         return len(self._deltas)
 
 
+def _split(period: Tuple) -> Iterator[Tuple[int, List[BlockStep]]]:
+    """A run's period cut at its refresh barriers: each segment's barrier
+    window (0: none) and tile pieces. A segment opens at a barrier or at
+    the period's first piece."""
+    barrier, blocks = 0, None
+    for item in period:
+        if isinstance(item, BlockStep):
+            if blocks is None:
+                blocks = []
+            blocks.append(item)
+            continue
+        if barrier or blocks is not None:
+            yield barrier, blocks or []
+        barrier, blocks = item.barrier_cycles, []
+    if barrier or blocks is not None:
+        yield barrier, blocks or []
+
+
 def segment_stream(
     generator: CommandStreamGenerator,
     cache: ScheduleCache,
     *,
     fused: bool = False,
 ) -> SegmentedStream:
-    """Lower a generator's compiled stream into barrier-delimited segments.
+    """Lower a generator's compiled stream into runs of barrier-delimited
+    segments.
 
-    Consumes :meth:`~repro.core.command_gen.CommandStreamGenerator.gemv_items`
-    without payloads, so every piece is a shared template: each
+    Consumes :meth:`~repro.core.command_gen.CommandStreamGenerator.gemv_runs`
+    without payloads, so every piece is a shared template, and lowers
+    each :class:`~repro.core.command_gen.StreamRun` once, whatever its
+    repeat count: a :class:`SegmentRun` of the period's segments. Each
     :class:`~repro.core.command_gen.BlockStep` contributes its template
     items (command runs stay single
     :class:`~repro.dram.commands.CommandRun` items) and one fragment id
-    to the segment key, and a tile's activations their row to the
-    segment. Every other stream item is a refresh-barrier
+    to its segment's key, and a tile's activations their row to the
+    segment. Every other item is a refresh-barrier
     :class:`~repro.core.command_gen.Step`, which always flushes the open
-    segment, so no run ever straddles a refresh decision point; every
-    barrier in a stream must guard the same window
-    (:attr:`SegmentedStream.barrier_cycles`). The stream's own key
-    (:attr:`SegmentedStream.key_id`) interns its sequence of
-    ``(barrier, segment key id)`` pairs.
+    segment, as does the end of a period, so no command run ever
+    straddles a refresh decision point; every barrier in a stream must
+    guard the same window (:attr:`SegmentedStream.barrier_cycles`). The
+    stream's own key (:attr:`SegmentedStream.key_id`) interns its runs.
 
     With ``fused=True`` the lowering models a fused-layer dataflow: the
     input activation is already channel-resident (produced by the
@@ -303,17 +373,37 @@ def segment_stream(
     """
     stream = SegmentedStream()
     fragment_ids: Dict[Fragment, int] = {}
-    barrier = 0
-    lowered = False
-    row: Optional[int] = None
-    items: List = []
-    key: List[int] = []
-    n_commands = 0
-
-    def flush() -> None:
-        nonlocal barrier, lowered, row, n_commands
-        if barrier or lowered:
-            stream.segments.append(
+    for run in generator.gemv_runs(payloads=False):
+        period: List[StreamSegment] = []
+        for barrier, blocks in _split(run.period):
+            if barrier:
+                if stream.barrier_cycles not in (0, barrier):
+                    raise ProtocolError(
+                        f"barrier windows {stream.barrier_cycles} and {barrier} "
+                        "in one stream"
+                    )
+                stream.barrier_cycles = barrier
+            row: Optional[int] = None
+            items: List = []
+            key: List[int] = []
+            n_commands = 0
+            for block in blocks:
+                if block.row is not None:
+                    row = block.row  # a barrier precedes every tile's activations
+                fragment = block.fragment
+                if fused and fragment.kind is CommandKind.GWRITE:
+                    # Fused: the buffer fill happens off the command bus.
+                    stream.skipped_gwrites += run.count * fragment.n_commands
+                    continue
+                fragment_id = fragment_ids.get(fragment)
+                if fragment_id is None:
+                    fragment_id = fragment_ids[fragment] = cache.intern_fragment(
+                        fragment.key
+                    )
+                items.extend(block.items)
+                key.append(fragment_id)
+                n_commands += fragment.n_commands
+            period.append(
                 StreamSegment(
                     barrier_cycles=barrier,
                     templates=tuple(items),
@@ -322,43 +412,21 @@ def segment_stream(
                     key_id=cache.intern_key(tuple(key)),
                 )
             )
-        barrier = 0
-        lowered = False
-        row = None
-        n_commands = 0
-        items.clear()
-        key.clear()
-
-    for item in generator.gemv_items(payloads=False):
-        if not isinstance(item, BlockStep):
-            flush()
-            barrier = item.barrier_cycles
-            if stream.barrier_cycles not in (0, barrier):
-                raise ProtocolError(
-                    f"barrier windows {stream.barrier_cycles} and {barrier} "
-                    "in one stream"
-                )
-            stream.barrier_cycles = barrier
-            continue
-        lowered = True
-        if item.row is not None:
-            row = item.row  # a barrier precedes every tile's activations
-        fragment = item.fragment
-        if fused and fragment.kind is CommandKind.GWRITE:
-            # Fused: the buffer fill happens off the command bus.
-            stream.skipped_gwrites += fragment.n_commands
-        else:
-            fragment_id = fragment_ids.get(fragment)
-            if fragment_id is None:
-                fragment_id = fragment_ids[fragment] = cache.intern_fragment(
-                    fragment.key
-                )
-            items.extend(item.items)
-            key.append(fragment_id)
-            n_commands += fragment.n_commands
-    flush()
-    stream.total_commands = sum(s.n_commands for s in stream.segments)
+        stream.runs.append(
+            SegmentRun(
+                period=tuple(period),
+                count=run.count,
+                row_stride=run.row_stride,
+                n_commands=sum(segment.n_commands for segment in period),
+                has_barrier=any(segment.barrier_cycles for segment in period),
+            )
+        )
+    stream.segment_count = sum(len(run.period) * run.count for run in stream.runs)
+    stream.total_commands = sum(run.n_commands * run.count for run in stream.runs)
     stream.key_id = cache.intern_key(
-        tuple((s.barrier_cycles, s.key_id) for s in stream.segments)
+        tuple(
+            (run.count, tuple((s.barrier_cycles, s.key_id) for s in run.period))
+            for run in stream.runs
+        )
     )
     return stream

@@ -55,6 +55,11 @@ class CommandKind(enum.Enum):
     MAC_ALL = "MAC_ALL"  # ganged step 3 (gang without complex)
     READRES_BANK = "READRES_BANK"  # per-bank result read (ganging disabled)
 
+    # Members are singletons compared by identity, so hashing by identity
+    # keeps every kind-keyed dict and set as it was, without
+    # ``Enum.__hash__``'s Python-level call on each lookup.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

@@ -20,10 +20,11 @@ This module provides the three primitives that make that sound:
   record its effect as a :class:`ControllerDelta`: relative end state,
   statistics deltas, and the interned id of the signature the segment
   leaves behind;
-* :func:`apply_delta` — write a chain of replayed deltas back to the
-  controller: ``now``, bank state, bus timers, the activation window,
-  the adder-tree drain anchor and the attribution cursor from the last
-  delta, every statistic folded once per distinct delta.
+* :func:`apply_delta` — write replayed deltas, each with its replay
+  count, back to the controller: ``now``, bank state, bus timers, the
+  activation window, the adder-tree drain anchor and the attribution
+  cursor from the last delta, every statistic folded once per distinct
+  delta, times its count.
 
 The engine (:mod:`repro.core.engine`) replays on a local clock. Because a
 delta records the signature it ends in, a hit chains straight to the
@@ -51,11 +52,10 @@ to one that executed the segment command by command.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.dram.bank import NEG_INF
 from repro.dram.commands import CommandKind
@@ -232,24 +232,28 @@ def capture_delta(
 
 def apply_delta(
     controller: ChannelController,
-    replays: Sequence[ControllerDelta],
+    replays: Sequence[Tuple[ControllerDelta, int]],
     base: int,
 ) -> None:
-    """Write a chain of replayed segments back to the controller.
+    """Write replayed segments back to the controller.
 
-    ``replays`` lists the deltas replayed since the last write-back, in
-    order; ``base`` is the cycle the last one was replayed from. The
-    controller must be in the state the first delta was recorded from
-    (the cache keys guarantee it), and each later delta's recorded start
-    is its predecessor's end. The timing state comes from the last delta
-    alone — every delta overwrites all of it — while each distinct
-    delta's counters are folded once, times its replay count.
+    ``replays`` pairs each delta replayed since the last write-back with
+    its replay count, in replay order; the last pair's delta is the one
+    replayed last, from cycle ``base``. The controller must be in the
+    state the first delta was recorded from (the cache keys guarantee
+    it), and each later replay's recorded start is its predecessor's
+    end. The timing state comes from the last delta alone — every delta
+    overwrites all of it — while each distinct delta's counters are
+    folded once, times its total replay count.
     """
-    delta = replays[-1]
-    # A lone delta (a single replayed GEMV) skips building the Counter.
-    folded = Counter(replays).items() if len(replays) > 1 else ((delta, 1),)
+    delta = replays[-1][0]
+    if len(replays) > 1:
+        merged: Dict[ControllerDelta, int] = {}
+        for replayed, times in replays:
+            merged[replayed] = merged.get(replayed, 0) + times
+        replays = merged.items()
     total = None
-    for replayed, times in folded:
+    for replayed, times in replays:
         advance = replayed.counters
         if times > 1:
             advance = tuple(map(mul, advance, repeat(times)))

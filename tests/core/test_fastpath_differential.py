@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.command_gen import CommandStreamGenerator
+from repro.core.command_gen import BlockStep, CommandStreamGenerator
 from repro.core.device import NewtonDevice
 from repro.core.engine import NewtonChannelEngine
 from repro.core.optimizations import FULL, OptimizationConfig, figure9_ladder
@@ -28,10 +28,12 @@ from repro.dram import fastpath
 from repro.dram.commands import Command, CommandKind
 from repro.dram.config import DRAMConfig, hbm2e_like_config
 from repro.dram.controller import ChannelController
+from repro.dram.families import family_by_name
 from repro.dram.timing import TimingParams, hbm2e_like_timing
 from repro.dram.trace import CommandTrace
 from repro.experiments.common import eval_config, eval_timing
 from repro.telemetry import validate_metrics
+from repro.workloads.catalog import TABLE_II_LAYERS
 
 CFG = DRAMConfig(num_channels=1, banks_per_channel=16, rows_per_bank=512)
 TIMING = TimingParams()
@@ -179,6 +181,61 @@ def assert_metrics_parity(slow, fast, end):
     assert a == b
 
 
+class WalkLog:
+    """A fast engine's segment lookups, and the segments its walks cover.
+
+    A walk looks up each segment it meets one at a time; repeats it
+    steps over in closed form cost no lookup, so ``stepped`` counts
+    them. ``lookups`` holds ``(key id, signature id, delta or None)``.
+    """
+
+    def __init__(self, engine, monkeypatch):
+        self.lookups = []
+        self.walked = 0
+        self.walks = 0
+        lookup = engine.schedule_cache.lookup
+        walk = engine._replay_walk
+
+        def logged(key_id, signature_id):
+            delta = lookup(key_id, signature_id)
+            self.lookups.append((key_id, signature_id, delta))
+            return delta
+
+        def counted(stream, start, signature):
+            self.walks += 1
+            self.walked += stream.segment_count
+            return walk(stream, start, signature)
+
+        monkeypatch.setattr(engine.schedule_cache, "lookup", logged)
+        monkeypatch.setattr(engine, "_replay_walk", counted)
+
+    @property
+    def stepped(self):
+        """Segments walked without a lookup."""
+        return self.walked - len(self.lookups)
+
+    def transient(self):
+        """The longest chain of hits on one segment key, each ending in
+        a new signature that the next lookup starts from: repeats that
+        replay but have not yet reached a fixed point."""
+        longest = chain = 0
+        for (key, signature, delta), after in zip(self.lookups, self.lookups[1:]):
+            if delta is not None and after[:2] == (key, delta.end_signature) != (
+                key,
+                signature,
+            ):
+                chain += 1
+                longest = max(longest, chain)
+            else:
+                chain = 0
+        return longest
+
+
+LONG = (16 * 40, 1024)
+"""Two chunks of 40 tiles: runs of repeated tiles long enough that a
+walk steps over most of them between refreshes."""
+
+
 class TestAllCombinations:
     @pytest.mark.parametrize("refresh", [True, False], ids=["ref", "noref"])
     @pytest.mark.parametrize(
@@ -223,6 +280,68 @@ class TestRivalFamilies:
         assert fast.burst_commands > 0
 
 
+FOUR_LATCH = FULL.evolve(interleaved_reuse=False, result_latches=4)
+
+
+class TestRepeatSteps:
+    """Streams whose runs of repeated tiles are long enough that the walk
+    steps over repeats in closed form: fast equals ``fast=False`` after
+    every run, and the walks really stepped (fewer lookups than
+    segments walked)."""
+
+    @pytest.mark.parametrize(
+        "opt, shape, fused",
+        [
+            pytest.param(FULL, LONG, True, id="fused"),
+            # One chunk: a pass of four latches is four tiles.
+            pytest.param(FOUR_LATCH, (16 * 40, 512), False, id="four-latch"),
+            # 39 slots: the last pass has three, and the last chunk is
+            # 188 elements wide.
+            pytest.param(FOUR_LATCH, (16 * 38 + 3, 700), False, id="four-latch-ragged"),
+            pytest.param(FULL, (16 * 40 - 5, 1100), False, id="ragged"),
+        ],
+    )
+    def test_stepped_runs_stay_exact(self, monkeypatch, opt, shape, fused):
+        slow = make_engine(False, opt)
+        fast = make_engine(True, opt)
+        log = WalkLog(fast, monkeypatch)
+        layout_slow, layout_fast = slow.add_matrix(*shape), fast.add_matrix(*shape)
+        for _ in range(3):
+            a = slow.run_gemv(layout_slow, fused_input=fused)
+            b = fast.run_gemv(layout_fast, fused_input=fused)
+            assert_same_run(slow, fast, a, b)
+        controllers = slow.channel.controller, fast.channel.controller
+        assert controllers[0].refresh.log == controllers[1].refresh.log
+        assert controllers[1].refresh.refreshes_issued > 0
+        assert log.stepped > 0
+        assert fast.fused_runs == 3 * fused
+        assert_metrics_parity(slow, fast, a.end_cycle)
+
+    def test_refresh_off_steps_each_run_at_once(self, monkeypatch):
+        """With refresh off no barrier can fire, so once a repeat of a run
+        is a fixed point the walk takes every repeat left in one step:
+        a walk costs a few lookups per run of repeated tiles, however
+        many tiles the run holds."""
+        slow = make_engine(False, FULL, refresh=False)
+        fast = make_engine(True, FULL, refresh=False)
+        log = WalkLog(fast, monkeypatch)
+        layout_slow, layout_fast = slow.add_matrix(*LONG), fast.add_matrix(*LONG)
+        for _ in range(3):
+            a = slow.run_gemv(layout_slow)
+            b = fast.run_gemv(layout_fast)
+            assert_same_run(slow, fast, a, b)
+        stream = fast._segments_for(layout_fast)
+        assert [(run.count, len(run.period)) for run in stream.runs] == [
+            (1, 1),
+            (39, 1),
+            (1, 1),
+            (40, 1),
+        ]
+        assert log.walks == 3
+        assert len(log.lookups) == 19
+        assert_metrics_parity(slow, fast, a.end_cycle)
+
+
 class TestRefreshPhases:
     """A firing refresh at every barrier of a short stream.
 
@@ -246,9 +365,9 @@ class TestRefreshPhases:
             (engine.add_matrix(self.M, self.N), engine.add_matrix(16, 64))
             for engine in (slow, fast)
         ]
-        segments = fast._segments_for(layouts[1][0]).segments
-        assert len(segments) == 7
-        barriers = sum(1 for segment in segments if segment.barrier_cycles)
+        stream = fast._segments_for(layouts[1][0])
+        assert stream.segment_count == 7
+        barriers = sum(1 for segment in stream.segments() if segment.barrier_cycles)
         assert barriers == 6
 
         # The slow engine meets every barrier of the stream in order:
@@ -286,6 +405,49 @@ class TestRefreshPhases:
         assert fast.schedule_cache.hits > 0
         assert_metrics_parity(slow, fast, a.end_cycle)
 
+    @pytest.mark.parametrize(
+        "past, lookups, refreshes", [(0, 6, 1), (1, 7, 2)], ids=["on", "past"]
+    )
+    def test_a_stepped_repeat_meets_the_refresh_limit(
+        self, monkeypatch, past, lookups, refreshes
+    ):
+        """One cold run of 40 tiles in one chunk, its first refresh due
+        so that ``last_safe_start`` lands on tile 20's barrier (``on``)
+        or one cycle before it (``past``). The walk misses the prologue
+        and tiles 0 and 1, hits tile 2 at a fixed point and steps over
+        the tiles after it: through tile 20 when its barrier cannot fire
+        (then tile 21's refresh costs a miss and a hit before the rest
+        is stepped), and through tile 19 when it can (tile 20 refreshes,
+        and so does a tile near the end). Fast equals per-command either
+        way."""
+        probe = make_engine(False, FULL, refresh=False)
+        layout = probe.add_matrix(16 * 40, 512)
+        controller = probe.channel.controller
+        barrier, starts = controller.refresh_barrier, []
+
+        def recorded(op_duration):
+            starts.append(controller.now)
+            return barrier(op_duration)
+
+        monkeypatch.setattr(controller, "refresh_barrier", recorded)
+        probe.run_gemv(layout)
+        window = probe._segments_for(layout).barrier_cycles
+        timing = dataclasses.replace(TIMING, t_refi=starts[20] + window - past)
+        slow, fast = (
+            NewtonChannelEngine(CFG, timing, FULL, functional=False, fast=tier)
+            for tier in (False, True)
+        )
+        log = WalkLog(fast, monkeypatch)
+        a = slow.run_gemv(slow.add_matrix(16 * 40, 512))
+        b = fast.run_gemv(fast.add_matrix(16 * 40, 512))
+        assert_same_run(slow, fast, a, b)
+        assert slow.channel.controller.refresh.log == fast.channel.controller.refresh.log
+        assert len(starts) == 40 and log.walked == 41
+        assert (len(log.lookups), fast.channel.controller.refresh.refreshes_issued) == (
+            lookups,
+            refreshes,
+        )
+
 
 class TestTelemetryReadBetweenRuns:
     """Reading telemetry finalizes the controller, which moves the
@@ -293,11 +455,13 @@ class TestTelemetryReadBetweenRuns:
     from the cursor. Replay must key on that offset rather than apply
     deltas recorded with the cursor at ``now``."""
 
-    def test_runs_after_a_read_stay_exact(self):
+    @staticmethod
+    def runs_after_a_read(monkeypatch, shape):
         slow = make_engine(False, FULL)
         fast = make_engine(True, FULL)
-        layout_slow = slow.add_matrix(64, 1024)
-        layout_fast = fast.add_matrix(64, 1024)
+        log = WalkLog(fast, monkeypatch)
+        layout_slow = slow.add_matrix(*shape)
+        layout_fast = fast.add_matrix(*shape)
         a = slow.run_gemv(layout_slow)
         fast.run_gemv(layout_fast)
         for engine in (slow, fast):
@@ -310,16 +474,21 @@ class TestTelemetryReadBetweenRuns:
             assert_same_run(slow, fast, a, b)
         assert fast.schedule_cache.hits > 0
         assert_metrics_parity(slow, fast, a.end_cycle)
+        return log
 
-    def test_replayed_segments_keep_the_cursor_ahead(self):
-        """Two reads far past the end, at the same offset from the same
-        steady state: the cursor stays ahead of ``now`` across whole
-        segments after each read, and the second time those segments
-        replay, so their deltas must carry the cursor's end offset."""
+    def test_runs_after_a_read_stay_exact(self, monkeypatch):
+        self.runs_after_a_read(monkeypatch, (64, 1024))
+
+    def test_runs_after_a_read_step_over_long_runs(self, monkeypatch):
+        assert self.runs_after_a_read(monkeypatch, LONG).stepped > 0
+
+    @staticmethod
+    def reads_past_the_end(monkeypatch, shape):
         slow = make_engine(False, FULL)
         fast = make_engine(True, FULL)
-        layout_slow = slow.add_matrix(64, 1024)
-        layout_fast = fast.add_matrix(64, 1024)
+        log = WalkLog(fast, monkeypatch)
+        layout_slow = slow.add_matrix(*shape)
+        layout_fast = fast.add_matrix(*shape)
         for _ in range(2):
             for _ in range(4):
                 a = slow.run_gemv(layout_slow)
@@ -328,11 +497,29 @@ class TestTelemetryReadBetweenRuns:
             hits = fast.schedule_cache.hits
             for engine in (slow, fast):
                 validate_metrics(engine.collect_metrics(end=a.end_cycle + 2000))
+            log.lookups.clear()
             a = slow.run_gemv(layout_slow)
             b = fast.run_gemv(layout_fast)
             assert_same_run(slow, fast, a, b)
         assert fast.schedule_cache.hits > hits
         assert_metrics_parity(slow, fast, a.end_cycle)
+        return log
+
+    def test_replayed_segments_keep_the_cursor_ahead(self, monkeypatch):
+        """Two reads far past the end, at the same offset from the same
+        steady state: the cursor stays ahead of ``now`` across whole
+        segments after each read, and the second time those segments
+        replay, so their deltas must carry the cursor's end offset."""
+        self.reads_past_the_end(monkeypatch, (64, 1024))
+
+    def test_a_fixed_point_after_several_repeats(self, monkeypatch):
+        """The same on 40-tile runs: after the second read the run
+        replays six tiles, each ending with the cursor nearer ``now`` (a
+        new signature each), before it reaches the fixed point the walk
+        steps from; the run costs fewer lookups than its tiles."""
+        log = self.reads_past_the_end(monkeypatch, LONG)
+        assert log.transient() == 6
+        assert len(log.lookups) < LONG[0] // 16
 
 
 Replay = collections.namedtuple(
@@ -513,9 +700,8 @@ class TestWholeRunRecords:
 
 
 class TestCacheBackstop:
-    def test_clearing_mid_walk_stays_exact(self, monkeypatch):
-        """A four-entry cache clears deltas and signatures mid-walk again
-        and again; ids held across a clear may only miss."""
+    @staticmethod
+    def clearing_mid_walk(monkeypatch, shape):
         cache = ScheduleCache(max_entries=4)
         clear = cache._clear
         clears = []
@@ -525,12 +711,32 @@ class TestCacheBackstop:
             clear()
 
         monkeypatch.setattr(cache, "_clear", counted)
-        slow, fast = run_pair(FULL, m=64, n=1024, runs=6, schedule_cache=cache)
+        slow = make_engine(False, FULL)
+        fast = make_engine(True, FULL, schedule_cache=cache)
+        log = WalkLog(fast, monkeypatch)
+        layout_slow, layout_fast = slow.add_matrix(*shape), fast.add_matrix(*shape)
+        for _ in range(6):
+            a = slow.run_gemv(layout_slow)
+            b = fast.run_gemv(layout_fast)
+            assert_same_run(slow, fast, a, b)
+        assert_metrics_parity(slow, fast, a.end_cycle)
         assert len(clears) >= 3
         assert len(cache) <= 4
         assert cache.run_records <= 4
         assert fast.channel.controller.refresh.refreshes_issued >= 3
         assert cache.hits > 0
+        return log
+
+    def test_clearing_mid_walk_stays_exact(self, monkeypatch):
+        """A four-entry cache clears deltas and signatures mid-walk again
+        and again; ids held across a clear may only miss."""
+        self.clearing_mid_walk(monkeypatch, (64, 1024))
+
+    def test_clearing_mid_run_keeps_stepping(self, monkeypatch):
+        """The same on 40-tile runs: the clears land inside runs of
+        repeated tiles, and between them the walk still steps over
+        repeats."""
+        assert self.clearing_mid_walk(monkeypatch, LONG).stepped > 0
 
     def test_record_table_is_bounded_too(self, monkeypatch):
         """Eight layouts sharing one tile shape, refresh off, hold at
@@ -652,6 +858,7 @@ class TestTierEngagement:
         self.count(monkeypatch, calls, fastpath, "apply_delta")
         self.count(monkeypatch, calls, fastpath, "relative_signature")
         self.count(monkeypatch, calls, controller, "refresh_barrier")
+        self.count(monkeypatch, calls, cache, "lookup")
         burst, hits, runs = [], [], []
         for _ in range(self.RUNS):
             calls.clear()
@@ -695,14 +902,18 @@ class TestTierEngagement:
         # The first steady run walks: it writes the controller back once
         # per firing refresh plus once at the end (not once per tile),
         # computing a signature only at run start and after each
-        # refresh. It hit on every segment, so it is recorded whole, and
-        # the next run starts at the same refresh phase: one signature,
-        # one write-back, no barrier.
+        # refresh. It looks up 72 of its 513 segments: after each
+        # refresh it walks tiles until one is a fixed point, then steps
+        # over the tiles up to the next refresh. It hit on every
+        # segment, so it is recorded whole, and the next run starts at
+        # the same refresh phase: one signature, one write-back, no
+        # barrier and no lookup.
         (_, _, refreshes), counted = runs[2]
         assert counted == {
             "apply_delta": 1 + refreshes,
             "relative_signature": 1 + refreshes,
             "refresh_barrier": refreshes,
+            "lookup": 72,
         }
         assert runs[3][1] == {"apply_delta": 1, "relative_signature": 1}
         assert cache.whole_runs == 1
@@ -738,6 +949,29 @@ class TestTierEngagement:
         warm = device.gemv(handle)
         assert issued + (cold.cycles, warm.cycles) == counts
 
+    def test_lowering_builds_runs_not_tiles(self, monkeypatch):
+        """Lowered, the layer is 8 runs of one segment each: the
+        prologue, each chunk's first 127 tiles and its last tile (which
+        loads the next chunk), and the last chunk's 128 tiles. Lowering
+        builds 11 blocks (4 shared templates and one activation block
+        per run's period), where a block per tile made 516; a run still
+        walks 513 segments."""
+        engine, layout = self.alexnet_l7_engine(True)
+        built = collections.Counter()
+        init = BlockStep.__init__
+
+        def counted(block, *args, **kwargs):
+            built["BlockStep"] += 1
+            init(block, *args, **kwargs)
+
+        monkeypatch.setattr(BlockStep, "__init__", counted)
+        stream = engine._segments_for(layout)
+        assert [(run.count, len(run.period)) for run in stream.runs] == [
+            (1, 1), (127, 1), (1, 1), (127, 1), (1, 1), (127, 1), (1, 1), (128, 1)
+        ]
+        assert built == {"BlockStep": 11}
+        assert stream.segment_count == 513
+
     def test_only_missed_tiles_build_activations(self, monkeypatch):
         """A lowered tile carries its DRAM row, not its activation
         commands: lowering builds no row-bearing activation (512 tiles x
@@ -755,7 +989,7 @@ class TestTierEngagement:
                 built[command.kind] += 1
 
         monkeypatch.setattr(Command, "__init__", counted)
-        assert len(engine._segments_for(layout).segments) == 513
+        assert engine._segments_for(layout).segment_count == 513
         per_phase = [dict(built)]
         for _ in range(self.RUNS):
             built.clear()
@@ -802,6 +1036,53 @@ class TestTierEngagement:
         assert controller_fingerprint(
             single.channel.controller
         ) == controller_fingerprint(batched.channel.controller)
+
+
+@pytest.mark.slow
+class TestWholeLayers:
+    """The benchmark's ``table2-sweep`` family points through both
+    tiers: FULL, refresh on, every Table II layer whole on one channel
+    of each command family, a cold run and then a warm one. These
+    streams have the longest runs of repeated tiles (AlexNetL6's is
+    5,409 segments on ``HBM2E``), and the walk steps over most of their
+    repeats between refreshes in closed form. After each run fast equals
+    ``fast=False``: start and end cycles, stats and attribution, the
+    refresh log and the controller; and each fast run counts every
+    segment of its stream once, as a hit or a miss."""
+
+    @pytest.mark.parametrize("layer", TABLE_II_LAYERS, ids=lambda layer: layer.name)
+    @pytest.mark.parametrize(
+        "family", ("HBM2E", "OUTPUT-STATIONARY", "BANKGROUP-EXT")
+    )
+    def test_cold_then_warm(self, family, layer):
+        preset = family_by_name(family, num_channels=1)
+        slow, fast = (
+            NewtonDevice(
+                preset.config, preset.timing, FULL, functional=False, fast=tier
+            )
+            for tier in (False, True)
+        )
+        handles = [device.load_matrix(m=layer.m, n=layer.n) for device in (slow, fast)]
+        (reference,), (engine,) = slow.engines, fast.engines
+        cache = engine.schedule_cache
+        stream = engine._segments_for(handles[1].layouts[0])
+        counts = []
+        for _ in range(2):
+            before = (cache.hits, cache.misses)
+            a, b = slow.gemv(handles[0]), fast.gemv(handles[1])
+            (x,), (y,) = a.channel_results, b.channel_results
+            assert (x.start_cycle, x.end_cycle) == (y.start_cycle, y.end_cycle)
+            assert x.stats == y.stats
+            controllers = reference.channel.controller, engine.channel.controller
+            assert controllers[0].refresh.log == controllers[1].refresh.log
+            assert controller_fingerprint(controllers[0]) == controller_fingerprint(
+                controllers[1]
+            )
+            counts.append((cache.hits - before[0], cache.misses - before[1]))
+        for hits, misses in counts:
+            assert hits + misses == stream.segment_count
+        assert counts[1][1] <= counts[0][1]
+        assert_metrics_parity(reference, engine, y.end_cycle)
 
 
 class TestPropertyDifferential:

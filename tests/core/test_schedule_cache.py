@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core import engine as engine_module
-from repro.core.command_gen import CommandStreamGenerator, Step
+from repro.core.command_gen import CommandStreamGenerator, Step, StreamRun
 from repro.core.device import NewtonDevice
 from repro.core.engine import NewtonChannelEngine
 from repro.core.layout import make_layout
@@ -74,8 +74,16 @@ LADDER = [
 
 LOWERINGS = [
     pytest.param(
-        opt, family, fused, id=f"{step}-{family}-{'fused' if fused else 'unfused'}"
+        opt,
+        family,
+        fused,
+        shape,
+        id=f"{step}-{family}-{'fused' if fused else 'unfused'}{suffix}",
     )
+    # A ragged shape (m % 16 != 0, a partial last chunk), and one whose
+    # runs repeat: ten tiles or slots, so even the four-latch traversal
+    # repeats a pass (of 4 slots, then a last pass of 2).
+    for shape, suffix in (((40, 700), ""), ((16 * 9 + 7, 1100), "-long"))
     for step, opt in LADDER
     for family in ("newton", "output_stationary", "bankgroup_ext")
     # The output-stationary walk is tile-major over the interleaved layout.
@@ -137,13 +145,13 @@ class TestPayloadPlan:
 
 
 class TestSegmentation:
-    @pytest.mark.parametrize("opt, family, fused", LOWERINGS)
-    def test_segments_preserve_the_step_stream(self, opt, family, fused):
-        """Ragged shape (m % 16 != 0, a partial last chunk): the segments
-        expand to exactly the commands of ``gemv_steps()``, and keys
-        neither falsely share nor split."""
+    @pytest.mark.parametrize("opt, family, fused, shape", LOWERINGS)
+    def test_segments_preserve_the_step_stream(self, opt, family, fused, shape):
+        """The segments, every repeat of every run at its own row, expand
+        to exactly the commands of ``gemv_steps()``, and keys neither
+        falsely share nor split."""
         config = dataclasses.replace(CFG, command_family=family)
-        generator, layout = make_stream(opt, m=40, n=700, config=config)
+        generator, layout = make_stream(opt, *shape, config=config)
         steps = list(generator.gemv_steps())
         cache = ScheduleCache()
         stream = segment_stream(
@@ -158,9 +166,11 @@ class TestSegmentation:
                 barriers.append(step.barrier_cycles)
             else:
                 groups[-1].append(step)
-        assert [seg.barrier_cycles for seg in stream.segments] == barriers
+        segments = list(stream.segments())
+        assert len(segments) == stream.segment_count
+        assert [seg.barrier_cycles for seg in segments] == barriers
         elided = 0
-        for segment, group in zip(stream.segments, groups):
+        for segment, group in zip(segments, groups):
             commands = [s.command for s in group if s.command is not None]
             if fused:
                 gwrites = [c for c in commands if c.kind is CommandKind.GWRITE]
@@ -171,10 +181,12 @@ class TestSegmentation:
         assert stream.skipped_gwrites == elided
         issued = sum(s.command is not None for s in steps) - elided
         assert stream.total_commands == issued
+        if shape != (40, 700):
+            assert max(run.count for run in stream.runs) > 1
 
         # Replay keys: one key id per distinct row-blind command sequence.
         sequences = {}
-        for segment in stream.segments:
+        for segment in segments:
             sequences.setdefault(segment.key_id, set()).add(
                 tuple(row_blind(c) for c in segment.commands)
             )
@@ -186,10 +198,10 @@ class TestSegmentation:
         generator, _ = make_stream(FULL, m=512, n=2048)
         stream = segment_stream(generator, ScheduleCache())
         keys = {
-            seg.key_id for seg in stream.segments if seg.commands
+            seg.key_id for seg in stream.segments() if seg.commands
         }
         # A steady GEMV has few distinct tile shapes, many tiles.
-        payload_segments = sum(1 for s in stream.segments if s.commands)
+        payload_segments = sum(1 for s in stream.segments() if s.commands)
         assert payload_segments > 10
         assert len(keys) < payload_segments / 2
 
@@ -198,9 +210,8 @@ class TestSegmentation:
         refresh deadline, so a stream must not mix windows."""
 
         class TwoWindows:
-            def gemv_items(self, *, payloads=True):
-                yield Step(barrier_cycles=100)
-                yield Step(barrier_cycles=200)
+            def gemv_runs(self, *, payloads=True):
+                yield StreamRun((Step(barrier_cycles=100), Step(barrier_cycles=200)))
 
         with pytest.raises(ProtocolError):
             segment_stream(TwoWindows(), ScheduleCache())
@@ -209,7 +220,7 @@ class TestSegmentation:
         cache = ScheduleCache()
         generator, _ = make_stream(FULL, m=512, n=2048)
         segments = [
-            s for s in segment_stream(generator, cache).segments if s.commands
+            s for s in segment_stream(generator, cache).segments() if s.commands
         ]
         a, b = segments[1], segments[2]
         rows_a = {c.row for c in a.commands if c.row is not None}
@@ -237,13 +248,14 @@ class TestTileTemplates:
         assert device.classes == [range(24)]
         layout = handle.layouts[0]
         stream = device.engines[0]._segments_for(layout)
+        segments = list(stream.segments())
         # Lowered, a tile keeps its row alone: no command names one.
         assert not any(
             getattr(item, "row", None) is not None
-            for segment in stream.segments
+            for segment in segments
             for item in segment.templates
         )
-        tiles = [s for s in stream.segments if s.barrier_cycles]
+        tiles = [s for s in segments if s.barrier_cycles]
         banks = device.config.banks_per_channel
         # One BUF_READ + COL_READ + MAC run per bank, one triplet per column.
         body = 3 * banks * device.config.cols_per_row
@@ -258,7 +270,7 @@ class TestTileTemplates:
             assert all(c.kind is CommandKind.ACT for c in tile.items[:banks])
             ours = tile.items[banks : 2 * banks]
             assert all(a is b for a, b in zip(ours, compute))
-        distinct = {id(c) for s in stream.segments for c in s.commands}
+        distinct = {id(c) for s in segments for c in s.commands}
         assert len(tiles) == 24
         assert stream.total_commands == 38_112
         # Each tile's 16 ACTs, the compute runs' 1,536 commands, one

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.optimizations import FULL
 from repro.core.schedule_cache import ScheduleCache, segment_stream
-from repro.core.command_gen import BlockStep, Fragment, Step
+from repro.core.command_gen import BlockStep, Fragment, Step, StreamRun
 from repro.dram import commands as cmds
 from repro.dram.burst import BurstRecord, issue_burst
 from repro.dram.commands import (
@@ -358,7 +358,10 @@ class _SplitBurstGenerator:
         self.total = total
         self.reactivate = reactivate
 
-    def gemv_items(self, *, payloads=True):
+    def gemv_runs(self, *, payloads=True):
+        yield StreamRun(tuple(self._items()))
+
+    def _items(self):
         activations = tuple(
             cmds.g_act(group, 0) for group in range(CFG.bank_groups)
         )
@@ -388,7 +391,7 @@ def _block(*items):
 
 def _execute(stream, controller, *, use_burst):
     end = 0
-    for segment in stream.segments:
+    for segment in stream.segments():
         if segment.barrier_cycles:
             controller.refresh_barrier(segment.barrier_cycles)
         if use_burst:
@@ -436,7 +439,7 @@ class TestBarrierSplitsBurst:
         fires = probe.refresh.refreshes_issued > before
         generator = _SplitBurstGenerator(split, total, reactivate=fires)
         stream = segment_stream(generator, ScheduleCache())
-        assert sum(1 for s in stream.segments if s.barrier_cycles) == 2
+        assert sum(1 for s in stream.segments() if s.barrier_cycles) == 2
 
         burst = ChannelController(CFG, timing, refresh_enabled=refresh)
         reference = ChannelController(CFG, timing, refresh_enabled=refresh)

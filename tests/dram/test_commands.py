@@ -1,5 +1,7 @@
 """Command taxonomy: Table I coverage and constructors."""
 
+import pickle
+
 import pytest
 
 from repro.dram import commands as cmds
@@ -99,3 +101,21 @@ class TestKindTable:
         assert CommandKind.COMP not in cmds.DATA_KINDS
         assert CommandKind.COMP in cmds.TREE_FEED_KINDS & cmds.BUFFER_READ_KINDS
         assert {CommandKind.GWRITE, CommandKind.READRES} <= cmds.DATA_KINDS
+
+
+class TestKindHash:
+    def test_kinds_hash_by_identity(self):
+        """Every kind-keyed lookup (the controller's dispatch, the stats
+        counts, the kind table) hashes a member without a Python call."""
+        assert CommandKind.__hash__ is object.__hash__
+        assert {kind: kind.value for kind in CommandKind}[CommandKind.COMP] == "COMP"
+        assert CommandKind.MAC in frozenset({CommandKind.MAC, CommandKind.COMP})
+
+    def test_a_pickled_count_dict_round_trips(self):
+        """Unpickling rebuilds a ``{kind: count}`` dict from the members
+        themselves, so its keys hash and compare as the originals."""
+        counts = {kind: index for index, kind in enumerate(CommandKind)}
+        again = pickle.loads(pickle.dumps(counts))
+        assert again == counts
+        assert all(again[kind] == index for kind, index in counts.items())
+        assert all(a is b for a, b in zip(again, counts))
