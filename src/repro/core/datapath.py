@@ -8,28 +8,27 @@ result depends only on that row, the vector and one family rule,
 command stream, nor on the channel, bank or DRAM row that holds it. So
 one :class:`BatchedDatapath` per device keeps each resident matrix once,
 as bf16 bits in matrix-row order (:attr:`BatchedDatapath.slabs`), and
-:meth:`BatchedDatapath.gemv` groups the rows ``banks`` at a time, as a
-tile does. For each block of :data:`TILE_BLOCK` tiles it walks the
-chunks in order, one
-:func:`~repro.numerics.vectorized.batched_tile_compute` call per chunk
-(:meth:`BatchedDatapath.step`):
+:meth:`BatchedDatapath.gemv` computes it in two phases:
 
-* the matrix operand is the block cut to the chunk and to the
-  sub-chunks its COMPs cover, expanded to float32 by one shift;
-* the input operand is the padded vector rounded to bf16 once, which
-  is what the GWRITEs load into the buffer;
-* with **per-chunk readout** (the interleaved walk), every chunk starts
-  from zeroed latches and is read out at once, and the partials add
-  into the fp32 output in chunk order;
-* with **whole-row readout** (the no-reuse walk, a tile-major family),
-  the latches carry from chunk to chunk, and the finished row sums go
+* :meth:`BatchedDatapath.step`, the multipliers and adder trees: one
+  :func:`~repro.numerics.vectorized.batched_tree_sums` call per block
+  of whole tiles (``banks`` rows each, :data:`BLOCK_ELEMS` elements at
+  most) across every sub-chunk the COMPs cover, against the padded
+  vector rounded to bf16 once (what the GWRITEs load into the buffer).
+  No latch is involved, so blocks and sub-chunks are independent.
+* :meth:`BatchedDatapath.finish`, the result latches and READRES: one
+  walk for the whole matrix. With **per-chunk readout** (the
+  interleaved walk) every chunk's latch starts from zero and walks its
+  sub-chunks, the full chunks side by side and a ragged last chunk on
+  its own, and the reads add into the fp32 output in chunk order. With
+  **whole-row readout** (the no-reuse walk, a tile-major family) a
+  latch walks every sub-chunk in order, and the finished row sums go
   through the in-DRAM LUT and into the output in one read.
 
-:meth:`BatchedDatapath.finish` is the read in both. This is the order
-the command stream issues: each tile's or slot's COMPs accumulate in
-ascending chunk and sub-chunk order, and each output row receives its
-reads in chunk order. No two rows share a latch value, so computing
-them side by side changes no rounding (see
+This is the order the command stream issues: each tile's or slot's
+COMPs accumulate in ascending chunk and sub-chunk order, and each
+output row receives its reads in chunk order. No two rows share a
+latch value, so computing them side by side changes no rounding (see
 :mod:`repro.numerics.vectorized`).
 
 The bit-level contract is the per-command
@@ -51,13 +50,14 @@ from repro.dram.config import DRAMConfig
 from repro.errors import LayoutError
 from repro.numerics.bfloat16 import float_to_bf16_bits, quantize_bf16
 from repro.numerics.lut import ActivationLUT
-from repro.numerics.vectorized import batched_tile_compute
+from repro.numerics.vectorized import batched_tree_sums, latch_accumulate_block
 
-TILE_BLOCK = 64
-"""Tiles per kernel call. It bounds the kernel's scratch (one chunk of a
-64-tile block is 2 MiB of float32 on 16 banks). On a ``models-e2e``
-pass, blocks of 64 tiles ran the datapath faster than blocks of 16 or
-256 and than one call over the whole matrix."""
+BLOCK_ELEMS = 1 << 17
+"""Matrix elements per kernel call: :meth:`BatchedDatapath.step` takes
+the most whole tiles whose covered width fits, and at least one tile,
+so its float32 products (512 KiB) stay in L2. Over one ``models-e2e``
+pass of GEMVs, 2^17 ran faster than 2^14, 2^15, 2^16 and 2^18
+(EXPERIMENTS.md)."""
 
 ROW_BLOCK = 1024
 """Matrix rows rounded to bf16 per write, which bounds the conversion's
@@ -141,53 +141,53 @@ class BatchedDatapath(FunctionalDatapath):
         zero-padded to whole chunks."""
         slab = self.slabs[resident]
         banks = self.config.banks_per_channel
-        tiles = slab.reshape(-1, banks, slab.shape[1])
-        vector = quantize_bf16(padded_vector)
-        # Each chunk's width: the sub-chunks its COMPs cover.
-        step = self.config.elems_per_row
         sub = self.config.elems_per_col
-        n = resident.n
-        chunks = [
-            (lo, min(step, -(-(n - lo) // sub) * sub)) for lo in range(0, n, step)
-        ]
+        # Only the sub-chunks the COMPs cover: the last chunk's stop at the
+        # one holding column n.
+        width = -(-resident.n // sub) * sub
+        vector = quantize_bf16(padded_vector[:width])
+        rows = max(1, BLOCK_ELEMS // (banks * width)) * banks
+        sums = np.empty((width // sub, len(slab)), dtype=np.float32)
+        for lo in range(0, len(slab), rows):
+            self.step(slab[lo : lo + rows, :width], vector, sums[:, lo : lo + rows])
         output = np.zeros(resident.m, dtype=np.float32)
-        for first in range(0, len(tiles), TILE_BLOCK):
-            block = tiles[first : first + TILE_BLOCK]
-            rows = output[first * banks : (first + TILE_BLOCK) * banks]
-            zeros = np.zeros(block.shape[:2], dtype=np.float32)
-            latches = zeros
-            for lo, width in chunks:
-                latches = self.step(
-                    block[:, :, lo : lo + width], vector[lo : lo + width], latches
-                )
-                if not self.whole_row_readout:
-                    self.finish(latches, rows)
-                    latches = zeros
-            if self.whole_row_readout:
-                self.finish(latches, rows)
+        self.finish(sums, output)
         return output
 
-    def step(
-        self, bits: np.ndarray, chunk: np.ndarray, latches: np.ndarray
-    ) -> np.ndarray:
-        """One chunk's COMPs on a block of tiles.
+    def step(self, bits: np.ndarray, vector: np.ndarray, sums: np.ndarray) -> None:
+        """Every COMP's multipliers and adder trees on a block of rows:
+        ``bits`` holds their bf16 bits, ``(rows, width)``, and ``vector``
+        the buffered input. Writes the rows' tree sums into ``sums``,
+        ``(width // lanes, rows)``: sub-chunk-major, as ``finish`` reads."""
+        sums[...] = batched_tree_sums(bits, vector, self.config.mults_per_bank).T
 
-        ``bits`` holds their rows' bf16 bits, ``(tiles, banks, width)``;
-        ``chunk`` is the buffered input, ``(width,)``; ``latches`` are
-        the ``(tiles, banks)`` values on entry. Returns the latches after.
-        """
-        tiles = np.left_shift(bits, 16, dtype=np.uint32).view(np.float32)
-        return batched_tile_compute(
-            tiles, chunk, latches, self.config.mults_per_bank
-        )
-
-    def finish(self, latches: np.ndarray, output: np.ndarray) -> None:
-        """READRES: every latch, through the LUT if there is one, added
-        to ``output`` in fp32. Latch ``(tile, bank)`` holds the block's
-        row ``tile * banks + bank``; the padding rows' reads are dropped."""
-        values = latches.reshape(-1)
+    def finish(self, sums: np.ndarray, output: np.ndarray) -> None:
+        """The result latches' walk over the tree ``sums`` (``sums[s, r]``
+        is row ``r``'s sub-chunk ``s``), then READRES: each read, through
+        the LUT if there is one, added to ``output`` in fp32, the padding
+        rows' reads dropped. A whole-row latch walks every sub-chunk;
+        per chunk, the full chunks' latches walk side by side from zero,
+        a ragged last chunk's on its own, and the reads add in chunk
+        order."""
+        rows = sums.shape[1]
+        if self.whole_row_readout:
+            groups = [sums[None]]
+        else:
+            per_chunk = self.config.elems_per_row // self.config.elems_per_col
+            full = len(sums) // per_chunk * per_chunk
+            groups = [sums[:full].reshape(-1, per_chunk, rows), sums[full:][None]]
+        # Each group is (chunks, sub-chunks, rows): one walk of its latches.
+        reads = [
+            read
+            for chunks in groups
+            if chunks.size
+            for read in latch_accumulate_block(
+                np.zeros(chunks.shape[::2], np.float32), chunks.transpose(0, 2, 1)
+            )
+        ]
         if self.lut is not None:
-            values = self.lut.apply(values)
+            reads = [self.lut.apply(read) for read in reads]
         # An infinite input's NaN or overflowed sum is the defined result.
         with np.errstate(over="ignore", invalid="ignore"):
-            output += values[: output.size]
+            for read in reads:
+                output += read[: output.size]

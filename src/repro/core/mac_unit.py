@@ -9,8 +9,8 @@ Two functional paths model the same hardware:
 * :func:`tile_compute` — the vectorized path: evaluates one whole tile
   (every bank x every sub-chunk of a DRAM row) with identical rounding
   and accumulation *order*, so it is bit-identical to the scalar path
-  (a property test pins this). The engine's batched datapath evaluates
-  many tiles at once with the same kernel.
+  (a property test pins this). The device's batched datapath runs the
+  same kernel's two halves on many tiles at once.
 """
 
 from __future__ import annotations

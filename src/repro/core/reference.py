@@ -1,13 +1,13 @@
 """A per-command reference executor for cross-checking the engine.
 
-The engine computes each GEMV from its layout, one vectorized kernel
-call per input chunk (:mod:`repro.core.datapath`). This executor walks
-the lowered Step stream, payloads included, the way the hardware would —
-GWRITE by GWRITE into the global buffer, COMP by COMP through each
-bank's :class:`~repro.core.mac_unit.BankMacUnit` (including the
-non-complex BUF_READ/COL_READ/MAC micro-sequences), READRES by latch
-read — exercising every protocol check (buffer validity, latch bounds)
-along the way. Tests pin the engine's outputs bit-identical to it.
+The device computes each GEMV from its matrix's bits in two vectorized
+phases (:mod:`repro.core.datapath`). This executor walks the lowered
+Step stream, payloads included, the way the hardware would — GWRITE by
+GWRITE into the global buffer, COMP by COMP through each bank's
+:class:`~repro.core.mac_unit.BankMacUnit` (including the non-complex
+BUF_READ/COL_READ/MAC micro-sequences), READRES by latch read —
+exercising every protocol check (buffer validity, latch bounds) along
+the way. Tests pin the engine's outputs bit-identical to it.
 
 It is deliberately slow; use it for verification, not experiments.
 """

@@ -50,11 +50,11 @@ guarantees it structurally by splitting runs at every barrier, exactly
 as it splits replay segments for the fast path.
 
 The functional side goes further: the datapath (:mod:`repro.core.datapath`)
-reads no command at all. It computes a GEMV from its layout with one
-:func:`repro.numerics.vectorized.batched_tile_compute` call per input
-chunk, covering every tile's compute runs for that chunk — so in both
-domains a command run costs a share of one kernel application, not
-``len(run)`` interpreter iterations.
+reads no command at all. It computes a GEMV from its matrix's bits with
+one :func:`repro.numerics.vectorized.batched_tree_sums` call per block
+of tiles, covering every compute run of those tiles, and one latch walk
+— so in both domains a command run costs a share of one kernel
+application, not ``len(run)`` interpreter iterations.
 """
 
 from __future__ import annotations

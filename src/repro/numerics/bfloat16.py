@@ -55,11 +55,14 @@ def bf16_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Operands are first snapped to the bfloat16 grid, multiplied exactly in
     float32 (a bf16 x bf16 product has at most 15 mantissa bits so float32
-    holds it exactly), then rounded back to bfloat16.
+    holds it exactly), then rounded back to bfloat16. An overflow to
+    infinity and a NaN from ``0 * inf`` are defined results, so their FP
+    warnings are suppressed.
     """
     qa = quantize_bf16(np.asarray(a, dtype=np.float32))
     qb = quantize_bf16(np.asarray(b, dtype=np.float32))
-    return quantize_bf16(qa * qb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return quantize_bf16(qa * qb)
 
 
 def bf16_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,8 +70,11 @@ def bf16_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The float32 sum of two bfloat16 values is exact whenever the exponent
     difference is at most 16, and correctly rounded otherwise, so rounding
-    the float32 sum to bfloat16 reproduces a fused bf16 adder.
+    the float32 sum to bfloat16 reproduces a fused bf16 adder. An
+    overflow to infinity and a NaN from ``inf - inf`` are defined
+    results, so their FP warnings are suppressed.
     """
     qa = quantize_bf16(np.asarray(a, dtype=np.float32))
     qb = quantize_bf16(np.asarray(b, dtype=np.float32))
-    return quantize_bf16(qa + qb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return quantize_bf16(qa + qb)

@@ -4,10 +4,20 @@ The functional datapath's bit-level contract is fixed by the per-COMP
 MAC unit (:class:`~repro.core.mac_unit.BankMacUnit`): round to nearest
 even at the multiplier, at every adder-tree stage, and at the result
 latch's accumulation, in exactly the order the command stream issues.
-This module provides the same arithmetic over *blocks* — a whole buffer
-group's worth of tiles evaluated as ``(tiles, banks, subchunks, lanes)``
-arrays — so the per-command (and per-tile) Python interpreter overhead
-amortizes across hundreds of COMP commands per NumPy call.
+This module provides the same arithmetic over *blocks*, so the
+per-command (and per-tile) Python interpreter overhead amortizes across
+hundreds of COMP commands per NumPy call, in two halves:
+
+* :func:`batched_tree_sums` — the multipliers and adder trees of every
+  sub-chunk of a block of rows, straight from their bf16 bits. No latch
+  is involved, so the datapath runs it on cache-sized row blocks across
+  a matrix's whole width;
+* :func:`latch_accumulate_block` — the result latches' walk over those
+  tree sums, sub-chunk by sub-chunk, every latch side by side; the
+  datapath walks a whole matrix once per GEMV.
+
+:func:`batched_tile_compute` is the two in sequence on a buffer group's
+tiles, the batched form of :func:`~repro.core.mac_unit.tile_compute`.
 
 Three facts make the batch bit-identical rather than merely close:
 
@@ -25,9 +35,10 @@ Three facts make the batch bit-identical rather than merely close:
   the global buffer quantizes on load, latches only ever hold rounded
   results or zero; and
 * a NaN computed from on-grid operands has **zero low bits**, so
-  rounding keeps it a NaN. :func:`tree_reduce_block` and
-  :func:`latch_accumulate_block` (and so :func:`batched_tile_compute`,
-  built from them) therefore round in place on ``uint32`` views and
+  rounding keeps it a NaN. :func:`batched_tree_sums`,
+  :func:`tree_reduce_block` and :func:`latch_accumulate_block` (and so
+  :func:`batched_tile_compute`, built from them) therefore round in
+  place on ``uint32`` views and
   canonicalize NaNs only on entry and exit: in between, only their
   payload and sign can differ from the per-step-canonicalizing
   reference.
@@ -46,10 +57,12 @@ dominated; its preallocated buffers make the hot loop allocation-free.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from repro.errors import ProtocolError
-from repro.numerics.bfloat16 import quantize_bf16
+from repro.numerics.bfloat16 import float_to_bf16_bits, quantize_bf16
 
 CANONICAL_NAN_F32: np.float32 = np.array([0x7FC00000], dtype=np.uint32).view(
     np.float32
@@ -171,11 +184,11 @@ def latch_accumulate_block(
     ``tree_sums`` is ``(..., subchunks)``, on the bfloat16 grid. The
     sub-chunk axis is walked sequentially in ascending order — the one
     serialization the COMP stream's accumulation order genuinely
-    imposes — over a contiguous ``(subchunks, ...)`` copy, while every
-    leading axis (tiles, banks) advances in parallel. Each step rounds
-    in place on a ``uint32`` view; NaNs are canonicalized on entry (the
-    carry's rounding) and on exit. Returns the updated latches (a new
-    array).
+    imposes — while every leading axis (tiles, banks) advances in
+    parallel. Each step adds one ``(...)`` slice, a view of
+    ``tree_sums``, and rounds in place on a ``uint32`` view; NaNs are
+    canonicalized on entry (the carry's rounding) and on exit. Returns
+    the updated latches (a new array).
     """
     # Entry rounding of the carry: the identity for the on-grid values
     # the engine's latches always hold, and exactly what the reference
@@ -184,14 +197,77 @@ def latch_accumulate_block(
     acc = quantize_bf16_into(carry, np.empty(carry.shape, dtype=np.float32))
     bits = acc.view(np.uint32)
     bias = np.empty(acc.shape, dtype=np.uint32)
-    steps = np.ascontiguousarray(
-        tree_sums.transpose(-1, *range(tree_sums.ndim - 1))
-    )
+    steps = tree_sums.transpose(-1, *range(tree_sums.ndim - 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for tree_sum in steps:
             np.add(acc, tree_sum, out=acc)
             _round_to_grid(bits, bias)
     return _canonical_nans(acc)
+
+
+def batched_tree_sums(
+    matrix_bits: np.ndarray,
+    input_vector: np.ndarray,
+    lanes: int,
+) -> np.ndarray:
+    """The multipliers and adder trees of many COMPs, as one vector op.
+
+    The first half of :func:`batched_tile_compute`: every row's lane
+    products against the shared input, rounded in place on a ``uint32``
+    view, then reduced sub-chunk by sub-chunk through the adder tree.
+    No latch is involved, so rows and sub-chunks are all independent.
+
+    Each uint32 of the rows' bits holds an even lane and the odd lane
+    after it, so one shift and one mask expand them as two float32
+    planes: the multiply and the tree's first stage (even lane plus odd
+    lane) then run on contiguous arrays, and :func:`tree_reduce_block`
+    takes the remaining stages.
+
+    Args:
+        matrix_bits: ``(..., width)`` uint16 bfloat16 bit patterns, as
+            storage holds them — the open-row data the COMPs read. Each
+            row is contiguous (a column slice of a slab is).
+        input_vector: ``(width,)`` float32 on the bfloat16 grid (the
+            global buffer's contents, shared by every row).
+        lanes: multipliers per bank (the sub-chunk width, a power of
+            two).
+
+    Returns:
+        Each sub-chunk's tree sum, ``(..., width // lanes)``, NaNs
+        canonical.
+    """
+    width = matrix_bits.shape[-1]
+    if input_vector.shape != (width,):
+        raise ProtocolError(
+            f"input of {input_vector.shape[0]} elements, matrix rows "
+            f"have {width}"
+        )
+    if lanes <= 0 or width % lanes != 0:
+        raise ProtocolError("row width must be a whole number of sub-chunks")
+    _check_tree_width(lanes)
+    bits = matrix_bits.reshape(-1, width)
+    if lanes == 1:
+        planes = np.left_shift(bits, 16, dtype=np.uint32)[None]
+        vector = input_vector[None, None, :]
+    else:
+        pairs = bits.view(np.uint32)
+        planes = np.empty((2,) + pairs.shape, dtype=np.uint32)
+        # The first lane of a pair is the uint32's low half on a
+        # little-endian host.
+        first = 0 if sys.byteorder == "little" else 1
+        np.left_shift(pairs, 16, out=planes[first])
+        np.bitwise_and(pairs, 0xFFFF0000, out=planes[1 - first])
+        vector = np.ascontiguousarray(input_vector.reshape(-1, 2).T)[:, None, :]
+    products = planes.view(np.float32)
+    bias = np.empty(products.size, dtype=np.uint32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(products, vector, out=products)
+        _round_to_grid(products.reshape(-1).view(np.uint32), bias)
+        level = products[0] if lanes == 1 else np.add(products[0], products[1])
+    if lanes > 1:
+        _round_to_grid(level.reshape(-1).view(np.uint32), bias[: level.size])
+    sums = tree_reduce_block(level.reshape(-1, max(lanes // 2, 1)), bias_scratch=bias)
+    return sums.reshape(matrix_bits.shape[:-1] + (width // lanes,))
 
 
 def batched_tile_compute(
@@ -203,10 +279,8 @@ def batched_tile_compute(
     """Evaluate a whole buffer group's COMP bursts as one vector op.
 
     The batched form of :func:`~repro.core.mac_unit.tile_compute`: every
-    tile that reads the same global-buffer chunk is evaluated together.
-    The products are rounded in place on a ``uint32`` view, then reduced
-    by :func:`tree_reduce_block` and accumulated by
-    :func:`latch_accumulate_block`.
+    tile that reads the same global-buffer chunk is evaluated together,
+    :func:`batched_tree_sums` then :func:`latch_accumulate_block`.
 
     Args:
         matrix_tiles: ``(tiles, banks, chunk_elems)`` float32 on the
@@ -229,27 +303,12 @@ def batched_tile_compute(
             f"matrix tiles must be (tiles, banks, chunk_elems), got shape "
             f"{matrix_tiles.shape}"
         )
-    tiles, banks, chunk_elems = matrix_tiles.shape
-    if input_chunk.shape != (chunk_elems,):
+    if carry.shape != matrix_tiles.shape[:2]:
         raise ProtocolError(
-            f"input chunk of {input_chunk.shape[0]} elements, matrix "
-            f"tiles have {chunk_elems}"
+            f"carry of shape {carry.shape}, expected {matrix_tiles.shape[:2]}"
         )
-    if carry.shape != (tiles, banks):
-        raise ProtocolError(
-            f"carry of shape {carry.shape}, expected ({tiles}, {banks})"
-        )
-    if lanes <= 0 or chunk_elems % lanes != 0:
-        raise ProtocolError("chunk width must be a whole number of sub-chunks")
-    with np.errstate(over="ignore", invalid="ignore"):
-        products = np.multiply(matrix_tiles, input_chunk, dtype=np.float32)
-    bias = np.empty(products.size, dtype=np.uint32)
-    _round_to_grid(products.reshape(-1).view(np.uint32), bias)
-    tree_sums = tree_reduce_block(
-        products.reshape(tiles, banks, chunk_elems // lanes, lanes),
-        bias_scratch=bias,
-    )
-    return latch_accumulate_block(carry, tree_sums)
+    sums = batched_tree_sums(float_to_bf16_bits(matrix_tiles), input_chunk, lanes)
+    return latch_accumulate_block(carry, sums)
 
 
 class LaneScratch:

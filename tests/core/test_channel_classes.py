@@ -22,16 +22,14 @@ import pytest
 from repro.backends.base import Backend, BackendRun
 from repro.backends.newton import NewtonBackend
 from repro.cluster import ShardedCluster
-from repro.core import datapath as datapath_module
 from repro.core import engine as engine_module
-from repro.core.datapath import TILE_BLOCK
+from repro.core.datapath import BLOCK_ELEMS, BatchedDatapath
 from repro.core.device import NewtonDevice
 from repro.core.layout import partition_rows
 from repro.core.optimizations import FULL, NON_OPT
 from repro.dram.config import DRAMConfig
 from repro.errors import LayoutError, ProtocolError
 from repro.experiments.common import eval_config, eval_timing
-from repro.numerics.vectorized import batched_tile_compute
 from repro.telemetry import SCHEMA
 from repro.workloads.catalog import TABLE_II_LAYERS
 from repro.workloads.models import (
@@ -389,20 +387,29 @@ class TestClasses:
 
 class TestWorkDrops:
     def test_kernel_calls_per_chunk(self, monkeypatch):
-        """A 1,024 x 1,024 GEMV on the 24-channel eval config: 64 tiles
-        of rows, two chunks, one kernel call per chunk and tile block."""
-        calls = []
+        """A 1,024 x 1,024 GEMV on the 24-channel eval config: the device
+        computes every channel's rows in one datapath, so the kernel runs
+        one ``step`` per block of whole tiles across the whole width, and
+        the latch walk one ``finish`` for the GEMV."""
+        steps, finishes = [], []
+        step, finish = BatchedDatapath.step, BatchedDatapath.finish
 
-        def counting(tiles, *args):
-            calls.append(tiles.shape[0])
-            return batched_tile_compute(tiles, *args)
+        def counting_step(self, bits, *args):
+            steps.append(bits.shape)
+            step(self, bits, *args)
 
-        monkeypatch.setattr(datapath_module, "batched_tile_compute", counting)
+        def counting_finish(self, *args):
+            finishes.append(1)
+            finish(self, *args)
+
+        monkeypatch.setattr(BatchedDatapath, "step", counting_step)
+        monkeypatch.setattr(BatchedDatapath, "finish", counting_finish)
         device = NewtonDevice(eval_config(), TIMING)
         matrix = np.ones((1024, 1024), dtype=np.float32)
         device.gemv(device.load_matrix(matrix), np.ones(1024, dtype=np.float32))
-        blocks = -(-64 // TILE_BLOCK)
-        assert len(calls) == 2 * blocks == 2
+        rows = BLOCK_ELEMS // (16 * 1024) * 16
+        assert steps == [(rows, 1024)] * -(-1024 // rows)
+        assert finishes == [1]
 
     def test_one_lowering_per_layout(self, monkeypatch):
         """Every model layer on 24 channels lowers once, not per channel."""

@@ -1,7 +1,8 @@
 """Differential validation of the batched functional datapath.
 
-The engine's datapath computes each GEMV from its layout, one vector
-kernel call per input chunk. The contract is that its outputs are
+The device's datapath computes each GEMV from the matrix's slab in two
+phases: the multipliers and adder trees in blocks of whole tiles, then
+one walk of the result latches. The contract is that its outputs are
 bit-identical (compared as ``uint32``, so NaN payloads and the sign of
 zero count) to the per-command
 :class:`~repro.core.reference.ReferenceExecutor`, which walks the
@@ -15,8 +16,8 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core import datapath as datapath_module
 from repro.core.datapath import (
+    BLOCK_ELEMS,
     BatchedDatapath,
     FunctionalDatapath,
     default_datapath,
@@ -27,7 +28,6 @@ from repro.core.optimizations import FULL
 from repro.core.reference import ReferenceExecutor
 from repro.dram.config import DRAMConfig
 from repro.numerics.lut import ActivationLUT
-from repro.numerics.vectorized import batched_tile_compute
 from repro.workloads.generator import generate_layer_data
 
 CFG = DRAMConfig(num_channels=2, banks_per_channel=16, rows_per_bank=256)
@@ -56,6 +56,14 @@ FAMILY_SUBSETS = [
     # The tile-major family walks only the interleaved layout.
     if family != "output_stationary" or bits[FLAGS.index("interleaved_reuse")]
 ]
+
+
+RAGGED_SHAPES = [(70, 300), (40, 700), (20, 9000), (200, 700)]
+"""Shapes that pad both dimensions. 20 x 9,000 is wider than a block's
+element budget allows a tile (:data:`BLOCK_ELEMS`), so each block is one
+tile and the rows end in the second; 200 x 700 is a block of 11 tiles
+and one of 2, the rows ending in the second; every shape has a ragged
+last chunk."""
 
 
 def reference_output(device, handle, matrix, vector):
@@ -133,9 +141,12 @@ class TestTierDifferential:
         check_against_reference(opt, 140, 700)
 
     def test_lut_path(self):
-        """The whole-row read applies the LUT to the reference's sums."""
+        """The whole-row read applies the LUT to the reference's sums,
+        also over more than one block (20 x 9,000 is two of one tile)."""
+        assert 16 * 9000 > BLOCK_ELEMS
         opt = FULL.evolve(interleaved_reuse=False)
-        check_against_reference(opt, 48, 512, lut_activation="sigmoid")
+        for m, n in [(48, 512), (20, 9000)]:
+            check_against_reference(opt, m, n, lut_activation="sigmoid")
 
     def test_batch_runs(self):
         """Back-to-back inputs reuse the resident matrix; each run starts
@@ -151,10 +162,13 @@ class TestTierDifferential:
         check_against_reference(opt, 70, 300, store=True)
 
     def test_ragged_shape(self):
-        """A shape that pads both dimensions (partial final chunk/tile)."""
-        check_against_reference(FULL, 70, 300)
+        """Shapes that pad both dimensions (partial final chunk/tile),
+        across block boundaries (:data:`RAGGED_SHAPES`)."""
+        assert 16 * 9000 > BLOCK_ELEMS
+        for m, n in RAGGED_SHAPES:
+            check_against_reference(FULL, m, n)
 
-    @pytest.mark.parametrize("m, n", [(70, 300), (40, 700)])
+    @pytest.mark.parametrize("m, n", RAGGED_SHAPES)
     @pytest.mark.parametrize("family, lut", RIVAL_FAMILIES)
     def test_ragged_shape_per_family(self, family, lut, m, n):
         """The rival families' walks on shapes that pad both dimensions:
@@ -164,12 +178,14 @@ class TestTierDifferential:
         check_against_reference(FULL, m, n, lut_activation=lut, config=config)
 
     def test_special_values_in_matrix(self):
-        """NaN/inf/subnormal matrix entries flow through identically.
+        """NaN/inf/subnormal/-0 matrix entries flow through identically.
 
         Row 4 puts +inf and -inf in one sub-chunk against positive
         inputs, so the adder tree makes a NaN from float32 arithmetic;
         row 5 puts them in two sub-chunks, so the latch makes it. Both
-        outputs must still carry the canonical ``0x7FC00000``."""
+        outputs must still carry the canonical ``0x7FC00000``. The
+        second matrix puts the same cases, and a row of -0, in the
+        sub-chunks of a ragged last chunk, after a full one."""
         data = generate_layer_data(32, 256, seed=7)
         matrix = data.matrix.copy()
         vector = data.vector.copy()
@@ -183,11 +199,34 @@ class TestTierDifferential:
         matrix[5, 48] = -np.inf
         vector[16:18] = 1.0
         vector[[32, 48]] = 1.0
+        self.check_special_values(matrix, vector, [4, 5])
+
+        data = generate_layer_data(32, 700, seed=8)
+        matrix = data.matrix.copy()
+        vector = data.vector.copy()
+        matrix[0, 520] = np.nan
+        matrix[1, 530] = np.inf
+        matrix[2, 545] = -np.inf
+        matrix[3, 560] = np.float32(1e-42)
+        matrix[4, 592] = np.inf
+        matrix[4, 593] = -np.inf
+        matrix[5, 640] = np.inf
+        matrix[5, 656] = -np.inf
+        matrix[6, 699] = np.nan  # the last column, in a padded sub-chunk
+        matrix[7] = -0.0
+        matrix[8, 512:] = -0.0
+        vector[512:] = 1.0
+        self.check_special_values(matrix, vector, [0, 4, 5, 6])
+
+    @staticmethod
+    def check_special_values(matrix, vector, nan_rows):
         device = NewtonDevice(CFG, opt=FULL, functional=True)
         handle = device.load_matrix(matrix)
         run = device.gemv(handle, vector)
         assert np.isnan(run.output[:3]).any()
-        assert list(run.output.view(np.uint32)[4:6]) == [0x7FC00000] * 2
+        assert list(run.output.view(np.uint32)[nan_rows]) == [0x7FC00000] * len(
+            nan_rows
+        )
         assert_bits_equal(
             reference_output(device, handle, matrix, vector), run.output
         )
@@ -205,26 +244,35 @@ class TestKernelCalls:
         ids=["interleaved", "no-reuse", "four-latch", "tile-major"],
     )
     def test_one_kernel_call_per_chunk(self, monkeypatch, family, opt):
-        """70x1100 on one channel is 3 chunks of 5 tiles (or slots):
-        every walk makes one kernel call per chunk, over all 5, and a
-        timing-only engine makes none."""
-        calls = []
+        """70x1100 on one channel is 5 tiles (or slots) of rows and 3
+        chunks, 69 sub-chunks wide: every walk runs the kernel once
+        (``step``) over all 80 padded rows and the whole width, and walks
+        the latches once (``finish``); a timing-only device does
+        neither. (The name is older than the row blocks.)"""
+        steps, finishes = [], []
+        step, finish = BatchedDatapath.step, BatchedDatapath.finish
 
-        def counting(tiles, *args):
-            calls.append(tiles.shape[0])
-            return batched_tile_compute(tiles, *args)
+        def counting_step(self, bits, *args):
+            steps.append(bits.shape)
+            step(self, bits, *args)
 
-        monkeypatch.setattr(datapath_module, "batched_tile_compute", counting)
+        def counting_finish(self, sums, *args):
+            finishes.append(sums.shape)
+            finish(self, sums, *args)
+
+        monkeypatch.setattr(BatchedDatapath, "step", counting_step)
+        monkeypatch.setattr(BatchedDatapath, "finish", counting_finish)
         config = DRAMConfig(
             num_channels=1, banks_per_channel=16, rows_per_bank=256
         ).with_overrides(command_family=family)
         data = generate_layer_data(70, 1100, seed=3)
         device = NewtonDevice(config, opt=opt, functional=True)
         device.gemv(device.load_matrix(data.matrix), data.vector)
-        assert calls == [5, 5, 5]
+        assert steps == [(80, 1104)]
+        assert finishes == [(69, 80)]
         timing_only = NewtonDevice(config, opt=opt, functional=False)
         timing_only.gemv(timing_only.load_matrix(m=70, n=1100))
-        assert calls == [5, 5, 5]
+        assert len(steps) == len(finishes) == 1
 
 
 class TestTierSelection:

@@ -34,6 +34,7 @@ from repro.numerics.vectorized import (
     CANONICAL_NAN_F32,
     LaneScratch,
     batched_tile_compute,
+    batched_tree_sums,
     grid_add,
     latch_accumulate_block,
     quantize_bf16_into,
@@ -146,12 +147,16 @@ class TestTreeReduceBlock:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(bf16_patterns, min_size=16, max_size=16))
     def test_single_slice_matches_adder_tree(self, patterns):
+        """Also through :func:`batched_tree_sums`: against a unit input
+        every product is its matrix operand, so it reduces the same
+        lanes (from their bits)."""
         products = _on_grid(patterns)
+        reference = np.array([adder_tree_reduce(products)], dtype=np.float32)
         block = tree_reduce_block(products[None, :])
-        assert _bits_equal(
-            np.array([block[0]], dtype=np.float32),
-            np.array([adder_tree_reduce(products)], dtype=np.float32),
-        )
+        assert _bits_equal(np.array([block[0]], dtype=np.float32), reference)
+        bits = np.array(patterns, dtype=np.uint16)[None, :]
+        sums = batched_tree_sums(bits, np.ones(16, dtype=np.float32), 16)
+        assert _bits_equal(sums[0], reference)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -197,14 +202,19 @@ class TestLatchAccumulateBlock:
         st.lists(bf16_patterns, min_size=1, max_size=8),
     )
     def test_matches_sequential_bf16_add(self, carry_pattern, sum_patterns):
+        """Also with the sums stored sub-chunk-major, as the datapath
+        keeps them, and walked through a transposed view."""
         carry = _on_grid([carry_pattern])
         sums = _on_grid(sum_patterns)
         batched = latch_accumulate_block(carry, sums[None, :])
+        stored = np.ascontiguousarray(sums[:, None])
+        viewed = latch_accumulate_block(carry, stored.T)
         acc = carry.copy()
         for s in range(sums.shape[0]):
             acc = bf16_add(acc, sums[s : s + 1])
         # Raw float32 patterns: every NaN must be the canonical one.
         assert _bits_equal(np.array([batched[0]], dtype=np.float32), acc)
+        assert _bits_equal(viewed, acc)
 
     def test_nan_from_opposite_infinities_is_canonical(self):
         """A +inf latch meeting a -inf tree sum makes a float32 NaN of
@@ -245,13 +255,31 @@ class TestBatchedTileCompute:
                 )
         return latches
 
-    @settings(max_examples=60, deadline=None)
+    def _scalar_sums(self, matrix, chunk, lanes):
+        """Each bank's sub-chunk tree sums: bf16_mul per lane, the tree
+        per sub-chunk, no latch."""
+        banks, chunk_elems = matrix.shape
+        sums = np.empty((banks, chunk_elems // lanes), dtype=np.float32)
+        for bank in range(banks):
+            for s in range(chunk_elems // lanes):
+                lo = s * lanes
+                prods = bf16_mul(
+                    matrix[bank, lo : lo + lanes], chunk[lo : lo + lanes]
+                )
+                sums[bank, s] = adder_tree_reduce(prods)
+        return sums
+
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_bit_identical_to_scalar_reference(self, data):
+        """The kernel, its tree-sum half from the storage bits, and the
+        two halves chained, on trees of every width the presets use
+        (16 lanes for HBM2E, 8 for LPDDR4, 4 for DDR4) and of 2 and 1:
+        about 60 examples each."""
         tiles = data.draw(st.integers(min_value=1, max_value=4))
         banks = data.draw(st.integers(min_value=1, max_value=4))
         subchunks = data.draw(st.integers(min_value=1, max_value=3))
-        lanes = 16
+        lanes = data.draw(st.sampled_from([16, 8, 4, 2, 1]))
         chunk_elems = subchunks * lanes
         patterns = data.draw(
             st.lists(
@@ -271,12 +299,17 @@ class TestBatchedTileCompute:
         carry = _on_grid(carry_pat).reshape(tiles, banks)
 
         batched = batched_tile_compute(matrix, chunk, carry.copy(), lanes)
+        bits = np.array(patterns, dtype=np.uint16).reshape(matrix.shape)
+        sums = batched_tree_sums(bits, chunk, lanes)
+        walked = latch_accumulate_block(carry, sums)
         for t in range(tiles):
             reference = self._scalar_tile(
                 matrix[t], chunk, carry[t].copy(), lanes
             )
             # Raw float32 patterns: every NaN must be the canonical one.
             assert _bits_equal(batched[t], reference)
+            assert _bits_equal(walked[t], reference)
+            assert _bits_equal(sums[t], self._scalar_sums(matrix[t], chunk, lanes))
 
     def test_special_values_flow_through(self):
         """NaN/inf in the matrix propagate identically batched vs scalar.
@@ -327,6 +360,15 @@ class TestBatchedTileCompute:
             batched_tile_compute(good, chunk, carry[:1], lanes)
         with pytest.raises(ProtocolError):
             batched_tile_compute(good, chunk, carry, 5)
+        # The tree-sum half checks its shapes the same way.
+        bits = np.zeros((2, 2 * lanes), dtype=np.uint16)
+        vector = np.zeros(2 * lanes, dtype=np.float32)
+        with pytest.raises(ProtocolError):
+            batched_tree_sums(bits, vector[:lanes], lanes)
+        with pytest.raises(ProtocolError):
+            batched_tree_sums(bits, vector, 5)
+        with pytest.raises(ProtocolError):
+            batched_tree_sums(bits, vector, 3 * lanes)
 
 
 class TestLaneScratch:
