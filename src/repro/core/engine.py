@@ -37,12 +37,13 @@ cycle of exactness (see :mod:`repro.core.schedule_cache`,
   bus/bank/FAW phase) — the steady-state tier. Replay walks the
   segments on a local clock: a hit is one lookup and one addition, the
   delta's end-signature id keys the next lookup, a refresh barrier that
-  cannot fire is one comparison, and the controller is written back
-  only before a refresh that fires, before a miss and at the end of the
-  run. Once a repeat of a run of identical tiles ends in the signature
-  it started from, the walk takes the repeats up to the next refresh
-  in one step. A walk that hits on every segment records the run
-  whole;
+  cannot fire is one comparison, one that fires at a signature,
+  refresh phase and window already seen replays its record like a hit,
+  and the controller is written back only before a miss, before a
+  refresh met for the first time and at the end of the run. Once a
+  repeat of a run of identical tiles ends in the signature it started
+  from, the walk takes the repeats up to the next refresh in one step.
+  A walk that hits on every segment records the run whole;
 * on a replay miss (the *cold* path), command runs go through the
   **burst kernel** — the first period solved by the constraint solver,
   the rest in closed form;
@@ -51,10 +52,12 @@ cycle of exactness (see :mod:`repro.core.schedule_cache`,
 
 Lowering (:func:`~repro.core.schedule_cache.segment_stream`) costs
 O(chunks × latches), runs of repeated tiles lowering once each, and
-happens once per resident layout and engine. Every refresh
-that fires is executed exactly in every tier but the whole-run record,
-which replays only at the exact refresh phase it was recorded at.
-Tracing or mixed background traffic forces the per-command reference.
+happens once per resident layout and engine. A refresh that fires is
+executed exactly the first time the walk meets its signature, refresh
+phase and window; after that a refresh record replays it, as a
+whole-run record replays the refreshes of a run recorded at the same
+phase. Tracing or mixed background traffic forces the per-command
+reference.
 Nothing is deferred between calls: whichever tier serves them, the
 controller is fully written back when :meth:`NewtonChannelEngine.run_gemv`
 or :meth:`NewtonChannelEngine.run_gemvs` returns.
@@ -81,6 +84,7 @@ from repro.core.result import (
     stats_snapshot,
 )
 from repro.core.schedule_cache import (
+    RefreshRecord,
     RunRecord,
     ScheduleCache,
     SegmentedStream,
@@ -438,12 +442,18 @@ class NewtonChannelEngine:
         addition: the delta's recorded end signature keys the next
         lookup, and the replayed deltas accumulate in ``replays`` until
         one :func:`fastpath.apply_delta` writes them back — before a
-        refresh that fires, before a miss, and at the end of the run. A
-        barrier that cannot fire is one comparison against the cycle
-        :meth:`RefreshScheduler.last_safe_start` gives; one that fires
-        runs :meth:`ChannelController.refresh_barrier` exactly. A miss
-        runs the cold path and records its delta. A walk that hit on
-        every segment is then recorded whole.
+        miss and at the end of the run. A barrier that cannot fire is
+        one comparison against the cycle
+        :meth:`RefreshScheduler.last_safe_start` gives. One that fires
+        is served like a hit from its
+        :class:`~repro.core.schedule_cache.RefreshRecord`, keyed by the
+        signature, the refresh phase and the barrier window: the delta
+        joins ``replays`` and the refresh scheduler advances at once.
+        Without a record the walk writes back, runs
+        :meth:`ChannelController.refresh_barrier` exactly and records
+        it (unless a bank holds an open row). A miss runs the cold path
+        and records its delta. A walk that hit on every segment is then
+        recorded whole.
 
         A :class:`~repro.core.schedule_cache.SegmentRun` repeats one
         period of segment keys, so a repeat that hit on every segment,
@@ -487,10 +497,34 @@ class NewtonChannelEngine:
                         last_barrier = now
                         if now > limit:
                             steady = False
-                            write_back()
-                            now = controller.refresh_barrier(window)
+                            key = signature is not None and (
+                                signature, refresh.phase(now), window
+                            )
+                            record = key and cache.lookup_refresh(key)
+                            if record:
+                                replays.append((record.delta, 1))
+                                refresh.replay(record.refresh, now)
+                                now += record.delta.dt_now
+                                signature = record.delta.end_signature
+                            else:
+                                write_back()
+                                counters_before = fastpath.counters(controller)
+                                issued = refresh.refreshes_issued
+                                stalled = refresh.stall_cycles
+                                now = controller.refresh_barrier(window)
+                                signature = self._signature_id()
+                                if key:
+                                    record = RefreshRecord(
+                                        fastpath.capture_delta(
+                                            controller, last_barrier,
+                                            counters_before, None, signature,
+                                        ),
+                                        refresh.advance_since(
+                                            last_barrier, issued, stalled
+                                        ),
+                                    )
+                                    cache.store_refresh(key, record)
                             limit = refresh.last_safe_start(window)
-                            signature = self._signature_id()
                     if signature is not None:
                         delta = lookup(segment.key_id, signature)
                         if delta is not None:

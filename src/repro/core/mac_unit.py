@@ -15,20 +15,12 @@ Two functional paths model the same hardware:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.dram.config import DRAMConfig
 from repro.errors import ConfigurationError, ProtocolError
 from repro.numerics.adder_tree import AdderTree
-from repro.numerics.bfloat16 import quantize_bf16
-from repro.numerics.vectorized import (
-    LaneScratch,
-    batched_tile_compute,
-    grid_add,
-    tree_reduce_block,
-)
+from repro.numerics.vectorized import LaneScratch, batched_tile_compute
 
 
 class BankMacUnit:
@@ -100,7 +92,6 @@ def tile_compute(
     input_chunk_f32: np.ndarray,
     latches: np.ndarray,
     lanes: int,
-    subchunk_order: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Vectorized evaluation of one tile's COMP sequence.
 
@@ -113,14 +104,11 @@ def tile_compute(
             (a new array), accumulated in ascending sub-chunk order
             exactly like the per-command path.
         lanes: multipliers per bank (sub-chunk width).
-        subchunk_order: optional explicit ordering of sub-chunk indices
-            (defaults to ascending, which is what the command stream
-            issues).
 
     Returns:
         The updated (banks,) latch array.
     """
-    banks, chunk_elems = matrix_rows_f32.shape
+    _, chunk_elems = matrix_rows_f32.shape
     if input_chunk_f32.shape != (chunk_elems,):
         raise ProtocolError(
             f"input chunk of {input_chunk_f32.shape[0]} elements, matrix "
@@ -128,25 +116,10 @@ def tile_compute(
         )
     if chunk_elems % lanes != 0:
         raise ProtocolError("chunk width must be a whole number of sub-chunks")
-    subchunks = chunk_elems // lanes
-    carry = np.asarray(latches, dtype=np.float32)
-
-    if subchunk_order is None:
-        # The common (command-stream) order: delegate to the batched
-        # kernel as a 1-tile block.
-        return batched_tile_compute(
-            np.asarray(matrix_rows_f32, dtype=np.float32)[None, :, :],
-            np.asarray(input_chunk_f32, dtype=np.float32),
-            carry[None, :],
-            lanes,
-        )[0]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        products = quantize_bf16(matrix_rows_f32 * input_chunk_f32[None, :])
-    tree_sums = tree_reduce_block(
-        products.reshape(banks, subchunks, lanes)
-    )  # (banks, subchunks)
-    acc = quantize_bf16(carry)
-    for s in np.asarray(subchunk_order, dtype=np.int64):
-        acc = grid_add(acc, tree_sums[:, s])
-    return acc
+    # A 1-tile block of the batched kernel.
+    return batched_tile_compute(
+        np.asarray(matrix_rows_f32, dtype=np.float32)[None, :, :],
+        np.asarray(input_chunk_f32, dtype=np.float32),
+        np.asarray(latches, dtype=np.float32)[None, :],
+        lanes,
+    )[0]

@@ -29,10 +29,17 @@ offsets, bus/FAW/tCCD offsets, adder-tree anchor relative to the
 segment's first issue opportunity) the recording started from, so the
 recorded schedule is the true schedule shifted rigidly in time. Each
 delta carries the id of the signature it ends in, so a run of hits
-chains lookup to lookup without recomputing a signature. Refresh breaks
-phase — the engine executes every barrier that fires exactly, and a
-post-refresh state simply forms its own signature (which itself recurs
-periodically and becomes cacheable).
+chains lookup to lookup without recomputing a signature.
+
+A refresh barrier that fires breaks that phase, but what it does
+depends only on the signature it meets, the refresh scheduler's phase
+(:meth:`~repro.dram.refresh.RefreshScheduler.phase`) and the barrier's
+window. The engine runs a firing barrier exactly the first time it
+meets that triple and keeps its effect as a :class:`RefreshRecord` (the
+controller delta and the scheduler's advance) keyed by ``(signature
+id, phase, window)``; a walk that meets the triple again replays the
+record like a hit. The post-refresh state forms its own signature,
+which recurs with the refresh period.
 
 A whole GEMV is the next replay unit up. When every segment of a run
 hits, the engine records the run as one :class:`RunRecord`: the
@@ -66,8 +73,8 @@ from repro.dram.refresh import RefreshAdvance
 from repro.errors import ProtocolError
 
 MAX_DELTA_ENTRIES = 8192
-"""Replay-cache size backstop (deltas, interned signatures and run
-records, each); real workloads use a handful of entries."""
+"""Replay-cache size backstop (deltas, interned signatures, run records
+and refresh records, each); real workloads use a handful of entries."""
 
 
 @dataclass
@@ -162,6 +169,18 @@ class RunRecord:
     """The run's stats delta (callers get a copy)."""
 
 
+@dataclass(frozen=True, eq=False)
+class RefreshRecord:
+    """A firing refresh barrier's replayable effect, relative to the
+    barrier's cycle."""
+
+    delta: ControllerDelta
+    """The barrier's effect on the controller: the stall, the refreshed
+    banks, the buses and the refresh counters."""
+    refresh: RefreshAdvance
+    """The refresh scheduler's advance."""
+
+
 @dataclass
 class SegmentedStream:
     """One layout's full command stream, lowered and segmented once."""
@@ -197,7 +216,7 @@ class SegmentedStream:
 
 class ScheduleCache:
     """Interns fragment, segment, stream and signature keys; stores
-    recorded segment deltas and whole-run records.
+    recorded segment deltas, whole-run records and refresh records.
 
     Every id space is content-derived (never object ids), so one cache
     can be shared across engines with identical architecture — the
@@ -211,6 +230,7 @@ class ScheduleCache:
         self._next_signature_id = 0
         self._deltas: Dict[Tuple[int, int], ControllerDelta] = {}
         self._runs: Dict[Tuple[int, int, Optional[int]], RunRecord] = {}
+        self._refreshes: Dict[Tuple[int, int, int], RefreshRecord] = {}
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -218,6 +238,8 @@ class ScheduleCache:
         """Commands served by replay, whole runs included."""
         self.whole_runs = 0
         """Runs replayed whole from a :class:`RunRecord`."""
+        self.refresh_replays = 0
+        """Firing refresh barriers served by a :class:`RefreshRecord`."""
 
     def intern_fragment(self, key: tuple) -> int:
         """Map a fragment's content key to a small stable id."""
@@ -305,6 +327,24 @@ class ScheduleCache:
         """Whole-run records held."""
         return len(self._runs)
 
+    def lookup_refresh(self, key: Tuple[int, int, int]) -> Optional[RefreshRecord]:
+        """The record of a firing barrier keyed by ``(signature id, refresh
+        phase, barrier window)``, if any; a hit counts a refresh replay."""
+        record = self._refreshes.get(key)
+        if record is not None:
+            self.refresh_replays += 1
+        return record
+
+    def store_refresh(self, key: Tuple[int, int, int], record: RefreshRecord) -> None:
+        if len(self._refreshes) >= self.max_entries:
+            self._clear()
+        self._refreshes[key] = record
+
+    @property
+    def refresh_records(self) -> int:
+        """Refresh records held."""
+        return len(self._refreshes)
+
     def _clear(self) -> None:
         # Pathological (non-periodic) streams only; a full reset is
         # cheaper and simpler than eviction bookkeeping. Records go with
@@ -313,6 +353,7 @@ class ScheduleCache:
         self._deltas.clear()
         self._signature_ids.clear()
         self._runs.clear()
+        self._refreshes.clear()
 
     def __len__(self) -> int:
         return len(self._deltas)

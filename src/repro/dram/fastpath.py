@@ -32,18 +32,21 @@ next lookup, computing no signature and touching no controller state.
 Every delta overwrites the whole timing state relative to its base, so
 a chain's end state is its last delta's, and the counters it advanced
 are additive; one :func:`apply_delta` per chain is therefore exactly
-the per-segment replay. The walk writes back before a refresh that
-fires, before a miss, and at the end of the run.
+the per-segment replay. The walk writes back before a miss, before a
+refresh it meets for the first time, and at the end of the run.
 
-A whole GEMV is one delta too: :func:`capture_delta` taken from the
-run's start records its composite effect, refreshes included, and a
-batch's whole runs chain the same way, so one :func:`apply_delta`
-writes back a steady batch, each repeated record's counters folded
-once. Refresh is otherwise **not replayed**: the refresh scheduler works
-on absolute deadlines, so a segment delta never contains one, and every
-refresh that fires outside a record runs exactly. A whole-run delta
-contains refreshes only because its record is keyed by the exact
-refresh phase it was recorded at (see :mod:`repro.core.schedule_cache`).
+A firing refresh barrier is one delta too: :func:`capture_delta` taken
+around :meth:`~repro.dram.controller.ChannelController.refresh_barrier`
+records the stall, the refreshed banks, the buses and the refresh
+counters, and it chains like a segment's. So is a whole GEMV:
+:func:`capture_delta` taken from the run's start records its composite
+effect, refreshes included, and a batch's whole runs chain the same
+way, so one :func:`apply_delta` writes back a steady batch, each
+repeated record's counters folded once. A segment delta never contains
+a refresh: the refresh scheduler works on an absolute deadline, so a
+delta holding one replays only at the exact refresh phase it was
+recorded at, which its record's key names (see
+:mod:`repro.core.schedule_cache`).
 
 Sentinel time fields (``NEG_INF`` markers for "never happened") are
 preserved as ``None`` offsets so a replayed controller is bit-identical

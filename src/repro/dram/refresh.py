@@ -9,12 +9,13 @@ row-operation granularity; :meth:`RefreshScheduler.stall_for_refresh`
 applies it, and the engine's replay walk compares its local clock
 against it so that a barrier that cannot fire costs one comparison.
 
-The scheduler reads one absolute time, ``next_due``, so what a run does
-to it depends on the run's start state and on :meth:`RefreshScheduler.phase`
-alone. :meth:`RefreshScheduler.advance_since` records that effect
-relative to the run's start, and :meth:`RefreshScheduler.replay` applies
-it at any later start of the same phase: the engine's whole-run replay
-(see :mod:`repro.core.schedule_cache`).
+The scheduler reads one absolute time, ``next_due``, so what a run (or
+one firing barrier) does to it depends on the start state and on
+:meth:`RefreshScheduler.phase` alone. :meth:`RefreshScheduler.advance_since`
+records that effect relative to the start, and
+:meth:`RefreshScheduler.replay` applies it at any later start of the
+same phase: the engine's whole-run and refresh records (see
+:mod:`repro.core.schedule_cache`).
 """
 
 from __future__ import annotations

@@ -90,6 +90,9 @@ def engine_metrics(engine, *, end: Optional[int] = None) -> dict:
         # Runs served whole from one record, and the records held.
         "whole_runs": cache.whole_runs,
         "run_records": cache.run_records,
+        # Firing refresh barriers served by a record, and the records held.
+        "refresh_replays": cache.refresh_replays,
+        "refresh_records": cache.refresh_records,
     }
     record["fast_path"] = engine.fast
     record["burst"] = {

@@ -21,7 +21,12 @@ from hypothesis import strategies as st
 from repro.core.command_gen import BlockStep, CommandStreamGenerator
 from repro.core.device import NewtonDevice
 from repro.core.engine import NewtonChannelEngine
-from repro.core.optimizations import FULL, OptimizationConfig, figure9_ladder
+from repro.core.optimizations import (
+    FULL,
+    NON_OPT,
+    OptimizationConfig,
+    figure9_ladder,
+)
 from repro.core.schedule_cache import ScheduleCache
 from repro.dram import commands as cmds
 from repro.dram import fastpath
@@ -119,7 +124,12 @@ def controller_fingerprint(controller):
         stats.open_bank_cycles,
         stats.refreshes,
         stats.refresh_stall_cycles,
-        (controller.refresh.refreshes_issued, controller.refresh.next_due),
+        (
+            controller.refresh.refreshes_issued,
+            controller.refresh.stall_cycles,
+            controller.refresh.next_due,
+            tuple(controller.refresh.log),
+        ),
     )
 
 
@@ -229,6 +239,43 @@ class WalkLog:
             else:
                 chain = 0
         return longest
+
+
+class RefreshLog:
+    """Which refresh records a cache stores and which it replays.
+
+    ``lookups`` holds ``(key, record or None, engine tag)`` per firing
+    barrier looked up, ``stored`` maps each record to its key and the
+    tag of the run that stored it; set ``engine`` before a run to tag
+    it."""
+
+    def __init__(self, cache, monkeypatch):
+        self.lookups = []
+        self.stored = {}
+        self.engine = None
+        lookup, store = cache.lookup_refresh, cache.store_refresh
+
+        def logged(key):
+            record = lookup(key)
+            self.lookups.append((key, record, self.engine))
+            return record
+
+        def stored(key, record):
+            self.stored[record] = (key, self.engine)
+            store(key, record)
+
+        monkeypatch.setattr(cache, "lookup_refresh", logged)
+        monkeypatch.setattr(cache, "store_refresh", stored)
+
+    @property
+    def served(self):
+        """``(record, stored by, served to)`` per barrier replayed (stored
+        by ``None``: a record the cache held before the log began)."""
+        return [
+            (record, self.stored.get(record, (None, None))[1], engine)
+            for _, record, engine in self.lookups
+            if record is not None
+        ]
 
 
 LONG = (16 * 40, 1024)
@@ -403,7 +450,79 @@ class TestRefreshPhases:
             assert_same_run(slow, fast, a, b)
         assert fired == set(range(barriers))
         assert fast.schedule_cache.hits > 0
+        assert fast.schedule_cache.refresh_replays > 0
         assert_metrics_parity(slow, fast, a.end_cycle)
+
+    def test_a_double_refresh_replays_from_its_record(self, monkeypatch):
+        """A Non-opt tile outlasts the protection window, which is capped
+        at tREFI - tRFC, so from the second barrier on a refresh is
+        overdue at every barrier and each issues two. The walk replays
+        such barriers from their records."""
+        slow = make_engine(False, NON_OPT)
+        fast = make_engine(True, NON_OPT)
+        log = RefreshLog(fast.schedule_cache, monkeypatch)
+        layouts = (slow.add_matrix(64, 1024), fast.add_matrix(64, 1024))
+        for _ in range(3):
+            a = slow.run_gemv(layouts[0])
+            b = fast.run_gemv(layouts[1])
+            assert_same_run(slow, fast, a, b)
+        assert log.served
+        assert all(record.refresh.issued == 2 for record, _, _ in log.served)
+        assert_metrics_parity(slow, fast, a.end_cycle)
+
+    def test_records_key_on_the_window(self, monkeypatch):
+        """Two engines sharing a cache run one Non-opt shape, the second
+        lowered with a 900-cycle barrier window. Their first firing
+        barrier meets one signature and phase, a refresh overdue by
+        2,608 cycles: under the generator's window (capped at tREFI -
+        tRFC) it issues two refreshes, under 900 cycles one. Neither
+        engine may replay the other's record there, and each replays
+        its own later on."""
+        cache = ScheduleCache()
+        log = RefreshLog(cache, monkeypatch)
+        pairs = []
+        for window in (None, 900):
+            slow = make_engine(False, NON_OPT)
+            fast = make_engine(True, NON_OPT, schedule_cache=cache)
+            layouts = (slow.add_matrix(64, 1024), fast.add_matrix(64, 1024))
+            with monkeypatch.context() as patch:
+                if window is not None:
+                    patch.setattr(
+                        CommandStreamGenerator,
+                        "tile_duration_estimate",
+                        lambda generator: window,
+                    )
+                for engine, layout in zip((slow, fast), layouts):
+                    engine._segments_for(layout)
+            pairs.append((slow, fast, layouts))
+        windows = [
+            fast._segments_for(layouts[1]).barrier_cycles
+            for _, fast, layouts in pairs
+        ]
+        assert windows[0] > TIMING.t_refi - TIMING.t_rfc > windows[1] == 900
+        for _ in range(3):
+            for index, (slow, fast, layouts) in enumerate(pairs):
+                log.engine = index
+                a = slow.run_gemv(layouts[0])
+                b = fast.run_gemv(layouts[1])
+                assert_same_run(slow, fast, a, b)
+        first = {}
+        for key, _, engine in log.lookups:
+            first.setdefault(engine, key)
+        assert first[0][:2] == first[1][:2]
+        assert first[0][1] == -2608
+        issued = {
+            key[2]: record.refresh.issued
+            for record, (key, _) in log.stored.items()
+            if key[:2] == first[0][:2]
+        }
+        assert issued == {windows[0]: 2, windows[1]: 1}
+        assert {(stored, served) for _, stored, served in log.served} == {
+            (0, 0),
+            (1, 1),
+        }
+        for slow, fast, _ in pairs:
+            assert_metrics_parity(slow, fast, slow.channel.controller.now)
 
     @pytest.mark.parametrize(
         "past, lookups, refreshes", [(0, 6, 1), (1, 7, 2)], ids=["on", "past"]
@@ -460,27 +579,36 @@ class TestTelemetryReadBetweenRuns:
         slow = make_engine(False, FULL)
         fast = make_engine(True, FULL)
         log = WalkLog(fast, monkeypatch)
+        refreshes = RefreshLog(fast.schedule_cache, monkeypatch)
         layout_slow = slow.add_matrix(*shape)
         layout_fast = fast.add_matrix(*shape)
+        refreshes.engine = "before"
         a = slow.run_gemv(layout_slow)
         fast.run_gemv(layout_fast)
         for engine in (slow, fast):
             validate_metrics(engine.collect_metrics(end=a.end_cycle))
         controller = fast.channel.controller
         assert controller._attr_cursor > controller.now
+        refreshes.engine = "after"
         for _ in range(7):
             a = slow.run_gemv(layout_slow)
             b = fast.run_gemv(layout_fast)
             assert_same_run(slow, fast, a, b)
         assert fast.schedule_cache.hits > 0
         assert_metrics_parity(slow, fast, a.end_cycle)
-        return log
+        return log, refreshes
 
     def test_runs_after_a_read_stay_exact(self, monkeypatch):
         self.runs_after_a_read(monkeypatch, (64, 1024))
 
     def test_runs_after_a_read_step_over_long_runs(self, monkeypatch):
-        assert self.runs_after_a_read(monkeypatch, LONG).stepped > 0
+        """The same on 40-tile runs, which refresh at phases that recur:
+        refresh records made before the read replay after it."""
+        log, refreshes = self.runs_after_a_read(monkeypatch, LONG)
+        assert log.stepped > 0
+        assert ("before", "after") in {
+            (stored, served) for _, stored, served in refreshes.served
+        }
 
     @staticmethod
     def reads_past_the_end(monkeypatch, shape):
@@ -682,6 +810,32 @@ class TestWholeRunRecords:
         for slow, fast, _ in pairs:
             assert_metrics_parity(slow, fast, slow.channel.controller.now)
 
+    def test_a_fork_replays_refresh_records_made_before_it(self, monkeypatch):
+        """A fork copies the replay cache: refresh records made by the
+        parent's 40-tile runs serve the fork's walks, and parent and fork
+        both stay equal to forks of a ``fast=False`` twin."""
+        slow = make_engine(False, FULL)
+        fast = make_engine(True, FULL)
+        layouts = (slow.add_matrix(*LONG), fast.add_matrix(*LONG))
+        for _ in range(2):
+            a = slow.run_gemv(layouts[0])
+            b = fast.run_gemv(layouts[1])
+            assert_same_run(slow, fast, a, b)
+        pairs = [(slow, fast), (slow.fork(1), fast.fork(1))]
+        inherited = set(pairs[1][1].schedule_cache._refreshes.values())
+        assert inherited
+        log = RefreshLog(pairs[1][1].schedule_cache, monkeypatch)
+        for _ in range(2):
+            for slow_engine, fast_engine in pairs:
+                a = slow_engine.run_gemv(layouts[0])
+                b = fast_engine.run_gemv(layouts[1])
+                assert_same_run(slow_engine, fast_engine, a, b)
+        assert any(record in inherited for record, _, _ in log.served)
+        for slow_engine, fast_engine in pairs:
+            assert_metrics_parity(
+                slow_engine, fast_engine, slow_engine.channel.controller.now
+            )
+
     def test_functional_outputs_stay_bit_identical(self):
         rng = np.random.default_rng(3)
         m, n = 64, 1024
@@ -705,10 +859,13 @@ class TestCacheBackstop:
         cache = ScheduleCache(max_entries=4)
         clear = cache._clear
         clears = []
+        refreshes = RefreshLog(cache, monkeypatch)
+        refreshes.engine = 0  # tags each record with the clears before it
 
         def counted():
             clears.append(cache.hits + cache.misses)
             clear()
+            refreshes.engine = len(clears)
 
         monkeypatch.setattr(cache, "_clear", counted)
         slow = make_engine(False, FULL)
@@ -723,9 +880,10 @@ class TestCacheBackstop:
         assert len(clears) >= 3
         assert len(cache) <= 4
         assert cache.run_records <= 4
+        assert cache.refresh_records <= 4
         assert fast.channel.controller.refresh.refreshes_issued >= 3
         assert cache.hits > 0
-        return log
+        return log, refreshes
 
     def test_clearing_mid_walk_stays_exact(self, monkeypatch):
         """A four-entry cache clears deltas and signatures mid-walk again
@@ -735,8 +893,19 @@ class TestCacheBackstop:
     def test_clearing_mid_run_keeps_stepping(self, monkeypatch):
         """The same on 40-tile runs: the clears land inside runs of
         repeated tiles, and between them the walk still steps over
-        repeats."""
-        assert self.clearing_mid_walk(monkeypatch, LONG).stepped > 0
+        repeats. A clear also lands between a firing barrier's record
+        and the next time the walk meets that barrier (its refresh
+        phase and window): the walk runs the barrier again, and the
+        record it makes then replays."""
+        log, refreshes = self.clearing_mid_walk(monkeypatch, LONG)
+        assert log.stepped > 0
+        made = collections.defaultdict(set)
+        for key, cleared in refreshes.stored.values():
+            made[key[1:]].add(cleared)
+        assert any(
+            min(made[refreshes.stored[record][0][1:]]) < cleared
+            for record, cleared, _ in refreshes.served
+        )
 
     def test_record_table_is_bounded_too(self, monkeypatch):
         """Eight layouts sharing one tile shape, refresh off, hold at
@@ -859,9 +1028,10 @@ class TestTierEngagement:
         self.count(monkeypatch, calls, fastpath, "relative_signature")
         self.count(monkeypatch, calls, controller, "refresh_barrier")
         self.count(monkeypatch, calls, cache, "lookup")
-        burst, hits, runs = [], [], []
+        burst, hits, runs, refresh_replays = [], [], [], []
         for _ in range(self.RUNS):
             calls.clear()
+            replays = cache.refresh_replays
             before = (
                 cache.hits,
                 cache.misses,
@@ -875,6 +1045,7 @@ class TestTierEngagement:
                 assert sum(a.stats["command_counts"].values()) == 19103
             burst.append(fast.burst_commands)
             hits.append(fast.schedule_cache.hits)
+            refresh_replays.append(cache.refresh_replays - replays)
             after = (
                 cache.hits,
                 cache.misses,
@@ -899,20 +1070,23 @@ class TestTierEngagement:
             (513, 0, 32),
             (513, 0, 32),
         ]
-        # The first steady run walks: it writes the controller back once
-        # per firing refresh plus once at the end (not once per tile),
-        # computing a signature only at run start and after each
-        # refresh. It looks up 72 of its 513 segments: after each
-        # refresh it walks tiles until one is a fixed point, then steps
-        # over the tiles up to the next refresh. It hit on every
-        # segment, so it is recorded whole, and the next run starts at
-        # the same refresh phase: one signature, one write-back, no
-        # barrier and no lookup.
-        (_, _, refreshes), counted = runs[2]
-        assert counted == {
-            "apply_delta": 1 + refreshes,
-            "relative_signature": 1 + refreshes,
-            "refresh_barrier": refreshes,
+        # A firing refresh met at a signature and refresh phase already
+        # seen is replayed from its refresh record: the layer's
+        # refreshes meet three such pairs, so the cold run executes
+        # three barriers and replays 28, and the walks after it replay
+        # every refresh. The first steady run walks: it writes the
+        # controller back once, at the end, from the one signature it
+        # computed at the start, and runs no barrier. It looks up 72 of
+        # its 513 segments: after each refresh it walks tiles until one
+        # is a fixed point, then steps over the tiles up to the next
+        # refresh. It hit on every segment, so it is recorded whole, and
+        # the next run starts at the same refresh phase: one signature,
+        # one write-back, no barrier and no lookup.
+        assert refresh_replays == [28, 32, 32, 0]
+        assert cache.refresh_records == 3
+        assert runs[2][1] == {
+            "apply_delta": 1,
+            "relative_signature": 1,
             "lookup": 72,
         }
         assert runs[3][1] == {"apply_delta": 1, "relative_signature": 1}

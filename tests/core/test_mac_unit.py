@@ -112,18 +112,15 @@ class TestTileCompute:
     @settings(max_examples=30, deadline=None)
     def test_accumulation_order_is_ascending_subchunk(self, vec):
         """tile_compute must accumulate sub-chunks in ascending order
-        (what the COMP command stream issues)."""
+        (what the COMP command stream issues): it equals a BankMacUnit
+        fed sub-chunk 0, then sub-chunk 1."""
         matrix = quantize_bf16(np.array([vec], dtype=np.float32))
         vector = quantize_bf16(np.array(vec, dtype=np.float32))
-        default = tile_compute(matrix, vector, np.zeros(1, dtype=np.float32), lanes=16)
-        explicit = tile_compute(
-            matrix,
-            vector,
-            np.zeros(1, dtype=np.float32),
-            lanes=16,
-            subchunk_order=np.array([0, 1]),
-        )
-        assert np.array_equal(default, explicit)
+        unit = BankMacUnit(CFG)
+        for s in (0, 1):
+            unit.compute(matrix[0, s * 16 : (s + 1) * 16], vector[s * 16 : (s + 1) * 16])
+        out = tile_compute(matrix, vector, np.zeros(1, dtype=np.float32), lanes=16)
+        assert np.array_equal(out, np.array([unit.latch_value()], dtype=np.float32))
 
     def test_respects_starting_latch(self):
         matrix = np.ones((2, 32), dtype=np.float32)

@@ -104,6 +104,26 @@ class TestEngineAndDeviceMetrics:
         section = slow.collect_metrics()["schedule_cache"]
         assert (section["whole_runs"], section["run_records"]) == (0, 0)
 
+    def test_engine_record_counts_refresh_replays(self):
+        """40 tiles in one chunk, refresh on, three runs: the walks meet
+        seven firing barriers at three signature and refresh phase
+        pairs, so three are run and recorded and four replay from those
+        records. A record without the two counters (an older export)
+        still validates."""
+        engine = NewtonChannelEngine(CFG, TimingParams(), FULL, functional=False)
+        layout = engine.add_matrix(16 * 40, 512)
+        runs = [engine.run_gemv(layout) for _ in range(3)]
+        record = validate_metrics(engine.collect_metrics(end=runs[-1].end_cycle))
+        section = record["schedule_cache"]
+        assert engine.channel.controller.refresh.refreshes_issued == 7
+        assert (section["refresh_replays"], section["refresh_records"]) == (4, 3)
+        for name in ("refresh_replays", "refresh_records"):
+            del section[name]
+        validate_metrics(record)
+        slow, _ = run_engine(fast=False)
+        section = slow.collect_metrics()["schedule_cache"]
+        assert (section["refresh_replays"], section["refresh_records"]) == (0, 0)
+
     def test_engine_collect_metrics_matches_engine_metrics(self):
         engine, result = run_engine()
         assert engine.collect_metrics(end=result.end_cycle) == engine_metrics(
