@@ -274,9 +274,11 @@ class NewtonDevice:
         Newton cannot exploit batch reuse (Section V-D): the command
         stream for k inputs is the concatenation of k single-input
         streams, so per-input latency is constant by construction, and
-        each run equals one :meth:`gemv`. Each class runs the batch as
-        one chain (:meth:`~repro.core.engine.NewtonChannelEngine.run_gemvs`):
-        one signature, one lookup per run and one write-back when steady.
+        each run equals one :meth:`gemv`. Each class runs the batch back
+        to back (:meth:`~repro.core.engine.NewtonChannelEngine.run_gemvs`):
+        when steady, one record lookup per run, each keyed by the last
+        run's end signature, across calls too, and no write-back until
+        something reads the controller.
 
         Raises:
             LayoutError: if ``vectors`` is not 1-D or 2-D, holds no
@@ -341,7 +343,8 @@ class NewtonDevice:
 
     @property
     def now(self) -> int:
-        """The device clock (slowest channel's controller time)."""
+        """The device clock (slowest channel's controller time). Reading
+        it writes each class's pending chain of runs back."""
         return max(e.channel.controller.now for e in self.engines)
 
     def power_report(self) -> PowerReport:

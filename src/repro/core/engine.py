@@ -29,9 +29,10 @@ cycle of exactness (see :mod:`repro.core.schedule_cache`,
 
 * the **schedule cache** replays a whole GEMV from one record when the
   run starts from a controller state and refresh phase already seen.
-  :meth:`NewtonChannelEngine.run_gemvs` chains a batch's runs: one
-  signature at its start, one lookup per run (keyed by the previous
-  record's end signature) and one write-back, refreshes included;
+  The runs served whole, refreshes included, form one chain across
+  calls: each run's lookup is keyed by the previous record's end
+  signature, and the chain is written back once, when something next
+  reads or issues to the controller;
 * otherwise it replays recorded per-tile timing deltas when a tile
   starts from a controller state already seen (same relative
   bus/bank/FAW phase) — the steady-state tier. Replay walks the
@@ -58,9 +59,11 @@ phase and window; after that a refresh record replays it, as a
 whole-run record replays the refreshes of a run recorded at the same
 phase. Tracing or mixed background traffic forces the per-command
 reference.
-Nothing is deferred between calls: whichever tier serves them, the
-controller is fully written back when :meth:`NewtonChannelEngine.run_gemv`
-or :meth:`NewtonChannelEngine.run_gemvs` returns.
+
+Outside code reaches the controller only through
+:attr:`NewtonChannelEngine.channel`, which writes the pending chain back
+first; the engine writes it back itself before it walks, issues per
+command or forks.
 
 Set ``fast=False`` (or the ``NEWTON_NO_FASTPATH=1`` environment
 variable) to force per-command issue everywhere.
@@ -130,7 +133,7 @@ class NewtonChannelEngine:
         # skips cycle attribution (spellings: repro.utils.envflags).
         self.fast = fast and not env_flag("NEWTON_NO_FASTPATH", default=False)
         self.telemetry = telemetry and env_flag("NEWTON_TELEMETRY", default=True)
-        self.channel = Channel(
+        self._channel = Channel(
             config,
             timing,
             aggressive_tfaw=opt.aggressive_tfaw,
@@ -186,6 +189,13 @@ class NewtonChannelEngine:
         occupied (``skipped * max(t_cmd, t_ccd)``, a GWRITE run's
         stride). An estimate for telemetry only — the measured saving is
         the fused-vs-round-trip end-cycle difference."""
+        self.write_backs = 0
+        """:func:`fastpath.apply_delta` calls: the walk's and the chain's."""
+        self._chain: Dict[ControllerDelta, int] = {}
+        # The runs served whole since the last write-back: each distinct
+        # record's delta and its count, the one replayed last kept last.
+        self._chain_base = 0
+        # The cycle the chain's last run started at.
         # Opt-in protocol verification (NEWTON_CHECK_INVARIANTS=1): the
         # verifier installs itself as the controller's trace recorder,
         # which also forces the per-command tier so it sees every
@@ -226,6 +236,7 @@ class NewtonChannelEngine:
         a channel with the same history holds it: the controller, replay
         records, counters and verifier are copied; the lowered streams,
         their layouts and the datapath are shared."""
+        self._write_back()
         memo = {
             id(shared): shared
             for shared in (self.config, self.timing, self.opt, self.datapath)
@@ -234,6 +245,30 @@ class NewtonChannelEngine:
         twin = copy.deepcopy(self, memo)
         twin.channel_index = channel_index
         return twin
+
+    # ------------------------------------------------------------------
+    # the controller
+
+    @property
+    def channel(self) -> Channel:
+        """The channel, with every run so far in its controller's state.
+
+        Outside code reaches the controller only here, so reading it
+        writes the pending chain of runs served whole back first.
+        """
+        self._write_back()
+        return self._channel
+
+    def _write_back(self) -> None:
+        """Write the pending chain back to the controller: one
+        :func:`fastpath.apply_delta`, each record's counters folded once,
+        times its count."""
+        if self._chain:
+            self.write_backs += 1
+            fastpath.apply_delta(
+                self._channel.controller, tuple(self._chain.items()), self._chain_base
+            )
+            self._chain.clear()
 
     # ------------------------------------------------------------------
     # execution
@@ -308,7 +343,7 @@ class NewtonChannelEngine:
             if vectors is None or len(vectors) != count:
                 raise ProtocolError(f"functional mode requires {count} input vectors")
             padded = [layout.pad_vector(vector) for vector in vectors]
-        controller = self.channel.controller
+        controller = self._channel.controller
         # Fused lowering elides GWRITEs from the timed stream, where the
         # family's rules allow it (the controller resolved them once).
         fused = (
@@ -347,7 +382,8 @@ class NewtonChannelEngine:
         command through the controller, background traffic at tile
         boundaries. Returns the run's start, its latest completion (at
         least the start) and its stats."""
-        controller = self.channel.controller
+        self._write_back()
+        controller = self._channel.controller
         start = end = controller.now
         before = stats_snapshot(controller.stats)
         boundary = 0
@@ -375,7 +411,7 @@ class NewtonChannelEngine:
     def _signature_id(self) -> Optional[int]:
         """The interned relative signature of the controller's state
         (``None``: not replayable)."""
-        signature = fastpath.relative_signature(self.channel.controller)
+        signature = fastpath.relative_signature(self._channel.controller)
         if signature is None:
             return None
         return self.schedule_cache.intern_signature(signature)
@@ -383,24 +419,31 @@ class NewtonChannelEngine:
     def _replay_runs(
         self, stream: SegmentedStream, count: int
     ) -> List[Tuple[int, int, Dict[str, object]]]:
-        """The fast tier: ``count`` runs as one chain, from one signature.
-        Returns each run's start, end (the latest completion, at least
-        the start) and stats.
+        """The fast tier: ``count`` runs, each served whole where it can
+        be. Returns each run's start, end (the latest completion, at
+        least the start) and stats.
 
         A run whose start signature and refresh phase match a
         :class:`~repro.core.schedule_cache.RunRecord` is served whole:
-        its delta joins the chain, the refresh scheduler advances at
-        once, and the record's end signature keys the next lookup. A run
-        with no record writes the chain back and walks. One
-        :func:`fastpath.apply_delta` writes back what is left.
+        its delta joins the pending chain, the refresh scheduler
+        advances at once, and the record's end signature keys the next
+        lookup. The chain outlives the call: the next one starts from
+        its end cycle and end signature, computing no signature, unless
+        a backstop clear has since retired that signature's id. A run
+        with no record writes the chain back and walks. Nothing writes
+        the chain back on return (see :attr:`channel`).
         """
-        controller = self.channel.controller
+        controller = self._channel.controller
         cache = self.schedule_cache
         refresh = controller.refresh
-        chain: List[Tuple[ControllerDelta, int]] = []
+        chain = self._chain
+        last = next(reversed(chain), None)
+        if last is not None and cache.is_live(last.end_signature):
+            start, signature = self._chain_base + last.dt_now, last.end_signature
+        else:
+            self._write_back()
+            start, signature = controller.now, self._signature_id()
         runs = []
-        base = start = controller.now
-        signature = self._signature_id()
         for _ in range(count):
             record = signature is not None and cache.lookup_run(
                 stream.key_id,
@@ -410,25 +453,21 @@ class NewtonChannelEngine:
                 refresh.phase(start),
             )
             if not record:
-                if chain:
-                    fastpath.apply_delta(controller, chain, base)
-                    chain.clear()
+                self._write_back()
                 end, stats, signature = self._replay_walk(stream, start, signature)
                 runs.append((start, end, stats))
                 start = controller.now
                 continue
             delta = record.delta
-            chain.append((delta, 1))
+            chain[delta] = chain.pop(delta, 0) + 1  # the last run last
             if record.refresh is not None:
                 refresh.replay(record.refresh, start)
             cache.hits += stream.segment_count
             cache.replayed_commands += stream.total_commands
             cache.whole_runs += 1
             runs.append((start, start + delta.max_complete, copy_stats(record.stats)))
-            base, start = start, start + delta.dt_now
+            self._chain_base, start = start, start + delta.dt_now
             signature = delta.end_signature
-        if chain:
-            fastpath.apply_delta(controller, chain, base)
         return runs
 
     def _replay_walk(
@@ -463,7 +502,7 @@ class NewtonChannelEngine:
         one step, up to the last whose last barrier cannot fire, with
         every hit, replayed command and counter they stand for.
         """
-        controller = self.channel.controller
+        controller = self._channel.controller
         cache = self.schedule_cache
         lookup = cache.lookup
         refresh = controller.refresh
@@ -484,6 +523,7 @@ class NewtonChannelEngine:
 
         def write_back() -> None:
             if replays:
+                self.write_backs += 1
                 fastpath.apply_delta(controller, replays, now - replays[-1][0].dt_now)
                 replays.clear()
 

@@ -53,9 +53,9 @@ fire (:meth:`ScheduleCache.lookup_run`). Otherwise it is the
 scheduler's ``next_due - now``
 (:meth:`~repro.dram.refresh.RefreshScheduler.phase`), its only absolute
 time, so equal phases refresh identically. A record's delta ends in a
-signature too, so the runs of a batch chain record to record: a steady
-batch of k GEMVs, refreshes included, costs one signature, k lookups
-and one write-back.
+signature too, so runs chain record to record, across calls: k steady
+GEMVs, refreshes included, cost k lookups, no signature and one
+write-back, made when the controller is next read.
 """
 
 from __future__ import annotations
@@ -228,6 +228,8 @@ class ScheduleCache:
         self._key_ids: Dict[tuple, int] = {}
         self._signature_ids: Dict[Signature, int] = {}
         self._next_signature_id = 0
+        self._live_from = 0
+        # The first signature id interned since the last backstop clear.
         self._deltas: Dict[Tuple[int, int], ControllerDelta] = {}
         self._runs: Dict[Tuple[int, int, Optional[int]], RunRecord] = {}
         self._refreshes: Dict[Tuple[int, int, int], RefreshRecord] = {}
@@ -265,6 +267,11 @@ class ScheduleCache:
             self._next_signature_id += 1
             self._signature_ids[signature] = signature_id
         return signature_id
+
+    def is_live(self, signature_id: int) -> bool:
+        """Whether ``signature_id`` was interned since the last backstop
+        clear, so its signature still interns to it."""
+        return signature_id >= self._live_from
 
     def lookup(
         self, key_id: int, signature_id: int
@@ -352,6 +359,7 @@ class ScheduleCache:
         # for would hit on every segment.
         self._deltas.clear()
         self._signature_ids.clear()
+        self._live_from = self._next_signature_id
         self._runs.clear()
         self._refreshes.clear()
 

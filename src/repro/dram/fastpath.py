@@ -40,9 +40,10 @@ around :meth:`~repro.dram.controller.ChannelController.refresh_barrier`
 records the stall, the refreshed banks, the buses and the refresh
 counters, and it chains like a segment's. So is a whole GEMV:
 :func:`capture_delta` taken from the run's start records its composite
-effect, refreshes included, and a batch's whole runs chain the same
-way, so one :func:`apply_delta` writes back a steady batch, each
-repeated record's counters folded once. A segment delta never contains
+effect, refreshes included, and the runs served whole chain the same
+way, across calls, so one :func:`apply_delta` writes back a steady
+stretch of GEMVs when the controller is next read, each repeated
+record's counters folded once. A segment delta never contains
 a refresh: the refresh scheduler works on an absolute deadline, so a
 delta holding one replays only at the exact refresh phase it was
 recorded at, which its record's key names (see
@@ -240,14 +241,15 @@ def apply_delta(
 ) -> None:
     """Write replayed segments back to the controller.
 
-    ``replays`` pairs each delta replayed since the last write-back with
-    its replay count, in replay order; the last pair's delta is the one
-    replayed last, from cycle ``base``. The controller must be in the
-    state the first delta was recorded from (the cache keys guarantee
-    it), and each later replay's recorded start is its predecessor's
-    end. The timing state comes from the last delta alone — every delta
-    overwrites all of it — while each distinct delta's counters are
-    folded once, times its total replay count.
+    ``replays`` pairs the deltas replayed since the last write-back with
+    their replay counts (a delta may come in one pair, with its total,
+    or in several); the last pair's delta is the one replayed last, from
+    cycle ``base``. The controller must be in the state the first replay
+    was recorded from (the cache keys guarantee it), and each later
+    replay's recorded start is its predecessor's end. The timing state
+    comes from the last delta alone — every delta overwrites all of it —
+    while each distinct delta's counters are folded once, times its
+    total replay count.
     """
     delta = replays[-1][0]
     if len(replays) > 1:

@@ -93,6 +93,9 @@ def engine_metrics(engine, *, end: Optional[int] = None) -> dict:
         # Firing refresh barriers served by a record, and the records held.
         "refresh_replays": cache.refresh_replays,
         "refresh_records": cache.refresh_records,
+        # Replayed deltas written back to the controller (this read's
+        # write-back of a pending chain included).
+        "write_backs": engine.write_backs,
     }
     record["fast_path"] = engine.fast
     record["burst"] = {

@@ -1081,7 +1081,8 @@ class TestTierEngagement:
         # is a fixed point, then steps over the tiles up to the next
         # refresh. It hit on every segment, so it is recorded whole, and
         # the next run starts at the same refresh phase: one signature,
-        # one write-back, no barrier and no lookup.
+        # no barrier and no lookup, and no write-back either, since the
+        # run served whole stays pending until the controller is read.
         assert refresh_replays == [28, 32, 32, 0]
         assert cache.refresh_records == 3
         assert runs[2][1] == {
@@ -1089,7 +1090,7 @@ class TestTierEngagement:
             "relative_signature": 1,
             "lookup": 72,
         }
-        assert runs[3][1] == {"apply_delta": 1, "relative_signature": 1}
+        assert runs[3][1] == {"relative_signature": 1}
         assert cache.whole_runs == 1
         assert cache.run_records == 1
 
@@ -1172,9 +1173,11 @@ class TestTierEngagement:
         assert per_phase == [{}, {CommandKind.G_ACT: 7 * 4}, {}, {}, {}]
 
     def test_a_warm_batch_is_one_chain(self, monkeypatch):
-        """Warm, every run replays whole, so ``run_gemvs(layout, 4)`` is
-        one chain: one signature and one write-back, where four single
-        runs on a twin make four of each. Each run equals the twin's."""
+        """Warm, every run replays whole, and the runs chain across
+        calls: four single runs and ``run_gemvs(layout, 4)`` each make
+        one signature (at the first run, after a read wrote the
+        controller back) and no write-back. Each run equals the twin's,
+        and so do the controllers once read."""
         batched, layout = self.alexnet_l7_engine(True)
         single, single_layout = self.alexnet_l7_engine(True)
         for _ in range(self.RUNS):
@@ -1189,17 +1192,24 @@ class TestTierEngagement:
             refresh = engine.channel.controller.refresh
             return (cache.hits, cache.misses, refresh.refreshes_issued, cache.whole_runs)
 
-        counts = []
-        before = tally(single)
-        expected = [single.run_gemv(single_layout) for _ in range(4)]
-        counts.append((tuple(y - x for x, y in zip(before, tally(single))), dict(calls)))
-        calls.clear()
-        before = tally(batched)
-        runs = batched.run_gemvs(layout, 4)
-        counts.append((tuple(y - x for x, y in zip(before, tally(batched))), dict(calls)))
-        assert counts == [
-            ((4 * 513, 0, 4 * 32, 4), {"apply_delta": 4, "relative_signature": 4}),
-            ((4 * 513, 0, 4 * 32, 4), {"apply_delta": 1, "relative_signature": 1}),
+        def measured(engine, runs):
+            """``runs()`` on ``engine``: its results, the tally's advance
+            and the calls it made. Each tally reads ``engine.channel``,
+            whose write-back is not counted."""
+            before = tally(engine)
+            calls.clear()
+            results = runs()
+            made = dict(calls)
+            advance = tuple(y - x for x, y in zip(before, tally(engine)))
+            return results, (advance, made)
+
+        expected, singles = measured(
+            single, lambda: [single.run_gemv(single_layout) for _ in range(4)]
+        )
+        runs, batch = measured(batched, lambda: batched.run_gemvs(layout, 4))
+        assert [singles, batch] == [
+            ((4 * 513, 0, 4 * 32, 4), {"relative_signature": 1}),
+            ((4 * 513, 0, 4 * 32, 4), {"relative_signature": 1}),
         ]
         for a, b in zip(expected, runs):
             assert (a.start_cycle, a.end_cycle, a.stats) == (

@@ -124,6 +124,27 @@ class TestEngineAndDeviceMetrics:
         section = slow.collect_metrics()["schedule_cache"]
         assert (section["refresh_replays"], section["refresh_records"]) == (0, 0)
 
+    def test_engine_record_counts_write_backs(self):
+        """A warm device's runs served whole chain across calls: 50
+        steady batches write nothing back, and the ``collect_metrics()``
+        after them writes the chain back once. A ``fast=False`` engine
+        writes nothing back."""
+        device = NewtonDevice(CFG2, functional=False)
+        handle = device.load_matrix(m=64, n=512)
+
+        def write_backs():
+            channels = device.collect_metrics()["channels"]
+            return channels["0"]["schedule_cache"]["write_backs"]
+
+        for count in range(1, 9):
+            device.gemv_batch(handle, batch=count)
+        before = write_backs()
+        for index in range(50):
+            device.gemv_batch(handle, batch=1 + index % 8)
+        assert write_backs() == before + 1
+        slow, _ = run_engine(fast=False)
+        assert slow.collect_metrics()["schedule_cache"]["write_backs"] == 0
+
     def test_engine_collect_metrics_matches_engine_metrics(self):
         engine, result = run_engine()
         assert engine.collect_metrics(end=result.end_cycle) == engine_metrics(
