@@ -2,10 +2,11 @@
 
 This package promotes the offline M/D/c study in
 :mod:`repro.host.serving` into a running request gateway (ROADMAP item
-1): deterministic virtual-time coroutines (:mod:`repro.serving.loop`)
-drive an admission-controlled, continuously-batched, autoscaled fleet
-of backend replicas (:mod:`repro.serving.gateway`) against seeded
-traffic traces (:mod:`repro.serving.traffic`). See
+1): a deterministic virtual-time kernel of callbacks and coroutines
+(:mod:`repro.serving.loop`) drives an admission-controlled,
+continuously-batched, autoscaled fleet of backend replicas
+(:mod:`repro.serving.gateway`) against seeded traffic traces
+(:mod:`repro.serving.traffic`). See
 ``docs/serving-gateway.md`` for the architecture.
 """
 

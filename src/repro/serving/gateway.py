@@ -25,6 +25,20 @@ cycle time (:mod:`repro.serving.loop`):
   ``min_replicas`` and ``max_replicas`` (retired replicas park warm
   and reactivate without re-simulating residency).
 
+The run is driven by callbacks where it can be. Each arrival source (the
+trace, the decode sessions) is a chain of arrival-timer callbacks, and
+each batch's service is a ready callback that calls the replica's
+``batch_cycles`` and sets a completion-timer callback; only the batcher
+and the autoscaler, which wait in several places, are coroutines. Every
+timer draws its ``(when, seq)`` key at a fixed point of the run, so the
+event order, and with it every result and each replica's sequence of
+batch sizes, follows from the trace and the configuration alone
+(``tests/serving/test_gateway_recorded.py`` replays recorded results).
+The callbacks are bound methods that keep their position on the gateway,
+not closures that reschedule themselves, so nothing a finished run
+leaves on the loop refers back to the gateway: a dropped gateway frees
+its replicas by reference counting alone.
+
 Results export through the ``newton-telemetry/v1`` schema: per-class
 p50/p99, goodput, shed rate, the batch-size histogram, and the replica
 timeline. The orchestrator/statistics split mirrors the multi-source
@@ -35,7 +49,8 @@ rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -43,8 +58,8 @@ import numpy as np
 from repro.errors import ServingError
 from repro.serving.loop import (
     SimEvent,
+    SimFuture,
     SimQueue,
-    SimTask,
     VirtualLoop,
     first_of,
 )
@@ -130,7 +145,8 @@ class GatewayConfig:
 
     window_cycles: float = 0.0
     """Max age of the oldest waiter before a batch dispatches anyway
-    (the deadline trigger). 0 dispatches as soon as a replica frees."""
+    (the deadline trigger; finite). 0 dispatches as soon as a replica
+    frees."""
     max_batch: int = 1
     """Size trigger: dispatch as soon as this many requests wait."""
     queue_depth: int = 512
@@ -140,18 +156,27 @@ class GatewayConfig:
     """Autoscale ceiling; ``None`` pins the fleet at ``min_replicas``."""
     classes: Tuple[SLOClass, ...] = (SLOClass("interactive"),)
     autoscale_interval: Optional[float] = None
-    """Cycles between autoscale decisions (default: 10x service)."""
-    autoscale_window: Optional[float] = None
-    """Sliding window the scaling p99 is computed over (default: 50x
+    """Cycles between autoscale decisions (finite, > 0; default: 10x
     service)."""
+    autoscale_window: Optional[float] = None
+    """Sliding window the scaling p99 is computed over (finite, > 0;
+    default: 50x service)."""
     min_autoscale_samples: int = 20
     """Completions required in the window before p99 is trusted."""
     scale_in_idle_intervals: int = 3
     """Consecutive idle decisions before one replica is retired."""
 
     def __post_init__(self) -> None:
-        if self.window_cycles < 0:
-            raise ServingError("window_cycles must be non-negative")
+        # A NaN or infinite window would slip past a plain `< 0` check
+        # and corrupt batching or drive the clock to infinity; a zero or
+        # negative autoscale interval would pin the clock (its timer is
+        # always the earliest) and hang the run.
+        if not (math.isfinite(self.window_cycles) and self.window_cycles >= 0):
+            raise ServingError("window_cycles must be finite and non-negative")
+        for name in ("autoscale_interval", "autoscale_window"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ServingError(f"{name} must be finite and positive")
         if self.max_batch < 1:
             raise ServingError("max_batch must be at least 1")
         if self.queue_depth < 1:
@@ -548,10 +573,17 @@ class ServingGateway:
         self._class_order = sorted(
             config.classes, key=lambda cls: -cls.priority
         )
+        self._replicas: List[object] = []
+        self._parked: List[object] = []
 
     # -- state reset per run -------------------------------------------
 
-    def _reset(self, loop: VirtualLoop) -> None:
+    def _reset(
+        self,
+        loop: VirtualLoop,
+        trace: Trace,
+        sessions: Tuple[DecodeSessionSpec, ...],
+    ) -> None:
         self._loop = loop
         self._waiting: Dict[str, Deque[_Pending]] = {
             cls.name: deque() for cls in self.config.classes
@@ -564,11 +596,16 @@ class ServingGateway:
         self._parked: List[object] = []
         self._active_count = 0
         self._next_replica_index = 0
+        self._requests = trace.requests
+        self._next_request = 0
+        self._session_specs = sorted(sessions, key=lambda spec: spec.arrival)
+        self._next_session = 0
         self._source_done = False
-        self._sources_open = 0
+        self._sources_open = 1 + (1 if sessions else 0)
         self._sessions: List[_SessionState] = []
         self._open_sessions = 0
-        self._serve_tasks: List[SimTask] = []
+        self._in_flight = 0
+        self._all_served: Optional[SimFuture] = None
         self._recent: Deque[Tuple[float, float]] = deque()
         self._completions: List[Tuple[str, float, float, float, int]] = []
         self._batch_histogram: Dict[int, int] = {}
@@ -622,28 +659,38 @@ class ServingGateway:
         else:
             self._timeline.append(entry)
 
-    # -- coroutines -----------------------------------------------------
+    # -- arrival sources (timer callbacks) -----------------------------
 
-    async def _source(self, trace: Trace) -> None:
-        loop = self._loop
-        for request in trace.requests:
-            if request.arrival > loop.now:
-                await loop.timer_at(request.arrival)
+    def _arrive(self, _=None) -> None:
+        """The trace source: admit every request due by now, then set a
+        timer for the next one. A bound method that keeps its position
+        on the gateway, not a closure that reschedules itself: such a
+        closure refers to itself, and that cycle would keep the gateway
+        and its replicas alive until a garbage collection."""
+        requests = self._requests
+        now = self._loop.now
+        while self._next_request < len(requests):
+            request = requests[self._next_request]
+            if request.arrival > now:
+                self._loop.call_at(request.arrival, self._arrive)
+                return
+            self._next_request += 1
             self._admit(request.cls)
         self._source_end()
 
-    async def _session_source(
-        self, sessions: "Tuple[DecodeSessionSpec, ...]"
-    ) -> None:
-        """Open each decode session at its arrival (first step only —
-        later steps are re-admitted by :meth:`_serve` on completion)."""
-        loop = self._loop
-        for spec in sorted(sessions, key=lambda s: s.arrival):
-            if spec.arrival > loop.now:
-                await loop.timer_at(spec.arrival)
-            state = _SessionState(
-                spec, self._resolve_class(spec.cls), loop.now
-            )
+    def _open_due_sessions(self, _=None) -> None:
+        """The session source: open each decode session at its arrival
+        (first step only — later steps are re-admitted by
+        :meth:`_complete`), like :meth:`_arrive`."""
+        specs = self._session_specs
+        now = self._loop.now
+        while self._next_session < len(specs):
+            spec = specs[self._next_session]
+            if spec.arrival > now:
+                self._loop.call_at(spec.arrival, self._open_due_sessions)
+                return
+            self._next_session += 1
+            state = _SessionState(spec, self._resolve_class(spec.cls), now)
             self._sessions.append(state)
             self._open_sessions += 1
             self._admit_step(state)
@@ -743,6 +790,8 @@ class ServingGateway:
                 self._waiting_total -= 1
         return batch
 
+    # -- the batcher and the autoscaler (coroutines) ---------------------
+
     async def _batcher(self) -> None:
         loop = self._loop
         config = self.config
@@ -768,27 +817,28 @@ class ServingGateway:
                 if config.window_cycles <= 0 or loop.now >= deadline:
                     break
                 self._arrival_event.clear()
-                fired, _ = await first_of(
-                    self._arrival_event.wait_future(),
-                    loop.timer_at(deadline),
-                )
+                fired, _ = await first_of(self._arrival_event, deadline)
                 if fired == 1:
                     break  # deadline: dispatch what we have
             batch = self._pop_batch()
             replica = await self._free.get()
-            self._serve_tasks.append(
-                loop.create_task(
-                    self._serve(replica, batch),
-                    name=f"serve-{len(self._serve_tasks)}",
-                )
-            )
+            self._in_flight += 1
+            loop.call_soon(self._serve, (replica, batch))
 
-    async def _serve(self, replica, batch: List[_Pending]) -> None:
+    # -- batch service (ready and timer callbacks) ----------------------
+
+    def _serve(self, job: Tuple[object, List[_Pending]]) -> None:
+        """Start a batch: its replica's cycles time the completion."""
+        replica, batch = job
         loop = self._loop
-        start = loop.now
         cycles = replica.batch_cycles(len(batch))
-        await loop.sleep(cycles)
-        completion = loop.now
+        loop.call_later(cycles, self._complete, (replica, batch, loop.now))
+
+    def _complete(self, job: Tuple[object, List[_Pending], float]) -> None:
+        """Finish a batch: record it, admit decode continuations, and
+        free (or park) its replica."""
+        replica, batch, start = job
+        completion = self._loop.now
         size = len(batch)
         self._batch_histogram[size] = self._batch_histogram.get(size, 0) + 1
         for pending in batch:
@@ -812,6 +862,9 @@ class ServingGateway:
             self._free.put_nowait(replica)
         else:
             self._parked.append(replica)
+        self._in_flight -= 1
+        if not self._in_flight and self._all_served is not None:
+            self._all_served.resolve()
 
     async def _autoscaler(self) -> None:
         loop = self._loop
@@ -820,9 +873,7 @@ class ServingGateway:
         window = self._autoscale_window
         idle_intervals = 0
         while True:
-            fired, _ = await first_of(
-                self._stop_event.wait_future(), loop.sleep(interval)
-            )
+            fired, _ = await first_of(self._stop_event, loop.now + interval)
             if fired == 0:
                 return
             horizon = loop.now - window
@@ -859,11 +910,7 @@ class ServingGateway:
             else:
                 idle_intervals = 0
 
-    async def _main(
-        self,
-        trace: Trace,
-        sessions: Tuple[DecodeSessionSpec, ...] = (),
-    ) -> None:
+    async def _main(self) -> None:
         loop = self._loop
         for _ in range(self.config.min_replicas):
             self._spawn_replica()
@@ -881,23 +928,19 @@ class ServingGateway:
             if self.config.autoscale_window is not None
             else 50.0 * self._service_estimate
         )
-        self._sources_open = 1 + (1 if sessions else 0)
-        source = loop.create_task(self._source(trace), name="source")
-        session_source = None
-        if sessions:
-            session_source = loop.create_task(
-                self._session_source(sessions), name="sessions"
-            )
+        loop.call_soon(self._arrive)
+        if self._session_specs:
+            loop.call_soon(self._open_due_sessions)
         batcher = loop.create_task(self._batcher(), name="batcher")
         autoscaler = None
         if self.config.replica_ceiling > self.config.min_replicas:
             autoscaler = loop.create_task(self._autoscaler(), name="autoscaler")
-        await source.future
-        if session_source is not None:
-            await session_source.future
+        # The batcher returns once every source has ended and the queue
+        # is empty; then only the batches in flight are left.
         await batcher.future
-        for task in self._serve_tasks:
-            await task.future
+        if self._in_flight:
+            self._all_served = SimFuture(loop)
+            await self._all_served
         self._stop_event.set()
         if autoscaler is not None:
             await autoscaler.future
@@ -918,12 +961,12 @@ class ServingGateway:
         if not trace.requests and not sessions:
             raise ServingError("cannot serve an empty trace")
         loop = VirtualLoop()
-        self._reset(loop)
+        self._reset(loop, trace, sessions)
         for spec in sessions:
             # Fail fast, before any coroutine is created: a session
             # with an unconfigured class must not start the run.
             self._resolve_class(spec.cls)
-        loop.run_until_complete(self._main(trace, sessions), name="gateway")
+        loop.run_until_complete(self._main(), name="gateway")
         result = self._build_result(trace)
         if self.metrics is not None:
             result.publish(self.metrics)

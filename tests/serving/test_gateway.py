@@ -54,6 +54,16 @@ class TestConfigValidation:
             dict(classes=()),
             dict(classes=(SLOClass("a"), SLOClass("a"))),
             dict(scale_in_idle_intervals=0),
+            dict(window_cycles=float("nan")),
+            dict(window_cycles=float("inf")),
+            dict(min_replicas=1, max_replicas=2, autoscale_interval=0.0),
+            dict(min_replicas=1, max_replicas=2, autoscale_interval=-5.0),
+            dict(autoscale_interval=float("nan")),
+            dict(autoscale_interval=float("inf")),
+            dict(autoscale_window=0.0),
+            dict(autoscale_window=-1.0),
+            dict(autoscale_window=float("nan")),
+            dict(autoscale_window=float("inf")),
         ):
             with pytest.raises(ServingError):
                 GatewayConfig(**kwargs)
@@ -70,6 +80,89 @@ class TestConfigValidation:
         )
         with pytest.raises(ServingError, match="empty"):
             fixed_gateway(degenerate_config(1)).run(empty)
+
+
+class TestClose:
+    def test_close_before_any_run(self):
+        gateway = fixed_gateway(degenerate_config(1))
+        gateway.close()
+        gateway.close()
+
+    def test_close_after_a_refused_run_keeps_the_error(self):
+        """``run`` refuses an empty trace before building a fleet; the
+        ``try/finally: close()`` pattern must surface that refusal."""
+        trace = poisson_trace(100.0, 1, seed=0)
+        empty = type(trace)(
+            kind="poisson", seed=0, mean_interarrival=100.0, requests=()
+        )
+        gateway = fixed_gateway(degenerate_config(1))
+        with pytest.raises(ServingError, match="empty"):
+            try:
+                gateway.run(empty)
+            finally:
+                gateway.close()
+
+
+class TestReplicaLifetime:
+    """A finished gateway frees its replicas by reference counting
+    alone: nothing a run leaves behind (pending timers, callbacks,
+    finished tasks) may close a cycle through the gateway, or every
+    run's replicas would live until the next collection."""
+
+    @staticmethod
+    def _setup(kind):
+        trace = poisson_trace(interarrival_for_load(SERVICE, 0.9), 300, seed=2)
+        sessions = ()
+        build = lambda: FixedServiceReplica(SERVICE)  # noqa: E731
+        config = GatewayConfig(
+            window_cycles=2 * SERVICE,
+            max_batch=4,
+            min_replicas=2,
+            classes=(SLOClass("interactive", p99_budget=3 * SERVICE),),
+        )
+        if kind == "autoscale":
+            trace = bursty_trace(interarrival_for_load(SERVICE, 0.6), 600, seed=3)
+            config = GatewayConfig(
+                min_replicas=1,
+                max_replicas=4,
+                classes=(SLOClass("interactive", p99_budget=3 * SERVICE),),
+            )
+        elif kind == "sessions":
+            sessions = decode_sessions(
+                3, steps=4, interarrival=SERVICE, cls="interactive"
+            )
+        elif kind == "newton":
+            build = backend_replica_factory(
+                "newton", m=64, n=256, functional=False
+            )
+            trace = poisson_trace(interarrival_for_load(644.0, 0.8, 2), 200, seed=4)
+        return build, config, trace, sessions
+
+    @pytest.mark.parametrize("kind", ["fixed", "autoscale", "sessions", "newton"])
+    def test_finished_gateway_frees_replicas_without_gc(self, kind):
+        import gc
+        import weakref
+
+        build, config, trace, sessions = self._setup(kind)
+        replicas = []
+
+        def factory():
+            replica = build()
+            replicas.append(weakref.ref(replica))
+            return replica
+
+        gc.disable()
+        try:
+            gateway = ServingGateway(factory, config)
+            result = gateway.run(trace, sessions)
+            gateway.close()
+            gateway_ref = weakref.ref(gateway)
+            del gateway
+            assert result.completed > 0 and replicas
+            assert gateway_ref() is None
+            assert all(ref() is None for ref in replicas)
+        finally:
+            gc.enable()
 
 
 class TestOfflineEquivalence:

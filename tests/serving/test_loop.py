@@ -241,3 +241,73 @@ class TestFirstOf:
 
         with pytest.raises(ServingError, match="at least one"):
             loop.run_until_complete(main())
+
+
+class TestTieOrder:
+    """The event order the gateway's results depend on."""
+
+    def test_equal_timers_fire_in_scheduling_order(self):
+        """Futures and callbacks set for one cycle fire in the order they
+        were set, whatever the mix."""
+        loop = VirtualLoop()
+        fired = []
+
+        async def sleeper(tag):
+            await loop.timer_at(10.0)
+            fired.append(tag)
+
+        async def main():
+            tasks = []
+            for tag in "abcdef":
+                if tag in "ace":
+                    loop.call_at(10.0, fired.append, tag)
+                else:
+                    # A task sets its timer on its first step, so step
+                    # it now to keep the tags in scheduling order.
+                    tasks.append(loop.create_task(sleeper(tag)))
+                    await loop.sleep(0.0)
+            for task in tasks:
+                await task.future
+
+        loop.run_until_complete(main())
+        assert fired == list("abcdef")
+        assert loop.now == 10.0
+
+    def test_ready_callbacks_and_task_steps_share_one_fifo(self):
+        loop = VirtualLoop()
+        order = []
+
+        async def step(tag):
+            order.append(tag)
+
+        async def main():
+            loop.call_soon(order.append, "a")
+            loop.create_task(step("b"))
+            loop.call_soon(order.append, "c")
+            loop.create_task(step("d"))
+            future = SimFuture(loop)
+            loop.call_soon(future.resolve, "e")
+            order.append(await future)
+
+        loop.run_until_complete(main())
+        assert order == list("abcde")
+
+    @pytest.mark.parametrize("arm", ["deadline", "timer future"])
+    def test_event_win_leaves_the_race_timer_inert(self, arm):
+        """A deadline that lost to an event is popped without moving the
+        clock or waking the racer again: with nothing else pending, the
+        run deadlocks at the cycle the event won, not at the deadline."""
+        loop = VirtualLoop()
+        event = SimEvent(loop)
+        wakes = []
+
+        async def main():
+            timeout = 1_000.0 if arm == "deadline" else loop.timer_at(1_000.0)
+            loop.call_at(10.0, lambda _: event.set())
+            wakes.append(await first_of(event, timeout))
+            await SimFuture(loop)  # never resolved
+
+        with pytest.raises(ServingError, match="deadlock at cycle 10.0"):
+            loop.run_until_complete(main())
+        assert wakes == [(0, True)]
+        assert loop.now == 10.0 and not loop._timers
