@@ -127,8 +127,10 @@ GPU_TUNABLE_FIELDS = (
     "saturation_bytes",
     "refresh_derate",
 )
-"""The roofline parameters :func:`titan_v_like` accepts as overrides
-(and the CLI exposes as ``--gpu-<name>`` flags)."""
+"""The roofline parameters :func:`titan_v_like` accepts as overrides.
+The CLI exposes six of them as ``--gpu-*`` flags, two under shorter
+names (``--gpu-peak-flops``, ``--gpu-kernel-overhead``);
+``refresh_derate`` has no flag."""
 
 
 def titan_v_like(

@@ -2,46 +2,7 @@
 the extension studies DESIGN.md calls out.
 
 Each module exposes ``run(...) -> <Figure>Result`` whose ``render()``
-prints the same rows/series the paper reports. ``runner.main()`` (the
-``newton-repro`` console script) regenerates everything.
+prints the same rows/series the paper reports. ``runner.EXPERIMENTS``
+registers them by name, and ``runner.main()`` (the ``newton-repro``
+console script) regenerates everything.
 """
-
-from repro.experiments import (
-    area_budget,
-    chunk_width_study,
-    energy_efficiency,
-    family_study,
-    fig8_speedup,
-    fig9_ablation,
-    fig10_banks,
-    fig11_batch_ideal,
-    fig12_batch_gpu,
-    fig13_power,
-    latch_variant,
-    mixed_traffic_study,
-    model_validation,
-    organization_study,
-    scrub_overhead,
-    sensitivity,
-    serving_study,
-)
-
-__all__ = [
-    "fig8_speedup",
-    "fig9_ablation",
-    "fig10_banks",
-    "fig11_batch_ideal",
-    "fig12_batch_gpu",
-    "fig13_power",
-    "model_validation",
-    "latch_variant",
-    "area_budget",
-    "organization_study",
-    "scrub_overhead",
-    "mixed_traffic_study",
-    "sensitivity",
-    "family_study",
-    "energy_efficiency",
-    "serving_study",
-    "chunk_width_study",
-]

@@ -1,39 +1,34 @@
-"""Regenerate every table and figure: the ``newton-repro`` console script."""
+"""Regenerate every table and figure: the ``newton-repro`` console script.
+
+The first word picks a row of :data:`COMMANDS` (by default, a list of
+experiments), and each command parses only the flags its handler reads.
+"""
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, fields
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.backends import available_backends
-from repro.experiments.common import ExperimentContext, set_context
-from repro.experiments import (
-    area_budget,
-    chunk_width_study,
-    design_space,
-    energy_efficiency,
-    family_study,
-    fig8_speedup,
-    fig9_ablation,
-    fig10_banks,
-    fig11_batch_ideal,
-    fig12_batch_gpu,
-    fig13_power,
-    fused_layer_study,
-    hetero_placement,
-    latch_variant,
-    mixed_traffic_study,
-    model_validation,
-    organization_study,
-    scrub_overhead,
-    sensitivity,
-    serving_study,
+from repro.baselines.gpu import GPU_TUNABLE_FIELDS
+from repro.experiments.common import (
+    ExperimentContext, backend_extra_kwargs, set_context,
 )
+from repro.experiments import (
+    area_budget, chunk_width_study, design_space, energy_efficiency,
+    family_study, fig8_speedup, fig9_ablation, fig10_banks, fig11_batch_ideal,
+    fig12_batch_gpu, fig13_power, fused_layer_study, hetero_placement,
+    latch_variant, mixed_traffic_study, model_validation, organization_study,
+    scrub_overhead, sensitivity, serving_study,
+)
+from repro.workloads.scenarios import SCENARIOS
 
 EXPERIMENTS: Dict[str, Callable[[], object]] = {
     "fig8": fig8_speedup.run,
@@ -142,7 +137,7 @@ def _telemetry_probe() -> dict:
 def write_metrics(
     outcomes: "List[ExperimentOutcome]",
     path: str,
-    context: Optional[ExperimentContext] = None,
+    context: ExperimentContext,
 ) -> None:
     """Export the run's metrics registry (plus the probe) as JSON."""
     from repro.telemetry import MetricsRegistry
@@ -153,8 +148,6 @@ def write_metrics(
         if outcome.failed:
             registry.counter("runner.failed").inc()
         registry.gauge(f"runner.elapsed_s.{outcome.name}").set(outcome.elapsed)
-    if context is None:
-        context = ExperimentContext()
     registry.section(
         "context",
         {
@@ -168,8 +161,8 @@ def write_metrics(
     registry.write_json(path)
 
 
-def run_verify(count: int, seed: int, report_path: Optional[str]) -> int:
-    """The ``newton-repro verify`` subcommand: a differential fuzz campaign.
+def run_verify(args, context: ExperimentContext) -> int:
+    """The ``newton-repro verify`` command: a differential fuzz campaign.
 
     Runs ``count`` seeded random cases through every execution tier
     (per-command, burst, fast-path replay, multi-device shard), checks
@@ -181,6 +174,8 @@ def run_verify(count: int, seed: int, report_path: Optional[str]) -> int:
     import json
 
     from repro.verify.fuzz import fuzz as run_fuzz
+
+    count, report_path = args.fuzz, args.report
 
     def progress(result) -> None:
         status = "ok" if result.ok else "FAIL"
@@ -197,7 +192,7 @@ def run_verify(count: int, seed: int, report_path: Optional[str]) -> int:
             file=sys.stderr,
         )
 
-    report = run_fuzz(count, seed, progress=progress)
+    report = run_fuzz(count, args.seed, progress=progress)
     print(report.render())
     if report_path:
         with open(report_path, "w", encoding="utf-8") as f:
@@ -206,8 +201,8 @@ def run_verify(count: int, seed: int, report_path: Optional[str]) -> int:
     return 0 if report.ok else 1
 
 
-def run_explore(args) -> int:
-    """The ``newton-repro explore`` subcommand: design-space exploration.
+def run_explore(args, context: ExperimentContext) -> int:
+    """The ``newton-repro explore`` command: design-space exploration.
 
     Enumerates the requested sweep space (a named preset or a JSON spec
     file), prunes invalid points through the config layer's own rules,
@@ -240,7 +235,7 @@ def run_explore(args) -> int:
 
 
 def run_serve(args, context: ExperimentContext) -> int:
-    """The ``newton-repro serve`` subcommand: the live serving gateway.
+    """The ``newton-repro serve`` command: the live serving gateway.
 
     Serves the requested traffic trace (an inline ``kind:key=value``
     spec or a ``newton-trace/v1`` JSON file) through a fleet of backend
@@ -259,8 +254,6 @@ def run_serve(args, context: ExperimentContext) -> int:
     )
     from repro.telemetry import MetricsRegistry
     from repro.workloads.catalog import layer_by_name
-
-    from repro.experiments.common import backend_extra_kwargs
 
     layer = layer_by_name(args.layer)
     factory = backend_replica_factory(
@@ -309,7 +302,7 @@ def run_serve(args, context: ExperimentContext) -> int:
 
 
 def run_scenario(args, context: ExperimentContext) -> int:
-    """The ``newton-repro --scenario`` subcommand: session-based graphs.
+    """The ``newton-repro scenario`` command: session-based graphs.
 
     Opens a :class:`~repro.host.graph_runtime.GraphSession` over the
     selected backend (or cluster) for one of the LLM-serving scenario
@@ -339,9 +332,6 @@ def run_scenario(args, context: ExperimentContext) -> int:
 
     kwargs = {"window": args.seq_len} if args.scenario == "decode" else {}
     spec = scenario_model(args.scenario, **kwargs)
-
-    from repro.experiments.common import backend_extra_kwargs
-
     extra = backend_extra_kwargs(context)
 
     def build_backend():
@@ -483,370 +473,23 @@ def run_scenario(args, context: ExperimentContext) -> int:
     return 0
 
 
-def main(argv: "list[str] | None" = None) -> int:
-    """Run the requested experiments (default: all) and print the tables."""
-    parser = argparse.ArgumentParser(
-        prog="newton-repro",
-        description="Regenerate the Newton paper's evaluation tables/figures.",
-        epilog=(
-            "environment toggles (boolean: 1/true/yes/on vs 0/false/no/off, "
-            "case-insensitive): NEWTON_NO_FASTPATH=1 forces per-command "
-            "issue everywhere; NEWTON_TELEMETRY=0 disables cycle-"
-            "attribution accounting; NEWTON_CHECK_INVARIANTS=1 validates "
-            "every run against the protocol-invariant checker (slow: "
-            "forces per-command issue; see docs/verification.md)."
-        ),
-    )
-    # NB: argparse rejects an empty nargs="*" positional when `choices`
-    # is set (bpo-27227), so validity is checked by hand below.
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        metavar="EXPERIMENT",
-        help=f"which experiments to run (default: all); one of: "
-        f"{', '.join([*EXPERIMENTS, 'all'])} — or a standalone "
-        "subcommand: 'verify' (protocol-invariant differential fuzzing; "
-        "see --fuzz/--seed/--report and docs/verification.md), "
-        "'serve' (the live serving gateway; see --trace/--slo and "
-        "docs/serving-gateway.md), or 'explore' (design-space "
-        "exploration; see --space/--jobs/--report and "
-        "docs/design-space-explorer.md)",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="also append the rendered tables to this file",
-    )
-    parser.add_argument(
-        "--fuzz",
-        type=int,
-        default=25,
-        metavar="N",
-        help="(verify only) number of differential fuzz cases to run "
-        "(default 25)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="S",
-        help="(verify/explore) base seed: verify derives every fuzz case "
-        "from (seed, index) alone; explore stamps the seed into the DSE "
-        "report (default 0)",
-    )
-    parser.add_argument(
-        "--report",
-        metavar="PATH",
-        default=None,
-        help="(verify/explore) write the run's JSON report: "
-        "newton-verify/v1 for verify (the nightly CI artifact), "
-        "newton-dse/v1 for explore (byte-identical across --jobs)",
-    )
-    parser.add_argument(
-        "--space",
-        metavar="SPEC",
-        default="canonical",
-        help="(explore only) the sweep space: a named preset "
-        "('canonical', 'smoke') or a JSON spec file "
-        "(default: canonical; see docs/design-space-explorer.md)",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="SPEC",
-        default="poisson:load=0.5,requests=1000",
-        help="(serve only) traffic to serve: an inline "
-        "'kind:key=value,...' spec (kinds: poisson, diurnal, bursty) "
-        "or a newton-trace/v1 JSON file (default: "
-        "poisson:load=0.5,requests=1000)",
-    )
-    parser.add_argument(
-        "--slo",
-        type=float,
-        default=5.0,
-        metavar="X",
-        help="(serve only) interactive-class p99 budget as a multiple "
-        "of the backend's service time (default 5.0; the bulk class "
-        "gets 4x that)",
-    )
-    parser.add_argument(
-        "--window",
-        type=float,
-        default=0.0,
-        metavar="X",
-        help="(serve only) continuous-batching window as a multiple of "
-        "the service time (default 0: dispatch immediately)",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        metavar="N",
-        help="(serve only) largest continuous batch merged into one "
-        "gemv_batch dispatch (default 8)",
-    )
-    parser.add_argument(
-        "--queue-depth",
-        type=int,
-        default=512,
-        metavar="N",
-        help="(serve only) admission bound on waiting requests; beyond "
-        "it, low-priority work is shed (default 512)",
-    )
-    parser.add_argument(
-        "--max-replicas",
-        type=int,
-        default=None,
-        metavar="N",
-        help="(serve only) autoscale ceiling; above --replicas the "
-        "gateway scales out when the windowed p99 exceeds the SLO "
-        "budget and back in when idle (default: pinned at --replicas)",
-    )
-    parser.add_argument(
-        "--layer",
-        default="DLRMs1",
-        metavar="NAME",
-        help="(serve only) workload layer whose GEMV each request runs "
-        "(default DLRMs1)",
-    )
-    parser.add_argument(
-        "--scenario",
-        choices=("decode", "moe", "lora"),
-        default=None,
-        help="run a session-based model-graph scenario instead of "
-        "experiments: 'decode' (bank-resident KV-cache, one token per "
-        "step), 'moe' (routed experts), 'lora' (low-rank adapters); "
-        "honors --backend/--devices/--workers, always differentially "
-        "checks fused vs unfused (see docs/model-graphs.md)",
-    )
-    parser.add_argument(
-        "--seq-len",
-        type=int,
-        default=16,
-        metavar="N",
-        help="(scenario only) decode steps to run / KV-cache window "
-        "(default 16)",
-    )
-    parser.add_argument(
-        "--fused",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="(scenario only) fused execution: chained activations stay "
-        "buffer/latch-resident and skip the host GWRITE round trip "
-        "(--no-fused pins the per-layer round-trip path; outputs are "
-        "bit-identical either way)",
-    )
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run up to N experiments — or N 'explore' sweep chunks — in "
-        "parallel worker processes (results are always printed in "
-        "selection/enumeration order)",
-    )
-    parser.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="write a telemetry JSON export (schema newton-telemetry/v1): "
-        "per-experiment timings/failures plus a schema-validated "
-        "cycle-attribution probe (see docs/simulator-internals.md)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default="newton",
-        help="execution backend for the Newton side of every experiment "
-        "(default: the cycle-accurate simulator; see "
-        "docs/backends-and-sharding.md)",
-    )
-    parser.add_argument(
-        "--placement",
-        choices=("auto", "all-newton", "all-gpu"),
-        default="auto",
-        help="(hetero backend only) per-dispatch placement policy: "
-        "'auto' routes each dispatch to the side the calibrated cost "
-        "model finds cheaper; the 'all-*' policies force one side "
-        "(see docs/heterogeneous-scheduling.md)",
-    )
-    for field_name, flag, text in (
-        ("gemv_efficiency", "--gpu-gemv-efficiency",
-         "achieved bandwidth fraction on batch-1 GEMV"),
-        ("batch_decay", "--gpu-batch-decay",
-         "per-batch efficiency decay exponent (non-positive)"),
-        ("peak_flops_per_cycle", "--gpu-peak-flops",
-         "peak fp16 FLOPs per DRAM-command cycle"),
-        ("compute_efficiency", "--gpu-compute-efficiency",
-         "achieved fraction of peak on dense GEMM"),
-        ("kernel_overhead_cycles", "--gpu-kernel-overhead",
-         "fixed per-kernel launch cost in cycles"),
-        ("saturation_bytes", "--gpu-saturation-bytes",
-         "working set needed to saturate the machine"),
-    ):
-        parser.add_argument(
-            flag,
-            dest=f"gpu_{field_name}",
-            type=float,
-            default=None,
-            metavar="X",
-            help=f"(gpu/hetero backends) GPU roofline override: {text}",
-        )
-    parser.add_argument(
-        "--devices",
-        type=int,
-        default=1,
-        metavar="N",
-        help="row-shard each layer across N devices (tensor parallel; "
-        "default 1)",
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        metavar="N",
-        help="serving-replica count for the queueing studies (M/D/c; "
-        "default 1)",
-    )
-    parser.add_argument(
-        "--workers",
-        choices=("inline", "process"),
-        default="inline",
-        help="multi-device execution style: 'inline' composes device "
-        "backends in-process, 'process' spawns one worker process per "
-        "device with shared-memory weight transfer (default: inline)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run the selected experiments under cProfile and dump the "
-        "top functions by cumulative time to stderr (serial only)",
-    )
-    parser.add_argument(
-        "--profile-out",
-        metavar="FILE",
-        default=None,
-        help="write the cProfile report to FILE instead of stderr "
-        "(implies --profile)",
-    )
-    parser.add_argument(
-        "--profile-limit",
-        type=int,
-        default=30,
-        metavar="N",
-        help="how many functions the profile report shows (default 30)",
-    )
-    args = parser.parse_args(argv)
-    if args.profile_out:
-        args.profile = True
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
-    if args.profile and args.jobs > 1:
-        parser.error(
-            "--profile requires serial execution (--jobs 1): cProfile "
-            "cannot see into worker processes"
-        )
-    if args.devices < 1:
-        parser.error("--devices must be at least 1")
-    if args.replicas < 1:
-        parser.error("--replicas must be at least 1")
-    from repro.baselines.gpu import GPU_TUNABLE_FIELDS
-
-    gpu_overrides = tuple(
-        (name, value)
-        for name in GPU_TUNABLE_FIELDS
-        if (value := getattr(args, f"gpu_{name}", None)) is not None
-    )
-    context = ExperimentContext(
-        backend=args.backend,
-        devices=args.devices,
-        replicas=args.replicas,
-        workers=args.workers,
-        placement=args.placement,
-        gpu_overrides=gpu_overrides,
-    )
+def run_experiments(args, context: ExperimentContext) -> int:
+    """Regenerate the Newton paper's evaluation tables/figures: the named
+    experiments (default: all), in selection order. A first word of
+    verify, explore, serve or scenario runs that command instead;
+    ``newton-repro COMMAND --help`` lists its flags.
+    """
     requested = args.experiments or ["all"]
-    if args.scenario is not None:
-        if args.experiments:
-            parser.error(
-                "--scenario is a standalone subcommand; do not mix it "
-                "with experiment names"
-            )
-        if args.seq_len < 1:
-            parser.error("--seq-len must be at least 1")
-        if args.slo <= 0:
-            parser.error("--slo must be positive")
-        return run_scenario(args, context)
-    if "verify" in requested:
-        if requested != ["verify"]:
-            parser.error(
-                "'verify' is a standalone subcommand; do not mix it with "
-                "experiment names"
-            )
-        if args.fuzz < 1:
-            parser.error("--fuzz must be at least 1")
-        return run_verify(args.fuzz, args.seed, args.report)
-    if "explore" in requested:
-        if requested != ["explore"]:
-            parser.error(
-                "'explore' is a standalone subcommand; do not mix it with "
-                "experiment names"
-            )
-        return run_explore(args)
-    if "serve" in requested:
-        if requested != ["serve"]:
-            parser.error(
-                "'serve' is a standalone subcommand; do not mix it with "
-                "experiment names"
-            )
-        if args.max_batch < 1:
-            parser.error("--max-batch must be at least 1")
-        if args.queue_depth < 1:
-            parser.error("--queue-depth must be at least 1")
-        if args.window < 0:
-            parser.error("--window must be non-negative")
-        if args.slo <= 0:
-            parser.error("--slo must be positive")
-        return run_serve(args, context)
-    unknown = [name for name in requested if name not in EXPERIMENTS and name != "all"]
-    if unknown:
-        parser.error(
-            f"unknown experiment(s) {', '.join(unknown)}; "
-            f"choose from {', '.join([*EXPERIMENTS, 'all'])}"
-        )
-    selected = (
-        list(EXPERIMENTS)
-        if "all" in requested
-        else list(dict.fromkeys(requested))
-    )
-
-    profiler = None
+    selected = list(EXPERIMENTS if "all" in requested else dict.fromkeys(requested))
+    run = partial(run_experiment, context=context)
     try:
         if args.jobs > 1 and len(selected) > 1:
-            with ProcessPoolExecutor(
-                max_workers=min(args.jobs, len(selected))
-            ) as pool:
-                # submit everything up front, then drain in selection order:
-                # scheduling is parallel, output is deterministic.
-                futures = [
-                    pool.submit(run_experiment, name, context)
-                    for name in selected
-                ]
-                outcomes = [future.result() for future in futures]
-        elif args.profile:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-            try:
-                outcomes = [
-                    run_experiment(name, context) for name in selected
-                ]
-            finally:
-                profiler.disable()
+            # map submits everything up front and yields in selection
+            # order: scheduling is parallel, output is deterministic.
+            with ProcessPoolExecutor(min(args.jobs, len(selected))) as pool:
+                outcomes = list(pool.map(run, selected))
         else:
-            outcomes = [run_experiment(name, context) for name in selected]
+            outcomes = [run(name) for name in selected]
     finally:
         # serial mode installs the context process-wide; don't leak it
         # past the CLI entry point (embedders, the test suite).
@@ -870,97 +513,203 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.metrics:
         write_metrics(outcomes, args.metrics, context)
         print(f"wrote metrics to {args.metrics}", file=sys.stderr)
-    if profiler is not None:
-        write_profile(profiler, args.profile_out, args.profile_limit)
     return 1 if failures else 0
 
 
-FUNCTIONAL_PROFILE_FILES = (
-    "core/datapath.py",
-    "core/mac_unit.py",
-    "core/global_buffer.py",
-    "host/accumulator.py",
-    "numerics/lut.py",
-)
-"""Source files whose self-time counts as *functional datapath* work
-(plus everything under ``repro/numerics/``)."""
+# -- the command table ------------------------------------------------
 
-TIMING_PROFILE_FILES = (
-    "core/schedule_cache.py",
-    "core/command_gen.py",
-)
-"""Source files whose self-time counts as *timing simulation* work
-(plus everything under ``repro/dram/``)."""
+Flag = Tuple[Tuple[str, ...], Dict[str, object]]
+"""One ``add_argument`` call as data: its names and its options."""
 
 
-def profile_split(stats) -> "Dict[str, float]":
-    """Bucket a profile's self-time: functional vs timing vs other.
-
-    The data-driven target selector the perf roadmap asks for: whether
-    the next optimization should attack the functional datapath
-    (:mod:`repro.numerics`, :mod:`repro.core.datapath`) or the timing
-    simulation (:mod:`repro.dram`, lowering, the schedule cache) is
-    read straight off this split instead of guessed. ``stats`` is a
-    ``pstats.Stats``; returns seconds of self-time per bucket.
-    """
-    import os
-
-    buckets = {"functional": 0.0, "timing": 0.0, "other": 0.0}
-    for (filename, _lineno, _name), row in stats.stats.items():
-        tottime = row[2]
-        norm = filename.replace(os.sep, "/")
-        if "repro/numerics/" in norm or norm.endswith(
-            FUNCTIONAL_PROFILE_FILES
-        ):
-            buckets["functional"] += tottime
-        elif "repro/dram/" in norm or norm.endswith(TIMING_PROFILE_FILES):
-            buckets["timing"] += tottime
-        else:
-            buckets["other"] += tottime
-    return buckets
+def flag(*names: str, **options: object) -> Flag:
+    return names, options
 
 
-def render_profile_split(buckets: "Dict[str, float]") -> str:
-    """The functional/timing split as a small header table."""
-    total = sum(buckets.values()) or 1.0
-    lines = ["time split (self time):"]
-    for label, key in (
-        ("functional datapath", "functional"),
-        ("timing simulation", "timing"),
-        ("other (incl. harness)", "other"),
-    ):
-        seconds = buckets[key]
-        lines.append(
-            f"  {label:<22} {seconds:9.3f}s  ({100.0 * seconds / total:5.1f}%)"
+def checked(kind: type, holds: Callable[[float], bool], rule: str):
+    """An argparse ``type`` parsing ``kind`` that refuses (exit code 2,
+    NaN included) any value for which ``holds`` is false."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: ..."
+    return parse
+
+
+COUNT = checked(int, lambda value: value >= 1, "at least 1")
+POSITIVE = checked(float, lambda value: value > 0, "positive")
+NON_NEGATIVE = checked(float, lambda value: value >= 0, "non-negative")
+
+
+def experiment_name(text: str) -> str:
+    """The default command's positional type: a registered name or ``all``."""
+    choices = [*EXPERIMENTS, "all"]
+    if text not in choices:
+        raise argparse.ArgumentTypeError(f"{text!r} is not one of {', '.join(choices)}")
+    return text
+
+
+JOBS = flag("--jobs", "-j", type=COUNT, default=1, metavar="N",
+            help="run in up to N processes; output never depends on N (default 1)")
+SEED = flag("--seed", type=int, default=0, metavar="S",
+            help="base seed the run derives from (default 0)")
+REPORT = flag("--report", metavar="PATH", help="write the run's JSON report")
+CONTEXT: Tuple[Flag, ...] = (
+    flag("--backend", choices=available_backends(), default="newton",
+         help="execution backend for the Newton side (default: the "
+         "cycle-accurate simulator; see docs/backends-and-sharding.md)"),
+    flag("--placement", choices=("auto", "all-newton", "all-gpu"),
+         default="auto",
+         help="(hetero backend only) per-dispatch placement: 'auto' takes "
+         "the side the calibrated cost model finds cheaper, 'all-*' forces "
+         "one side (see docs/heterogeneous-scheduling.md)"),
+    *(
+        flag(name, dest=f"gpu_{field}", type=float, metavar="X",
+             help=f"(gpu/hetero backends) GPU roofline override: {text}")
+        for field, name, text in (
+            ("gemv_efficiency", "--gpu-gemv-efficiency",
+             "achieved bandwidth fraction on batch-1 GEMV"),
+            ("batch_decay", "--gpu-batch-decay",
+             "per-batch efficiency decay exponent (non-positive)"),
+            ("peak_flops_per_cycle", "--gpu-peak-flops",
+             "peak fp16 FLOPs per DRAM-command cycle"),
+            ("compute_efficiency", "--gpu-compute-efficiency",
+             "achieved fraction of peak on dense GEMM"),
+            ("kernel_overhead_cycles", "--gpu-kernel-overhead",
+             "fixed per-kernel launch cost in cycles"),
+            ("saturation_bytes", "--gpu-saturation-bytes",
+             "working set needed to saturate the machine"),
         )
-    return "\n".join(lines)
+    ),
+    flag("--devices", type=COUNT, default=1, metavar="N",
+         help="row-shard each layer across N devices (tensor parallel; default 1)"),
+    flag("--replicas", type=COUNT, default=1, metavar="N",
+         help="serving replicas: the studies' M/D/c fleet, the gateway's "
+         "starting fleet (default 1)"),
+    flag("--workers", choices=("inline", "process"), default="inline",
+         help="multi-device execution: 'inline' in one process, 'process' "
+         "one worker process per device, weights in shared memory "
+         "(default: inline)"),
+    flag("--metrics", metavar="PATH",
+         help="write the run's telemetry JSON export (schema "
+         "newton-telemetry/v1; see docs/simulator-internals.md)"),
+)
+"""The execution context, shared by every command that builds a backend."""
 
 
-def write_profile(
-    profiler, path: Optional[str], limit: int
-) -> None:
-    """Dump a profile report to ``path`` or stderr.
+def execution_context(args: argparse.Namespace) -> ExperimentContext:
+    """The context flags of ``args`` (the default context without them)."""
+    values = vars(args)
+    given = [field.name for field in fields(ExperimentContext) if field.name in values]
+    return ExperimentContext(
+        **{name: values[name] for name in given},
+        gpu_overrides=tuple(
+            (name, values[f"gpu_{name}"])
+            for name in GPU_TUNABLE_FIELDS
+            if values.get(f"gpu_{name}") is not None
+        ),
+    )
 
-    Leads with the functional-datapath vs timing-simulation self-time
-    split (:func:`profile_split`) so target selection is data-driven,
-    then the top ``limit`` functions by cumulative time, so the tier
-    boundaries (lowering, burst kernel, replay, functional evaluation)
-    show up by name.
-    """
-    import io
-    import pstats
 
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    buffer.write(render_profile_split(profile_split(stats)) + "\n\n")
-    stats.sort_stats("cumulative").print_stats(limit)
-    report = buffer.getvalue()
-    if path:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(report)
-        print(f"wrote profile to {path}", file=sys.stderr)
-    else:
-        print(report, file=sys.stderr)
+@dataclass(frozen=True)
+class Command:
+    """One row of :data:`COMMANDS`: a handler and the flags it reads.
+    ``--help`` describes the command by the handler's docstring summary."""
+
+    handler: Callable[[argparse.Namespace, ExperimentContext], int]
+    flags: Tuple[Flag, ...]
+
+
+COMMANDS: Dict[Optional[str], Command] = {
+    None: Command(run_experiments, (
+        flag("experiments", nargs="*", type=experiment_name,
+             metavar="EXPERIMENT",
+             help="which experiments to run (default: all); one of: "
+             f"{', '.join([*EXPERIMENTS, 'all'])}"),
+        flag("--out", metavar="PATH",
+             help="also append the rendered tables to this file"),
+        JOBS, *CONTEXT,
+    )),
+    "verify": Command(run_verify, (
+        flag("--fuzz", type=COUNT, default=25, metavar="N",
+             help="number of differential fuzz cases to run (default 25)"),
+        SEED, REPORT,
+    )),
+    "explore": Command(run_explore, (
+        flag("--space", metavar="SPEC", default="canonical",
+             help="the sweep space: a named preset ('canonical', "
+             "'smoke') or a JSON spec file (default: canonical)"),
+        JOBS, SEED, REPORT,
+    )),
+    "serve": Command(run_serve, (
+        flag("--trace", metavar="SPEC", default="poisson:load=0.5,requests=1000",
+             help="traffic: an inline 'kind:key=value,...' spec (poisson, "
+             "diurnal, bursty) or a newton-trace/v1 file (default: %(default)s)"),
+        flag("--slo", type=POSITIVE, default=5.0, metavar="X",
+             help="interactive-class p99 budget in service times (default "
+             "5.0; the bulk class gets 4x that)"),
+        flag("--window", type=NON_NEGATIVE, default=0.0, metavar="X",
+             help="continuous-batching window as a multiple of the "
+             "service time (default 0: dispatch immediately)"),
+        flag("--max-batch", type=COUNT, default=8, metavar="N",
+             help="largest continuous batch merged into one gemv_batch "
+             "dispatch (default 8)"),
+        flag("--queue-depth", type=COUNT, default=512, metavar="N",
+             help="admission bound on waiting requests; beyond it, "
+             "low-priority work is shed (default 512)"),
+        flag("--max-replicas", type=int, default=None, metavar="N",
+             help="autoscale ceiling: the gateway scales out past --replicas "
+             "while the windowed p99 is over budget, back in when idle"),
+        flag("--layer", default="DLRMs1", metavar="NAME",
+             help="workload layer each request's GEMV runs (default DLRMs1)"),
+        *CONTEXT,
+    )),
+    "scenario": Command(run_scenario, (
+        flag("scenario", choices=SCENARIOS,
+             help="'decode' (bank-resident KV-cache, one token per step), "
+             "'moe' (routed experts), 'lora' (low-rank adapters)"),
+        flag("--seq-len", type=COUNT, default=16, metavar="N",
+             help="decode steps to run / KV-cache window (default 16)"),
+        flag("--fused", action=argparse.BooleanOptionalAction, default=True,
+             help="keep chained activations buffer/latch-resident, skipping "
+             "the host GWRITE round trip (outputs are bit-identical either way)"),
+        flag("--slo", type=POSITIVE, default=5.0, metavar="X",
+             help="decode-class p99 budget as a multiple of the mean step "
+             "time (default 5.0)"),
+        SEED, *CONTEXT,
+    )),
+}
+"""Every command by its first word; ``None``, the default, runs experiments."""
+
+ENVIRONMENT = (
+    "environment toggles (boolean: 1/true/yes/on vs 0/false/no/off, "
+    "case-insensitive): NEWTON_NO_FASTPATH=1 forces per-command issue "
+    "everywhere; NEWTON_TELEMETRY=0 disables cycle-attribution accounting; "
+    "NEWTON_CHECK_INVARIANTS=1 validates every run against the protocol-"
+    "invariant checker (slow: forces per-command issue; see "
+    "docs/verification.md)."
+)
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    """Run the command its first word names (default: experiments)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    word = argv[0] if argv and argv[0] in COMMANDS else None
+    command = COMMANDS[word]
+    summary = inspect.getdoc(command.handler).split("\n\n")[0]
+    parser = argparse.ArgumentParser(
+        prog="newton-repro" + (f" {word}" if word else ""),
+        description=summary.replace("``", ""),
+        epilog=ENVIRONMENT,
+    )
+    for names, options in command.flags:
+        parser.add_argument(*names, **options)
+    args = parser.parse_args(argv[1:] if word else argv)
+    return command.handler(args, execution_context(args))
 
 
 if __name__ == "__main__":

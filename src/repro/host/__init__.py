@@ -1,8 +1,7 @@
 """Host-side runtime: accumulation, activation/normalization overlap,
-end-to-end model execution, allocation, and traffic scheduling."""
+end-to-end model execution, and traffic scheduling."""
 
 from repro.host.accumulator import HostAccumulator
-from repro.host.allocator import RowAllocator, Superpage
 from repro.host.cells import LSTMCell
 from repro.host.serving import ServingResult, ServingSimulator
 from repro.host.mixed_traffic import NonAimRequest, NonAimTrafficSource
@@ -15,8 +14,6 @@ __all__ = [
     "LSTMCell",
     "ServingSimulator",
     "ServingResult",
-    "RowAllocator",
-    "Superpage",
     "NonAimRequest",
     "NonAimTrafficSource",
     "MultiModelScheduler",

@@ -157,7 +157,8 @@ class GatewayConfig:
     classes: Tuple[SLOClass, ...] = (SLOClass("interactive"),)
     autoscale_interval: Optional[float] = None
     """Cycles between autoscale decisions (finite, > 0; default: 10x
-    service)."""
+    service). An autoscaled fleet whose replicas report no
+    ``service_cycles`` must set this and ``autoscale_window``."""
     autoscale_window: Optional[float] = None
     """Sliding window the scaling p99 is computed over (finite, > 0;
     default: 50x service)."""
@@ -253,8 +254,10 @@ class FixedServiceReplica:
     """
 
     def __init__(self, service_cycles: float):
-        if service_cycles <= 0:
-            raise ServingError("service time must be positive")
+        # `<= 0` alone would let NaN through, and the loop clamps a NaN
+        # delay to zero: every batch would finish instantly.
+        if not (math.isfinite(service_cycles) and service_cycles > 0):
+            raise ServingError("service time must be finite and positive")
         self.service_cycles = float(service_cycles)
         self.index = -1
         self.active = True
@@ -928,6 +931,17 @@ class ServingGateway:
             if self.config.autoscale_window is not None
             else 50.0 * self._service_estimate
         )
+        if self.config.replica_ceiling > self.config.min_replicas and not all(
+            math.isfinite(value) and value > 0
+            for value in (self._autoscale_interval, self._autoscale_window)
+        ):
+            # Derived from replicas that report no service time: a zero
+            # interval would pin the clock and the run would never end.
+            raise ServingError(
+                "autoscaling needs a finite, positive autoscale_interval "
+                "and autoscale_window; configure them when the replicas "
+                "report no service_cycles"
+            )
         loop.call_soon(self._arrive)
         if self._session_specs:
             loop.call_soon(self._open_due_sessions)

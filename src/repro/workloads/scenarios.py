@@ -120,7 +120,7 @@ def lora_model(*, d: int = 256, rank: int = 8, blocks: int = 4) -> ModelSpec:
 
 
 SCENARIOS = ("decode", "moe", "lora")
-"""The scenario names `newton-repro --scenario` accepts."""
+"""The scenario names `newton-repro scenario` accepts."""
 
 
 def scenario_model(name: str, **kwargs) -> ModelSpec:

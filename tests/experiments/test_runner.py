@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import EXPERIMENTS, main
+from repro.experiments.runner import COMMANDS, EXPERIMENTS, main
 
 
 class TestRunner:
@@ -278,10 +278,10 @@ class TestExecutionContextFlags:
 
 
 class TestScenarioDispatch:
-    """`newton-repro --scenario` (the session/graph standalone mode)."""
+    """`newton-repro scenario` (the session/graph standalone mode)."""
 
     def test_decode_runs_with_differential_twin(self, capsys):
-        assert main(["--scenario", "decode", "--seq-len", "3"]) == 0
+        assert main(["scenario", "decode", "--seq-len", "3"]) == 0
         out = capsys.readouterr().out
         assert "Scenario 'decode'" in out
         assert "fused==unfused outputs bit-identical" in out
@@ -290,12 +290,12 @@ class TestScenarioDispatch:
 
     @pytest.mark.parametrize("scenario", ["moe", "lora"])
     def test_other_scenarios_run(self, scenario, capsys):
-        assert main(["--scenario", scenario, "--seq-len", "2"]) == 0
+        assert main(["scenario", scenario, "--seq-len", "2"]) == 0
         out = capsys.readouterr().out
         assert f"Scenario {scenario!r}" in out
 
     def test_no_fused_pins_roundtrip(self, capsys):
-        assert main(["--scenario", "lora", "--seq-len", "2", "--no-fused"]) == 0
+        assert main(["scenario", "lora", "--seq-len", "2", "--no-fused"]) == 0
         out = capsys.readouterr().out
         assert "(unfused)" in out
         assert "0/" in out  # no GEMV fuses on the pinned round-trip path
@@ -306,15 +306,90 @@ class TestScenarioDispatch:
 
     def test_seq_len_validated(self, capsys):
         with pytest.raises(SystemExit):
-            main(["--scenario", "decode", "--seq-len", "0"])
+            main(["scenario", "decode", "--seq-len", "0"])
 
     def test_metrics_export(self, tmp_path, capsys):
         import json
 
         target = tmp_path / "scenario.json"
         assert main(
-            ["--scenario", "lora", "--seq-len", "2", "--metrics", str(target)]
+            ["scenario", "lora", "--seq-len", "2", "--metrics", str(target)]
         ) == 0
         record = json.loads(target.read_text())
         assert record["schema"] == "newton-telemetry/v1"
         assert "scenario" in record["sections"]
+
+
+class TestCommandTable:
+    """`COMMANDS`: each command parses only the flags its handler reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--fuzz", "1", "--backend", "gpu"],
+            ["verify", "--fuzz", "1", "--metrics", "f"],
+            ["explore", "--space", "smoke", "--devices", "4"],
+            ["serve", "--jobs", "2"],
+            ["scenario", "decode", "--out", "f"],
+            ["area-budget", "--trace", "x"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_flag_the_command_does_not_read_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["area-budget", "--jobs", "0"],
+            ["verify", "--fuzz", "0"],
+            ["serve", "--slo", "nan"],
+            ["serve", "--window", "-1"],
+            ["serve", "--max-batch", "0"],
+            ["serve", "--queue-depth", "0"],
+            ["scenario", "decode", "--slo", "0"],
+            ["scenario", "decode", "--replicas", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_value_out_of_range_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert "error: argument --" in capsys.readouterr().err
+
+    CONTEXT = {
+        "--backend", "--placement", "--gpu-gemv-efficiency", "--gpu-batch-decay",
+        "--gpu-peak-flops", "--gpu-compute-efficiency", "--gpu-kernel-overhead",
+        "--gpu-saturation-bytes", "--devices", "--replicas", "--workers",
+        "--metrics",
+    }
+    FLAGS = {
+        None: {"--out", "--jobs", *CONTEXT},
+        "verify": {"--fuzz", "--seed", "--report"},
+        "explore": {"--space", "--jobs", "--seed", "--report"},
+        "serve": {
+            "--trace", "--slo", "--window", "--max-batch", "--queue-depth",
+            "--max-replicas", "--layer", *CONTEXT,
+        },
+        "scenario": {"--seq-len", "--fused", "--no-fused", "--slo", "--seed", *CONTEXT},
+    }
+
+    def test_every_command_is_in_the_table(self):
+        assert set(COMMANDS) == set(self.FLAGS)
+
+    @pytest.mark.parametrize("word", list(FLAGS), ids=str)
+    def test_help_lists_the_commands_own_flags_only(self, word, capsys):
+        """`scenario --help` shows --seed and --slo; `verify --help`
+        shows no --backend."""
+        import re
+
+        with pytest.raises(SystemExit) as stop:
+            main([word, "--help"] if word else ["--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        shown = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", out))
+        assert shown == self.FLAGS[word] | {"--help"}

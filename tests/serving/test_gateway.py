@@ -81,6 +81,38 @@ class TestConfigValidation:
         with pytest.raises(ServingError, match="empty"):
             fixed_gateway(degenerate_config(1)).run(empty)
 
+    def test_fixed_replica_needs_a_finite_service_time(self):
+        """NaN slips past `<= 0`; the loop would then serve every batch
+        in zero cycles."""
+        for service in (float("nan"), float("inf")):
+            with pytest.raises(ServingError, match="finite and positive"):
+                FixedServiceReplica(service)
+
+    def test_autoscaling_needs_an_interval_the_replicas_cannot_derive(self):
+        """Replicas that report no service time leave a zero derived
+        autoscale interval, which pins the clock: the run refuses it
+        at once, and configuring the interval and window serves."""
+
+        class Untimed:
+            def __init__(self):
+                self.index, self.active = -1, True
+
+            def batch_cycles(self, batch_size):
+                return SERVICE * batch_size
+
+            def close(self):
+                pass
+
+        trace = poisson_trace(2 * SERVICE, 50, seed=0)
+        config = GatewayConfig(min_replicas=1, max_replicas=2)
+        with pytest.raises(ServingError, match="autoscale_interval"):
+            ServingGateway(Untimed, config).run(trace)
+        configured = GatewayConfig(
+            min_replicas=1, max_replicas=2,
+            autoscale_interval=10 * SERVICE, autoscale_window=50 * SERVICE,
+        )
+        assert ServingGateway(Untimed, configured).run(trace).completed == 50
+
 
 class TestClose:
     def test_close_before_any_run(self):
